@@ -9,7 +9,6 @@
 #include "sched/cost_model.h"
 #include "util/check.h"
 #include "util/logging.h"
-#include "util/ws_runtime.h"
 
 namespace bsio::sched {
 
@@ -62,51 +61,6 @@ std::vector<wl::NodeId> bipartition_map_tasks(
   return map;
 }
 
-Status BiPartitionScheduler::begin_batch() {
-  stash_.clear();
-  stash_alive_.clear();
-  return Scheduler::begin_batch();
-}
-
-// plan_all_sub_batches: hands out the next precomputed sub-batch when the
-// stash still describes reality exactly — the alive set is unchanged and
-// the pending set is precisely the union of the stashed parts. Any
-// deviation (node crash, disk-repair deferral, fallback injection) drops
-// the stash and the caller replans from scratch.
-bool BiPartitionScheduler::serve_stashed_part(
-    const std::vector<wl::TaskId>& pending,
-    const std::vector<wl::NodeId>& nodes, std::vector<wl::TaskId>& sub_batch,
-    std::vector<wl::NodeId>& map) {
-  if (stash_.empty()) return false;
-  bool valid = stash_alive_ == nodes;
-  if (valid) {
-    std::size_t total = 0;
-    for (const StashedPart& p : stash_) total += p.tasks.size();
-    valid = total == pending.size();
-  }
-  if (valid) {
-    // Equal sizes + stashed tasks are distinct (they came from disjoint
-    // BINW parts) + every one still pending => the sets are equal.
-    const std::unordered_set<wl::TaskId> pend(pending.begin(), pending.end());
-    for (const StashedPart& p : stash_) {
-      for (wl::TaskId t : p.tasks)
-        if (pend.count(t) == 0) {
-          valid = false;
-          break;
-        }
-      if (!valid) break;
-    }
-  }
-  if (!valid) {
-    stash_.clear();
-    return false;
-  }
-  sub_batch = std::move(stash_.front().tasks);
-  map = std::move(stash_.front().map);
-  stash_.erase(stash_.begin());
-  return true;
-}
-
 sim::SubBatchPlan BiPartitionScheduler::plan_sub_batch(
     const std::vector<wl::TaskId>& pending, const SchedulerContext& ctx) {
   const wl::Workload& w = ctx.batch;
@@ -117,16 +71,9 @@ sim::SubBatchPlan BiPartitionScheduler::plan_sub_batch(
 
   // --- Level 1: sub-batch selection via BINW. ---
   std::vector<wl::TaskId> sub_batch;
-  std::vector<wl::NodeId> map;  // level-2 result; filled below
-  bool have_map = false;
   const bool limited = !cluster.unlimited_disk();
   if (!limited) {
     sub_batch = pending;
-  } else if (options_.plan_all_sub_batches &&
-             serve_stashed_part(pending, nodes, sub_batch, map)) {
-    // A precomputed sub-batch still matches reality exactly; no BINW or
-    // level-2 run this round.
-    have_map = true;
   } else {
     // Aggregate disk space of the surviving nodes only.
     double aggregate = 0.0;
@@ -154,62 +101,21 @@ sim::SubBatchPlan BiPartitionScheduler::plan_sub_batch(
 
     std::vector<std::size_t> count(binw.num_parts, 0);
     for (int p : binw.parts) ++count[p];
-    if (options_.plan_all_sub_batches) {
-      // Level-2-map every sub-batch now, concurrently — each part is an
-      // independent K-way partitioning problem, and part_maps[p] is written
-      // only by index p, so the result is bit-identical at any thread
-      // count. The largest part is served this round; the rest are stashed
-      // for the following rounds.
-      std::vector<std::vector<wl::TaskId>> part_tasks(binw.num_parts);
-      for (int p = 0; p < binw.num_parts; ++p) part_tasks[p].reserve(count[p]);
-      for (std::size_t i = 0; i < pending.size(); ++i)
-        part_tasks[binw.parts[i]].push_back(pending[i]);
-      std::vector<std::vector<wl::NodeId>> part_maps(binw.num_parts);
-      WsRuntime::global().parallel_for_each(
-          static_cast<std::size_t>(binw.num_parts), [&](std::size_t p) {
-            if (part_tasks[p].empty()) return;
-            part_maps[p] = bipartition_map_tasks(w, part_tasks[p], topo,
-                                                 options_, nodes, nullptr);
-          });
-      // Largest first, ties by part id: the serving order is a pure
-      // function of the BINW result.
-      std::vector<int> order(binw.num_parts);
-      for (int p = 0; p < binw.num_parts; ++p) order[p] = p;
-      std::sort(order.begin(), order.end(), [&](int a, int b) {
-        if (count[a] != count[b]) return count[a] > count[b];
-        return a < b;
-      });
-      sub_batch = std::move(part_tasks[order[0]]);
-      map = std::move(part_maps[order[0]]);
-      have_map = true;
-      stash_.clear();
-      for (std::size_t r = 1; r < order.size(); ++r)
-        if (!part_tasks[order[r]].empty())
-          stash_.push_back({std::move(part_tasks[order[r]]),
-                            std::move(part_maps[order[r]])});
-      stash_alive_ = nodes;
-      BSIO_LOG(kDebug) << "BiPartition: mapped " << binw.num_parts
-                       << " sub-batches concurrently; serving "
-                       << sub_batch.size() << "/" << pending.size()
-                       << " tasks, stashed " << stash_.size();
-    } else {
-      // Execute the largest sub-batch first (mirrors the IP scheme's
-      // "maximally sized subset" objective); the rest stay pending and are
-      // re-partitioned next round against the then-current cache state.
-      const int pick = static_cast<int>(
-          std::max_element(count.begin(), count.end()) - count.begin());
-      for (std::size_t i = 0; i < pending.size(); ++i)
-        if (binw.parts[i] == pick) sub_batch.push_back(pending[i]);
-      BSIO_LOG(kDebug) << "BiPartition: BINW chose " << sub_batch.size()
-                       << "/" << pending.size() << " tasks over "
-                       << binw.num_parts << " sub-batches";
-    }
+    // Execute the largest sub-batch first (mirrors the IP scheme's
+    // "maximally sized subset" objective); the rest stay pending and are
+    // re-partitioned next round against the then-current cache state.
+    const int pick = static_cast<int>(
+        std::max_element(count.begin(), count.end()) - count.begin());
+    for (std::size_t i = 0; i < pending.size(); ++i)
+      if (binw.parts[i] == pick) sub_batch.push_back(pending[i]);
+    BSIO_LOG(kDebug) << "BiPartition: BINW chose " << sub_batch.size()
+                     << "/" << pending.size() << " tasks over "
+                     << binw.num_parts << " sub-batches";
   }
 
   // --- Level 2: K-way task mapping onto the surviving nodes. ---
-  if (!have_map)
-    map = bipartition_map_tasks(w, sub_batch, topo, options_, nodes,
-                                &exec_scratch_);
+  const std::vector<wl::NodeId> map = bipartition_map_tasks(
+      w, sub_batch, topo, options_, nodes, &exec_scratch_);
 
   sim::SubBatchPlan plan;
   plan.tasks = sub_batch;

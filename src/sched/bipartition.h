@@ -26,17 +26,6 @@ struct BiPartitionOptions {
   bool probabilistic_weights = true;
   // Fraction of the aggregate disk space handed to BINW as the bound D.
   double aggregate_bound_fraction = 1.0;
-  // Limited-disk rounds only: level-2-map every BINW sub-batch of the
-  // first round concurrently (they are independent K-way partitioning
-  // problems) and serve the precomputed maps in later rounds, instead of
-  // re-running BINW + one mapping per round. Changes plans versus the
-  // default round-by-round replanning (later rounds no longer see the
-  // then-current pending set), so it is opt-in; plans remain bit-identical
-  // at any thread count (slot-indexed maps, deterministic serving order).
-  // The stash is dropped whenever the pending set or the alive-node set
-  // deviates from what was precomputed (crashes, disk-repair deferrals),
-  // falling back to a fresh replan — fault behaviour is never stale.
-  bool plan_all_sub_batches = false;
 };
 
 class BiPartitionScheduler : public Scheduler {
@@ -45,28 +34,14 @@ class BiPartitionScheduler : public Scheduler {
       : options_(options) {}
 
   std::string name() const override { return "BiPartition"; }
-  Status begin_batch() override;
   sim::SubBatchPlan plan_sub_batch(const std::vector<wl::TaskId>& pending,
                                    const SchedulerContext& ctx) override;
 
  private:
-  bool serve_stashed_part(const std::vector<wl::TaskId>& pending,
-                          const std::vector<wl::NodeId>& nodes,
-                          std::vector<wl::TaskId>& sub_batch,
-                          std::vector<wl::NodeId>& map);
-
   BiPartitionOptions options_;
   // Sharer-count scratch reused across the level-1 and level-2 weight
   // computations of every round.
   ExecTimeScratch exec_scratch_;
-  // plan_all_sub_batches: precomputed (tasks, task->node map) per remaining
-  // BINW sub-batch, largest first, plus the alive set they assumed.
-  struct StashedPart {
-    std::vector<wl::TaskId> tasks;
-    std::vector<wl::NodeId> map;
-  };
-  std::vector<StashedPart> stash_;
-  std::vector<wl::NodeId> stash_alive_;
 };
 
 // Exposed for tests and for the IP scheduler's warm start: the level-2

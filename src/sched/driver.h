@@ -1,30 +1,46 @@
-// Batch driver: the three-stage loop of the paper (sub-batch selection ->
-// allocation -> runtime ordering/staging), with the runtime stage executed
-// by the simulation engine. Also measures the scheduling overhead reported
-// in Fig 6(b).
+// The control loop: the paper's three-stage pipeline (sub-batch selection
+// -> allocation -> runtime ordering/staging) with the runtime stage executed
+// by the simulation engine, for a batch and for the streaming service
+// alike.
 //
-// With fault injection enabled the driver additionally runs the recovery
-// loop: tasks orphaned by compute-node crashes return to the pending set
-// and are re-planned on the surviving nodes in the next round. The batch
-// only fails (BatchRunResult::error) when every compute node has crashed
-// with tasks still pending, or when the configuration itself is invalid.
+// ControlLoop owns one engine, the scheduler's incremental planner
+// (sched/incremental.h) and, when replication is on, the replica manager.
+// Callers admit tasks with a release instant and run cycles; each cycle
+// repairs the live plan where the last window moved files, folds in newly
+// admitted tasks, freezes a horizon window, executes it split by release
+// epoch, hands crash-orphaned tasks back to the planner for the next cycle
+// and runs one repair round. Draining adds up to 8 repair convergence
+// rounds.
+//
+// run_batch is the loop's t = 0 case: seed the warm cache, admit every task
+// at release 0, drain with the drain-all horizon. With a drain-all horizon
+// each window is exactly the scheduler's next plan_sub_batch over the
+// still-pending tasks, so the batch results are those of the round-by-round
+// driver the paper describes. The streaming service
+// (service::StreamServiceLoop) feeds the same loop from its admission
+// queue. A batch only fails (BatchRunResult::error) when the configuration
+// is invalid, the engine rejects a plan, or every compute node has crashed
+// with tasks still pending.
 #pragma once
 
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "replica/replica.h"
+#include "sched/incremental.h"
 #include "sched/scheduler.h"
 #include "sim/cluster.h"
 #include "sim/engine.h"
 #include "sim/faults.h"
+#include "util/error.h"
 #include "workload/types.h"
 
 namespace bsio::sched {
 
 // Extended run controls. The plain faults-only overload below forwards
-// here; the online service (src/service) uses the full struct to carry
-// caches across batches.
+// here; the online services (src/service) use the full struct to carry
+// caches across batches and to turn on replication.
 struct BatchRunOptions {
   sim::FaultConfig faults;
   // Speculative task replication inside the engine's recovery surface
@@ -48,8 +64,10 @@ struct BatchRunOptions {
 
 struct BatchRunResult {
   std::string scheduler;
-  double batch_time = 0.0;          // simulated makespan (what Figs 3-6a plot)
-  double scheduling_seconds = 0.0;  // wall-clock planning time (Fig 6b)
+  double batch_time = 0.0;  // simulated makespan (what Figs 3-6a plot)
+  // Wall-clock planning time (Fig 6b): the planner's repair, extend and
+  // horizon commit in every cycle.
+  double scheduling_seconds = 0.0;
   double per_task_scheduling_ms = 0.0;
   // Threads the planners' parallel sweeps ran on (WsRuntime::global()).
   std::size_t planning_threads = 1;
@@ -81,5 +99,90 @@ BatchRunResult run_batch(Scheduler& scheduler, const wl::Workload& workload,
 BatchRunResult run_batch(Scheduler& scheduler, const wl::Workload& workload,
                          const sim::ClusterConfig& cluster,
                          const sim::FaultConfig& faults = {});
+
+// The one plan -> execute loop behind run_batch and the streaming service
+// (see the file comment).
+class ControlLoop {
+ public:
+  // Everything a run checks before its first cycle: BSIO_THREADS, the
+  // cluster, the fault, speculation and replication configs, the
+  // scheduler's begin_batch() reuse guard, and paper Section 4.2's rule
+  // that a task's whole file set must fit on one compute node — checked
+  // against the smallest node so the guarantee survives crashes. `inputs`
+  // are the task sets the run will admit (one batch, or every arrival of
+  // a stream; with several, the error names the offending one's position).
+  static Status validate(Scheduler& scheduler,
+                         const sim::ClusterConfig& cluster,
+                         const BatchRunOptions& options,
+                         const std::vector<const wl::Workload*>& inputs);
+
+  // `workload` may grow after construction (the streaming service appends
+  // each admitted batch); it and `cluster` must outlive the loop. Only the
+  // faults, speculation and replication fields of `options` are read.
+  ControlLoop(Scheduler& scheduler, const wl::Workload& workload,
+              const sim::ClusterConfig& cluster,
+              const BatchRunOptions& options);
+
+  // Warm start before the first cycle; `seed` must outlive the loop (the
+  // planners see it through SchedulerContext::initial_cache).
+  Status seed_cache(const sim::InitialCacheState& seed);
+
+  // Admits every task appended to the workload since the last admission;
+  // their reservations start no earlier than `release`. Admitting into a
+  // drained loop opens a fresh window whose planner clock starts at
+  // `release`.
+  Status admit(double release);
+
+  // Every admitted task has executed.
+  bool drained() const { return incoming_.empty() && planner_->drained(); }
+
+  // One planning cycle: repair, extend, commit a window under `horizon`,
+  // execute it, requeue crash orphans, one repair round. Requires
+  // !drained().
+  Status cycle(const HorizonOptions& horizon);
+
+  // A repair round at `now` when any file is below its replication target
+  // (the stream's idle gaps between arrivals).
+  void repair_idle(double now);
+
+  // Cycles until drained, then up to 8 repair convergence rounds, the first
+  // floored at max(`floor`, makespan) and each later one at the previous
+  // round's last completion.
+  Status drain(const HorizonOptions& horizon, double floor = 0.0);
+
+  const sim::ExecutionEngine& engine() const { return engine_; }
+  // Engine totals plus the scheduler's solver counters.
+  sim::ExecutionStats stats() const;
+  double planning_seconds() const { return planning_seconds_; }
+  std::size_t cycles() const { return cycles_; }
+  std::size_t windows() const { return windows_; }
+  std::size_t repair_rounds() const { return repair_rounds_; }
+  // Admitted tasks not yet executed.
+  std::size_t unfinished() const { return unfinished_; }
+  // Files still below target after drain() (replication enabled only).
+  std::size_t replica_deficit() const { return replica_deficit_; }
+
+ private:
+  replica::RepairReport repair_round(double now);
+
+  Scheduler& scheduler_;
+  const wl::Workload& workload_;
+  const sim::ClusterConfig& cluster_;
+  sim::ExecutionEngine engine_;
+  std::unique_ptr<IncrementalPlanner> planner_;
+  std::unique_ptr<replica::ReplicaManager> repair_;
+  const sim::InitialCacheState* warm_ = nullptr;
+
+  std::vector<double> release_;       // per admitted task
+  std::vector<wl::TaskId> incoming_;  // admitted or orphaned, not planned
+  std::vector<wl::TaskId> dirty_;     // live tasks the last window touched
+  double origin_ = 0.0;               // planner clock of the open window
+  std::size_t unfinished_ = 0;
+  double planning_seconds_ = 0.0;
+  std::size_t cycles_ = 0;
+  std::size_t windows_ = 0;
+  std::size_t repair_rounds_ = 0;
+  std::size_t replica_deficit_ = 0;
+};
 
 }  // namespace bsio::sched

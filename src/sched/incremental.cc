@@ -48,6 +48,9 @@ sim::SubBatchPlan IncrementalPlanner::commit_horizon(
   }
   annotate(plan);
   live_ = std::move(keep);
+  // Nothing left to price until the next extend rebuilds the state: free it
+  // rather than hold a second planner state through execution.
+  if (live_.empty()) ps_ = PlannerState();
   return plan;
 }
 
@@ -131,18 +134,24 @@ void PartRepairPlanner::plan_pool(std::vector<wl::TaskId> pool,
 
   sim::SubBatchPlan p = base_.plan_sub_batch(pool, ctx);
   BSIO_CHECK_MSG(!p.empty(), "base scheduler returned an empty sub-batch");
+  // 1 = in the pool, 2 = planned: a plan may name each pool task once.
+  std::vector<char> mark(ctx.batch.num_tasks(), 0);
+  for (wl::TaskId t : pool) mark[t] = 1;
   live_.reserve(p.tasks.size());
-  for (wl::TaskId t : p.tasks) live_.push_back({t, p.assignment.at(t), 0, 0});
+  for (wl::TaskId t : p.tasks) {
+    BSIO_CHECK_MSG(mark[t] == 1,
+                   "sub-batch plan repeats a task or names a non-pending one");
+    mark[t] = 2;
+    live_.push_back({t, p.assignment.at(t), 0, 0});
+  }
   staging_ = std::move(p.staging);
   prefetches_ = std::move(p.prefetches);
   prefetches_pending_ = !prefetches_.empty();
 
-  // Deferred pool tasks keep their pool order — the batch driver's
-  // order-preserving pending erase, reproduced for quiescent bit-identity.
-  std::vector<char> planned(ctx.batch.num_tasks(), 0);
-  for (wl::TaskId t : p.tasks) planned[t] = 1;
+  // Deferred pool tasks keep their pool order, as in the paper's
+  // round-by-round loop over the pending set.
   for (wl::TaskId t : pool)
-    if (!planned[t]) backlog_.push_back(t);
+    if (mark[t] == 1) backlog_.push_back(t);
 
   replay(ctx);
 }
@@ -162,7 +171,7 @@ void PartRepairPlanner::extend(std::vector<wl::TaskId> new_tasks,
                                const SchedulerContext& ctx) {
   if (new_tasks.empty()) {
     if (live_.empty() && !backlog_.empty()) {
-      // The batch driver's next round: re-select a sub-batch from the
+      // The next round of the paper's loop: re-select a sub-batch from the
       // remaining pool against the post-execution cache.
       plan_pool(std::move(backlog_), ctx);
     } else if (!live_.empty()) {

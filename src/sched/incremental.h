@@ -1,13 +1,14 @@
-// Incremental plan-repair contract: the rolling-horizon replacement for the
-// batch-atomic Scheduler::plan_sub_batch() loop.
+// Incremental plan-repair contract: how the control loop (sched/driver.h)
+// drives a Scheduler, for a batch and for the streaming service alike.
 //
-// The streaming service keeps a LIVE plan — an ordered list of (task, node)
-// commitments that have not been handed to the engine yet — and mutates it
-// in place as the world changes:
+// The planner keeps a LIVE plan — an ordered list of (task, node)
+// commitments that have not been handed to the engine yet — and the loop
+// mutates it in place as the world changes:
 //
-//   extend(new_tasks)   new arrivals join the live plan (delta insertion
-//                       for MinMin, footprint-gated repartition for
-//                       BiPartition, from-scratch replan for JDP/IP);
+//   extend(new_tasks)   new arrivals and crash orphans join the live plan
+//                       (delta insertion for MinMin, footprint-gated
+//                       repartition for BiPartition, from-scratch replan
+//                       for JDP/IP);
 //   repair(dirty_set)   live tasks invalidated by the last executed window
 //                       (their file footprint moved) are re-placed against
 //                       the engine's current cache and timeline state;
@@ -16,18 +17,17 @@
 //                       SubBatchPlan for the engine; everything past the
 //                       horizon stays mutable for future repairs.
 //
-// Estimates are planner-relative, exactly like the batch path: every
-// rebuild resets the PlannerState (ready times 0, cache holders rebased by
-// the window's time base), so a quiescent run — one batch, horizon covering
-// the whole batch, no mid-flight arrivals — reproduces the batch scheduler's
-// plans bit for bit (pinned against the PR 4 topology goldens in
-// tests/incremental_test.cc).
+// Estimates are planner-relative: every rebuild resets the PlannerState
+// (ready times 0, cache holders rebased by the window's time base). Under
+// the drain-all horizon every committed window is the base scheduler's
+// next plan_sub_batch over the pending tasks, which is how run_batch gets
+// the paper's round-by-round plans (pinned against the PR 4 topology
+// goldens in tests/incremental_test.cc).
 #pragma once
 
 #include <cstddef>
 #include <limits>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "sched/cost_model.h"
@@ -40,7 +40,7 @@ namespace bsio::sched {
 struct HorizonOptions {
   // Freeze live tasks whose estimated start falls within this many seconds
   // of the window base. <= 0 = drain-all: freeze the entire live plan (the
-  // quiescent mode, equivalent to the batch driver's round loop).
+  // horizon run_batch uses: each window is the scheduler's next sub-batch).
   double window_seconds = 0.0;
   // A non-empty live plan must always release at least one task per commit
   // (the earliest estimated start), or a window shorter than every estimate
@@ -63,8 +63,6 @@ class IncrementalPlanner {
  public:
   explicit IncrementalPlanner(Scheduler& base) : base_(base) {}
   virtual ~IncrementalPlanner() = default;
-
-  std::string name() const { return base_.name() + "+incremental"; }
 
   // Folds newly arrived tasks into the live plan. With an empty live plan
   // this reduces to a from-scratch plan over the backlog plus `new_tasks`;
@@ -96,8 +94,8 @@ class IncrementalPlanner {
 
   // The planner-relative time base: absolute cache-availability stamps from
   // the streaming engine rebase by this origin on every rebuild (see
-  // PlannerState::reset). The service sets it to the live window's base
-  // clock; 0 (the default) matches the batch driver.
+  // PlannerState::reset). The control loop sets it to the release instant
+  // at which work was admitted into a drained loop; run_batch's is 0.
   void set_origin(double origin) { origin_ = origin; }
 
   const std::vector<LiveTask>& live() const { return live_; }
@@ -156,14 +154,14 @@ class DeltaMinMinPlanner : public IncrementalPlanner {
 // Part-repair wrapper for sub-batch selectors (BiPartition) and the
 // from-scratch fallbacks (JDP, IP). The live plan holds ONE base-scheduler
 // sub-batch at a time; unplanned pool tasks wait in the backlog, exactly
-// like the batch driver's pending set. extend() with new arrivals re-runs
-// the base scheduler over live + backlog + new — unless `footprint_gate`
-// is set and the new tasks share no file with the live part, in which case
-// the part stands and the arrivals only join the backlog (the dirty-part-
-// only BiPartition repartition: BINW re-runs only when the new tasks
-// actually perturb the selected part's footprint). repair() dissolves the
-// live part back into the pool for a full replan, mirroring the driver's
-// round-by-round re-selection.
+// like the pending set of the paper's round-by-round loop. extend() with
+// new arrivals re-runs the base scheduler over live + backlog + new —
+// unless `footprint_gate` is set and the new tasks share no file with the
+// live part, in which case the part stands and the arrivals only join the
+// backlog (the dirty-part-only BiPartition repartition: BINW re-runs only
+// when the new tasks actually perturb the selected part's footprint).
+// repair() dissolves the live part back into the pool for a full replan,
+// mirroring the round-by-round re-selection.
 class PartRepairPlanner : public IncrementalPlanner {
  public:
   PartRepairPlanner(Scheduler& base, bool footprint_gate)

@@ -1,10 +1,12 @@
 // Scheduler interface: the contract shared by the paper's four algorithms.
 //
-// The batch driver repeatedly asks the scheduler for the next sub-batch
-// plan over the still-pending tasks, executes it on the simulation engine,
-// and loops until the batch drains. Schedulers that do no sub-batch
-// selection (MinMin, JobDataPresent) simply plan all pending tasks at once
-// and rely on the engine's on-demand eviction.
+// The control loop (sched/driver.h, behind run_batch and the streaming
+// service) asks the scheduler, through its incremental planner
+// (sched/incremental.h), for the next sub-batch plan over the still-pending
+// tasks, executes it on the simulation engine, and loops until every
+// admitted task has run. Schedulers that do no sub-batch selection (MinMin,
+// JobDataPresent) simply plan all pending tasks at once and rely on the
+// engine's on-demand eviction.
 #pragma once
 
 #include <string>
@@ -49,9 +51,10 @@ struct SchedulerContext {
   // sub-batches). Schedulers must place work on alive nodes only.
   bool node_alive(wl::NodeId n) const { return engine.node_alive(n); }
 
-  // Cached alive list: the driver refreshes it once per planning round
-  // (liveness only changes between rounds), so every scheduler sweep reads
-  // one const view instead of rebuilding a vector per call.
+  // Cached alive list, built with the context (the control loop makes one
+  // per planning cycle; liveness only changes while the engine executes),
+  // so every scheduler sweep reads one const view instead of rebuilding a
+  // vector per call.
   const std::vector<wl::NodeId>& alive_nodes() const { return alive_; }
   void refresh_alive() {
     alive_.clear();
@@ -70,13 +73,14 @@ class Scheduler {
 
   virtual std::string name() const = 0;
 
-  // Called by run_batch before the first planning round of a batch.
-  // Schedulers that accumulate per-run counters (the IP scheduler's solver
-  // stats) must refuse to start a second batch while the previous run's
-  // counters are still loaded: silently continuing would fold two batches'
-  // numbers into one report. Returns a typed error on such reuse; callers
-  // running many batches through one scheduler instance (the online
-  // service loop) call reset_run_stats() between batches.
+  // Called by ControlLoop::validate (run_batch, the streaming service)
+  // before the first planning cycle of a run. Schedulers that accumulate
+  // per-run counters (the IP scheduler's solver stats) must refuse to start
+  // a second run while the previous run's counters are still loaded:
+  // silently continuing would fold two runs' numbers into one report.
+  // Returns a typed error on such reuse; callers running many batches
+  // through one scheduler instance (the online service loops) call
+  // reset_run_stats() between runs.
   virtual Status begin_batch() { return OkStatus(); }
 
   // Clears every per-run accumulated counter so the instance can serve the
@@ -96,8 +100,8 @@ class Scheduler {
 
   // Adds the scheduler's accumulated solver counters (LP factorisations,
   // pivots, B&B nodes, ...) to `stats`. Heuristic schedulers have none; the
-  // IP scheduler overrides this so the batch driver can surface kernel
-  // behaviour in BatchRunResult / BENCH rows.
+  // IP scheduler overrides this so the control loop can surface kernel
+  // behaviour in BatchRunResult / StreamStats / BENCH rows.
   virtual void add_solver_stats(sim::ExecutionStats& stats) const {
     (void)stats;
   }

@@ -1,14 +1,12 @@
 #include "service/stream.h"
 
 #include <algorithm>
-#include <memory>
 #include <string>
 #include <utility>
 
+#include "sched/driver.h"
 #include "util/logging.h"
 #include "util/stats.h"
-#include "util/timer.h"
-#include "util/ws_runtime.h"
 
 namespace bsio::service {
 
@@ -23,24 +21,20 @@ StreamServiceLoop::StreamServiceLoop(sched::Scheduler& scheduler,
 
 Result<StreamResult> StreamServiceLoop::run(
     std::vector<BatchArrival> arrivals) {
-  if (const Status v = cluster_.validate(); !v.ok()) return v.error();
-  if (const Status v = WsRuntime::validate_env(); !v.ok()) return v.error();
-  if (const Status v =
-          options_.replication.validate(cluster_.num_compute_nodes);
-      !v.ok())
-    return v.error();
   for (std::size_t i = 1; i < arrivals.size(); ++i)
     if (arrivals[i].time < arrivals[i - 1].time)
       return Err("arrival sequence must be sorted by time");
 
   // The merged workload fixes the file catalogue up front; every arriving
   // batch must have been built over exactly that catalogue.
-  double min_cap = cluster_.node_disk_capacity(0);
-  for (std::size_t n = 1; n < cluster_.num_compute_nodes; ++n)
-    min_cap = std::min(min_cap, cluster_.node_disk_capacity(n));
+  std::vector<const wl::Workload*> inputs(arrivals.size(), nullptr);
   for (const BatchArrival& a : arrivals) {
     if (a.index >= arrivals.size())
       return Err("arrival indices must be dense 0..N-1");
+    if (inputs[a.index] != nullptr)
+      return Err("arrival index " + std::to_string(a.index) +
+                 " repeats; arrival indices must be dense 0..N-1");
+    inputs[a.index] = &a.batch;
     const wl::Workload& b = a.batch;
     if (b.num_files() != catalog_.size())
       return Err("arrival " + std::to_string(a.index) + " batch has " +
@@ -53,28 +47,17 @@ Result<StreamResult> StreamServiceLoop::run(
         return Err("arrival " + std::to_string(a.index) + " file " +
                    std::to_string(f) +
                    " disagrees with the shared catalogue");
-    // Same Section 4.2 feasibility gate as the batch driver: a task's whole
-    // file set must fit on the smallest compute node.
-    for (const auto& t : b.tasks()) {
-      double bytes = 0.0;
-      for (wl::FileId f : t.files) bytes += b.file_size(f);
-      if (bytes > min_cap)
-        return Err("arrival " + std::to_string(a.index) + " task " +
-                   std::to_string(t.id) + " needs " + std::to_string(bytes) +
-                   " bytes of input but the smallest compute node disk "
-                   "holds " +
-                   std::to_string(min_cap) +
-                   " (a task's file set must fit on one node, paper "
-                   "Section 4.2)");
-    }
   }
-
+  sched::BatchRunOptions run_options;
+  run_options.replication = options_.replication;
   scheduler_.reset_run_stats();
-  if (const Status v = scheduler_.begin_batch(); !v.ok()) return v.error();
+  if (const Status v = sched::ControlLoop::validate(scheduler_, cluster_,
+                                                    run_options, inputs);
+      !v.ok())
+    return v.error();
 
   StreamResult result;
   result.batches.resize(arrivals.size());
-  std::vector<std::size_t> remaining(arrivals.size(), 0);
   for (const BatchArrival& a : arrivals) {
     StreamBatchMetrics& m = result.batches[a.index];
     m.index = a.index;
@@ -85,48 +68,21 @@ Result<StreamResult> StreamServiceLoop::run(
   }
   result.stats.batches_arrived = arrivals.size();
 
-  // The one engine of the whole run, over the growable merged workload.
+  // The one loop of the whole run, over the growable merged workload.
   wl::Workload stream({}, catalog_);
-  sim::EngineOptions engine_options;
-  engine_options.eviction = scheduler_.eviction_policy();
-  sim::ExecutionEngine engine(cluster_, stream, engine_options);
-  std::unique_ptr<sched::IncrementalPlanner> planner =
-      sched::make_incremental_planner(scheduler_);
+  sched::ControlLoop loop(scheduler_, stream, cluster_, run_options);
   AdmissionQueue queue(cluster_, options_.admission);
-  std::unique_ptr<replica::ReplicaManager> repair_mgr;
-  if (options_.replication.enabled)
-    repair_mgr =
-        std::make_unique<replica::ReplicaManager>(stream,
-                                                  options_.replication);
-  const auto repair_round = [&](double now) {
-    const replica::RepairReport rep = repair_mgr->run_repairs(engine, now);
-    ++result.stats.repair_rounds;
-    if (rep.flushes_scheduled + rep.replicas_scheduled > 0) {
-      BSIO_LOG(kDebug) << "stream: repair round scheduled "
-                       << rep.flushes_scheduled << " flushes and "
-                       << rep.replicas_scheduled << " replicas ("
-                       << rep.deferred << " deferred)";
-    }
-    return rep;
-  };
-
-  std::vector<std::size_t> batch_of_task;  // merged task id -> arrival index
-  std::vector<wl::FileId> last_window_files;
+  std::vector<wl::TaskId> first_task(arrivals.size(), wl::kInvalidTask);
   double clock = 0.0;
-  double window_base = 0.0;  // planner-relative time base (origin)
   std::size_t next = 0;
-  std::size_t live_batches = 0;
 
-  while (next < arrivals.size() || !queue.empty() || !planner->drained()) {
+  while (next < arrivals.size()) {
     // Idle service, nothing queued or live: a quiescent gap. Repair runs
     // here first — the links are idle until the next arrival, so the
     // manager's background copies burn otherwise-dead time — then the
     // clock jumps to that arrival.
-    if (planner->drained() && queue.empty() && next < arrivals.size() &&
-        arrivals[next].time > clock) {
-      if (repair_mgr != nullptr &&
-          !repair_mgr->files_below_target(engine).empty())
-        repair_round(clock);
+    if (loop.drained() && queue.empty() && arrivals[next].time > clock) {
+      loop.repair_idle(clock);
       clock = arrivals[next].time;
     }
 
@@ -146,144 +102,48 @@ Result<StreamResult> StreamServiceLoop::run(
       ++result.stats.shed_batches;
     }
 
-    // Admit queued batches into the live window: their tasks append to the
-    // merged workload and become extend() targets this cycle.
-    const bool was_drained = planner->drained();
-    std::vector<wl::TaskId> fresh;
-    while (!queue.empty() && (options_.max_live_batches == 0 ||
-                              live_batches < options_.max_live_batches)) {
+    // Admit the queued batches: their tasks append to the merged workload
+    // and join the next cycle's extend.
+    while (!queue.empty()) {
       QueuedBatch q = queue.pop(clock);
       const std::size_t idx = q.arrival.index;
-      std::vector<wl::TaskInfo> tasks = q.arrival.batch.tasks();
-      const wl::TaskId first = stream.append_tasks(std::move(tasks));
-      if (const Status s = engine.admit_new_tasks(); !s.ok())
-        return s.error();
-      const std::size_t n = q.arrival.batch.num_tasks();
-      for (std::size_t i = 0; i < n; ++i) {
-        batch_of_task.push_back(idx);
-        fresh.push_back(first + static_cast<wl::TaskId>(i));
-      }
-      remaining[idx] = n;
+      first_task[idx] = stream.append_tasks(q.arrival.batch.tasks());
+      if (const Status s = loop.admit(clock); !s.ok()) return s.error();
       result.batches[idx].admit_time = clock;
       if (q.degraded) {
         result.batches[idx].degraded = true;
         ++result.stats.degraded_batches;
       }
-      ++live_batches;
     }
-    if (was_drained && !fresh.empty()) {
-      // A fresh window: the planner-relative clock rebases to now. (In a
-      // quiescent run this stays 0 forever — the batch-path bit-identity
-      // anchor.)
-      window_base = clock;
-      last_window_files.clear();
-    }
+    if (loop.drained()) continue;
 
-    if (planner->drained() && fresh.empty()) continue;
-
-    // Plan: repair what the last executed window dirtied, fold in the
-    // fresh arrivals, freeze the next horizon window.
-    sched::SchedulerContext ctx(stream, cluster_, engine);
-    WallTimer timer;
-    planner->set_origin(window_base);
-    if (!last_window_files.empty())
-      planner->repair(planner->dirty_from_files(stream, last_window_files),
-                      ctx);
-    planner->extend(std::move(fresh), ctx);
-    sim::SubBatchPlan plan = planner->commit_horizon(options_.horizon);
-    result.stats.total_planning_seconds += timer.elapsed_seconds();
-    ++result.stats.planning_cycles;
-    if (plan.empty()) {
-      if (!planner->drained())
-        return Err("incremental planner committed an empty window with "
-                   "work outstanding");
-      continue;
-    }
-
-    // Reservations of a task may start no earlier than its batch's
-    // admission instant — but ONLY its own batch's: the window splits into
-    // per-admission-epoch sub-plans (ascending, window order within each)
-    // so a late admission never floors co-committed tasks of earlier
-    // batches. A quiescent run has a single epoch at 0 — the batch-mode
-    // behaviour, bit for bit.
-    std::vector<double> epochs;
-    for (wl::TaskId t : plan.tasks)
-      epochs.push_back(result.batches[batch_of_task[t]].admit_time);
-    std::sort(epochs.begin(), epochs.end());
-    epochs.erase(std::unique(epochs.begin(), epochs.end()), epochs.end());
-    bool first_epoch = true;
-    for (double epoch : epochs) {
-      sim::SubBatchPlan sub;
-      sub.release_time = epoch;
-      // Staging directives are keyed by (file, node) and consulted lazily;
-      // prefetches fire once, with the window's first epoch.
-      sub.staging = plan.staging;
-      if (first_epoch) sub.prefetches = plan.prefetches;
-      first_epoch = false;
-      for (wl::TaskId t : plan.tasks)
-        if (result.batches[batch_of_task[t]].admit_time == epoch) {
-          sub.tasks.push_back(t);
-          sub.assignment[t] = plan.assignment.at(t);
-        }
-      auto executed = engine.execute(sub);
-      if (!executed.ok()) return executed.error();
-    }
-    ++result.stats.windows_committed;
-
-    // The window's file footprint is the next cycle's dirty-set seed.
-    {
-      std::vector<char> touched(stream.num_files(), 0);
-      last_window_files.clear();
-      for (wl::TaskId t : plan.tasks)
-        for (wl::FileId f : stream.task(t).files)
-          if (!touched[f]) {
-            touched[f] = 1;
-            last_window_files.push_back(f);
-          }
-    }
-
-    for (wl::TaskId t : plan.tasks) {
-      if (!engine.task_executed(t)) continue;
-      const std::size_t idx = batch_of_task[t];
-      StreamBatchMetrics& m = result.batches[idx];
-      m.completion_time = std::max(m.completion_time,
-                                   engine.task_completion(t));
-      if (--remaining[idx] == 0) {
-        m.completed = true;
-        m.response_time = m.completion_time - m.arrival_time;
-        m.slo_met = m.response_time <= m.deadline_seconds;
-        ++result.stats.batches_completed;
-        if (m.slo_met) ++result.stats.slo_met;
-        --live_batches;
-      }
-    }
-    if (repair_mgr != nullptr) repair_round(engine.makespan());
-    clock = std::max(clock, engine.makespan());
+    if (const Status s = loop.cycle(options_.horizon); !s.ok())
+      return s.error();
+    clock = std::max(clock, loop.engine().makespan());
   }
+  if (const Status s = loop.drain(options_.horizon, clock); !s.ok())
+    return s.error();
+  clock = std::max(clock, loop.engine().makespan());
 
-  // Drain-time convergence: bounded extra rounds close deficits a budgeted
-  // or space-blocked round left behind; what survives is a real deficit.
-  if (repair_mgr != nullptr) {
-    double floor = std::max(clock, engine.makespan());
-    for (int round = 0; round < 8; ++round) {
-      if (repair_mgr->files_below_target(engine).empty()) break;
-      const replica::RepairReport rep = repair_round(floor);
-      if (rep.flushes_scheduled + rep.replicas_scheduled == 0) break;
-      floor = std::max(floor, rep.last_completion);
-    }
-    result.stats.replica_deficit =
-        repair_mgr->files_below_target(engine).size();
-  }
-
+  // Every admitted task has executed: a batch completes with its last task.
+  const sim::ExecutionEngine& engine = loop.engine();
   std::vector<double> responses;
-  responses.reserve(result.stats.batches_completed);
-  for (const StreamBatchMetrics& m : result.batches)
-    if (m.completed) {
-      responses.push_back(m.response_time);
-      result.stats.mean_response += m.response_time;
-      result.stats.max_response =
-          std::max(result.stats.max_response, m.response_time);
-    }
+  for (StreamBatchMetrics& m : result.batches) {
+    const wl::TaskId first = first_task[m.index];
+    if (first == wl::kInvalidTask || m.tasks == 0) continue;
+    for (wl::TaskId t = first; t < first + m.tasks; ++t)
+      m.completion_time =
+          std::max(m.completion_time, engine.task_completion(t));
+    m.completed = true;
+    m.response_time = m.completion_time - m.arrival_time;
+    m.slo_met = m.response_time <= m.deadline_seconds;
+    ++result.stats.batches_completed;
+    if (m.slo_met) ++result.stats.slo_met;
+    responses.push_back(m.response_time);
+    result.stats.mean_response += m.response_time;
+    result.stats.max_response =
+        std::max(result.stats.max_response, m.response_time);
+  }
   if (!responses.empty()) {
     result.stats.mean_response /= static_cast<double>(responses.size());
     result.stats.p50_response = percentile(responses, 50.0);
@@ -293,11 +153,15 @@ Result<StreamResult> StreamServiceLoop::run(
     result.stats.slo_attainment =
         static_cast<double>(result.stats.slo_met) /
         static_cast<double>(result.stats.batches_arrived);
+  result.stats.exec = loop.stats();
   result.stats.tasks_executed =
-      static_cast<std::size_t>(engine.totals().tasks_executed);
+      static_cast<std::size_t>(result.stats.exec.tasks_executed);
+  result.stats.total_planning_seconds = loop.planning_seconds();
+  result.stats.planning_cycles = loop.cycles();
+  result.stats.windows_committed = loop.windows();
+  result.stats.repair_rounds = loop.repair_rounds();
+  result.stats.replica_deficit = loop.replica_deficit();
   result.stats.completion_time = clock;
-  result.stats.exec = engine.totals();
-  scheduler_.add_solver_stats(result.stats.exec);
   return result;
 }
 

@@ -3,14 +3,15 @@
 //
 // ServiceLoop (service/service.h) runs one batch at a time to completion —
 // an arrival waits for the whole batch ahead of it even when the executor
-// has idle capacity. StreamServiceLoop instead keeps ONE execution engine
-// alive across the run: admitted batches append their tasks to a growable
-// merged workload over the shared catalogue, an IncrementalPlanner
-// (sched/incremental.h) folds them into the live plan via extend()/repair(),
-// and commit_horizon() releases execution windows whose reservations are
-// floored at the admitting wall clock (SubBatchPlan::release_time). Batches
-// therefore overlap: a late arrival's tasks can start on idle nodes while
-// an earlier batch's tail still runs.
+// has idle capacity. StreamServiceLoop instead feeds ONE sched::ControlLoop
+// (sched/driver.h) for the whole run: admitted batches append their tasks
+// to a growable merged workload over the shared catalogue, the loop's
+// incremental planner folds them into the live plan, and each cycle
+// releases a horizon window whose reservations are floored at the
+// admitting clock. Batches therefore overlap: a late arrival's tasks can
+// start on idle nodes while an earlier batch's tail still runs. This file
+// keeps only what is particular to a stream: arrival and catalogue
+// validation, admission, and per-batch SLO accounting.
 //
 // Admission is SLO-aware: each BatchArrival carries an SloClass, the
 // deadline-aware AdmissionQueue orders by effective deadline with priority
@@ -18,10 +19,11 @@
 // or degrades the newcomer to best-effort. SLO attainment counts shed and
 // rejected batches as missed.
 //
-// Quiescence contract: with a single batch arriving at t = 0 and a
-// drain-all horizon (window_seconds <= 0), the run is bit-identical to
-// sched::run_batch over the same workload — pinned by
-// tests/incremental_test.cc against the PR 4 topology goldens.
+// Quiescence: with a single batch arriving at t = 0 and a drain-all horizon
+// (window_seconds <= 0), the stream drives the control loop exactly as
+// sched::run_batch does — admit every task at 0, drain — so the two are
+// bit-identical by construction (tests/incremental_test.cc checks it
+// against the PR 4 topology goldens for all four schedulers).
 #pragma once
 
 #include <cstddef>
@@ -43,10 +45,6 @@ namespace bsio::service {
 struct StreamOptions {
   AdmissionOptions admission;
   sched::HorizonOptions horizon;
-  // Maximum batches concurrently in the live window (admitted but not yet
-  // fully executed); 0 = unbounded. Arrivals beyond the bound wait in the
-  // admission queue.
-  std::size_t max_live_batches = 0;
   // Replica lifecycle manager (src/replica): repair runs after every
   // committed window and in the quiescent gaps between admissions, on the
   // same engine timelines as foreground traffic. Off by default — the run
@@ -120,10 +118,12 @@ class StreamServiceLoop {
                     std::vector<wl::FileInfo> catalog,
                     StreamOptions options = {});
 
-  // Serves the arrival sequence to drain (arrivals must be sorted by time).
-  // Typed errors: invalid cluster, malformed BSIO_THREADS, catalogue
-  // mismatch, an infeasible task, or the engine rejecting a window.
-  // Rejected and shed batches are counted, not errors.
+  // Serves the arrival sequence to drain (arrivals must be sorted by time,
+  // with indices dense 0..N-1, each once). Typed errors: unsorted arrivals,
+  // missing or repeated indices, catalogue mismatch, anything
+  // sched::ControlLoop::validate rejects (invalid cluster or replication
+  // config, malformed BSIO_THREADS, an infeasible task), or the engine
+  // rejecting a window. Rejected and shed batches are counted, not errors.
   Result<StreamResult> run(std::vector<BatchArrival> arrivals);
 
  private:

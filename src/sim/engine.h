@@ -226,9 +226,8 @@ class ExecutionEngine {
   // per executed task). Drivers aggregate these into tail percentiles.
   std::vector<double> completed_task_times() const;
 
-  // Per-task execution state, for the streaming service's per-batch
-  // response-time bookkeeping. task_completion requires task_executed.
-  bool task_executed(wl::TaskId t) const { return executed_[t]; }
+  // Completion instant of an executed task, for the streaming service's
+  // per-batch response-time bookkeeping.
   double task_completion(wl::TaskId t) const {
     BSIO_DCHECK(executed_[t]);
     return completion_time_[t];

@@ -3,13 +3,14 @@
 // Part 1 is the quiescence contract: a StreamServiceLoop fed ONE batch at
 // t = 0 with a drain-all horizon must reproduce the batch driver — and the
 // PR 4 topology goldens — BIT for BIT (hexfloat makespans, every engine
-// counter), for MinMin (delta insertion) and BiPartition (part repair,
-// including the limited-disk two-round presets), at 1, 2 and 8 planning
-// threads. Part 2 unit-tests the planner mechanics: delta-extend leaving
-// the earlier wave untouched, the BiPartition footprint gate, the
-// commit_horizon freeze rule and its ensure_progress escape, and the
-// dirty-set derivation. Part 3 exercises the streaming loop proper:
-// overlapping batches, SLO accounting, and the typed error surface.
+// counter), for all four schedulers (MinMin by delta insertion; BiPartition,
+// JobDataPresent and IP by part repair, including the limited-disk
+// two-round presets), at 1, 2 and 8 planning threads. Part 2 unit-tests the
+// planner mechanics: delta-extend leaving the earlier wave untouched, the
+// BiPartition footprint gate, the commit_horizon freeze rule and its
+// ensure_progress escape, and the dirty-set derivation. Part 3 exercises
+// the streaming loop proper: overlapping batches, SLO accounting, and the
+// typed error surface.
 
 #include <gtest/gtest.h>
 
@@ -21,6 +22,8 @@
 #include "sched/bipartition.h"
 #include "sched/driver.h"
 #include "sched/incremental.h"
+#include "sched/ip_scheduler.h"
+#include "sched/job_data_present.h"
 #include "sched/minmin.h"
 #include "service/catalog.h"
 #include "service/stream.h"
@@ -58,7 +61,7 @@ sim::ClusterConfig golden_preset(const std::string& name,
 
 struct QuiescentRow {
   const char* preset;
-  bool bipartition;     // false = MinMin
+  const char* scheduler;
   double batch_time;    // hexfloat: the PR 4 golden, bit-exact
   std::size_t windows;  // = the batch driver's sub_batches
 };
@@ -68,20 +71,43 @@ struct QuiescentRow {
 // arithmetic, not that these need regenerating.
 const QuiescentRow kQuiescent[] = {
     // clang-format off
-    {"xio",         false, 0x1.915f15f15f16p+2,   1},
-    {"osumed",      false, 0x1.2519999999999p+7,  1},
-    {"xio_disk",    false, 0x1.915f15f15f16p+2,   1},
-    {"osumed_disk", false, 0x1.2519999999999p+7,  1},
-    {"xio",         true,  0x1.915f15f15f16p+2,   1},
-    {"osumed",      true,  0x1.268p+7,            1},
-    {"xio_disk",    true,  0x1.a09c09c09c09dp+2,  2},
-    {"osumed_disk", true,  0x1.23b3333333333p+7,  2},
+    {"xio",         "MinMin",         0x1.915f15f15f16p+2,   1},
+    {"osumed",      "MinMin",         0x1.2519999999999p+7,  1},
+    {"xio_disk",    "MinMin",         0x1.915f15f15f16p+2,   1},
+    {"osumed_disk", "MinMin",         0x1.2519999999999p+7,  1},
+    {"xio",         "BiPartition",    0x1.915f15f15f16p+2,   1},
+    {"osumed",      "BiPartition",    0x1.268p+7,            1},
+    {"xio_disk",    "BiPartition",    0x1.a09c09c09c09dp+2,  2},
+    {"osumed_disk", "BiPartition",    0x1.23b3333333333p+7,  2},
+    {"xio",         "JobDataPresent", 0x1.da35a35a35a37p+2,  1},
+    {"osumed",      "JobDataPresent", 0x1.2519999999999p+7,  1},
+    {"xio_disk",    "JobDataPresent", 0x1.da35a35a35a37p+2,  1},
+    {"osumed_disk", "JobDataPresent", 0x1.2519999999999p+7,  1},
+    {"xio",         "IP",             0x1.dd41d41d41d43p+2,  1},
+    {"osumed",      "IP",             0x1.4fe6666666666p+7,  1},
+    {"xio_disk",    "IP",             0x1.d222222222223p+2,  2},
+    {"osumed_disk", "IP",             0x1.53b3333333333p+7,  2},
     // clang-format on
 };
 
-std::unique_ptr<sched::Scheduler> quiescent_scheduler(bool bipartition) {
-  if (bipartition)
+std::unique_ptr<sched::Scheduler> quiescent_scheduler(
+    const std::string& name) {
+  if (name == "BiPartition")
     return std::make_unique<sched::BiPartitionScheduler>();
+  if (name == "JobDataPresent")
+    return std::make_unique<sched::JobDataPresentScheduler>();
+  if (name == "IP") {
+    // The goldens' deterministic IP truncation: cut by node count, never
+    // wall clock.
+    sched::IpSchedulerOptions o = sched::IpScheduler::default_options();
+    o.selection_mip.time_limit_seconds = 1e9;
+    o.allocation_mip.time_limit_seconds = 1e9;
+    o.selection_mip.max_nodes = 2000;
+    o.allocation_mip.max_nodes = 2000;
+    o.selection_mip.stall_node_limit = 64;
+    o.allocation_mip.stall_node_limit = 64;
+    return std::make_unique<sched::IpScheduler>(o);
+  }
   return std::make_unique<sched::MinMinScheduler>();
 }
 
@@ -91,20 +117,19 @@ TEST(StreamQuiescence, BitIdenticalToBatchDriverAtAnyThreadCount) {
   for (std::size_t threads : thread_counts) {
     WsRuntime::set_global_threads(threads);
     for (const QuiescentRow& row : kQuiescent) {
-      SCOPED_TRACE(std::string(row.preset) +
-                   (row.bipartition ? "/BiPartition/" : "/MinMin/") +
+      SCOPED_TRACE(std::string(row.preset) + "/" + row.scheduler + "/" +
                    std::to_string(threads) + "t");
       const sim::ClusterConfig c =
           golden_preset(row.preset, w.unique_request_bytes());
 
-      auto batch_sched = quiescent_scheduler(row.bipartition);
+      auto batch_sched = quiescent_scheduler(row.scheduler);
       const sched::BatchRunResult r =
           sched::run_batch(*batch_sched, w, c, sched::BatchRunOptions{});
       ASSERT_TRUE(r.ok()) << r.error;
       EXPECT_EQ(r.batch_time, row.batch_time);
       EXPECT_EQ(r.sub_batches, row.windows);
 
-      auto stream_sched = quiescent_scheduler(row.bipartition);
+      auto stream_sched = quiescent_scheduler(row.scheduler);
       service::StreamOptions sopts;  // drain-all horizon, no admission bound
       service::StreamServiceLoop loop(*stream_sched, c, w.files(), sopts);
       std::vector<service::BatchArrival> arrivals(1);
@@ -401,6 +426,28 @@ TEST(StreamService, CatalogueMismatchIsTyped) {
   auto res = loop.run(std::move(arrivals));
   ASSERT_FALSE(res.ok());
   EXPECT_NE(res.error().message.find("catalogue"), std::string::npos);
+}
+
+TEST(StreamService, DuplicateArrivalIndexIsTyped) {
+  // Indices {0, 0, 2} are all in range but not dense: batch 1 has no
+  // arrival, so its record would never be written. A typed error, not a
+  // run that reports three of three batches completed.
+  const std::vector<wl::FileInfo> catalog = stream_catalog();
+  service::ServiceBatchConfig bcfg;
+  bcfg.tasks_per_batch = 4;
+  const std::size_t indices[] = {0, 0, 2};
+  std::vector<service::BatchArrival> arrivals(3);
+  for (std::size_t i = 0; i < arrivals.size(); ++i) {
+    arrivals[i].time = static_cast<double>(i);
+    arrivals[i].index = indices[i];
+    arrivals[i].batch = service::make_service_batch(catalog, bcfg, i + 1);
+  }
+  sched::MinMinScheduler mm;
+  service::StreamServiceLoop loop(mm, small_cluster(2, 2), catalog, {});
+  auto res = loop.run(std::move(arrivals));
+  ASSERT_FALSE(res.ok());
+  EXPECT_NE(res.error().message.find("repeats"), std::string::npos)
+      << res.error().message;
 }
 
 TEST(StreamService, InfeasibleTaskIsTyped) {

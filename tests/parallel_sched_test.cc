@@ -416,49 +416,6 @@ TEST(ParallelBitIdentity, BiPartition) {
                      test_workload(40, 3), test_cluster(4));
 }
 
-TEST(ParallelBitIdentity, BiPartitionPlanAllSubBatches) {
-  // Limited disk forces BINW to split the batch; the plan-all mode then
-  // level-2-maps every sub-batch concurrently and serves the stash across
-  // rounds — the whole multi-round outcome must be thread-count invariant.
-  const wl::Workload w = test_workload(40, 3);
-  sim::ClusterConfig c = test_cluster(4);
-  double unique_bytes = 0.0;
-  for (wl::FileId f = 0; f < w.num_files(); ++f)
-    unique_bytes += w.file_size(f);
-  c.disk_capacity = 0.12 * unique_bytes;
-  check_bit_identity(
-      [] {
-        BiPartitionOptions o;
-        o.plan_all_sub_batches = true;
-        return std::make_unique<BiPartitionScheduler>(o);
-      },
-      w, c);
-}
-
-TEST(BiPartition, PlanAllSubBatchesDrainsTheBatch) {
-  // The stashed sub-batches must cover the whole batch: every task executes
-  // exactly once, with or without the precomputed-stash mode.
-  for (std::uint64_t seed : {3u, 11u}) {
-    const wl::Workload w = test_workload(40, seed);
-    sim::ClusterConfig c = test_cluster(4);
-    double unique_bytes = 0.0;
-    for (wl::FileId f = 0; f < w.num_files(); ++f)
-      unique_bytes += w.file_size(f);
-    c.disk_capacity = 0.12 * unique_bytes;
-
-    BiPartitionOptions all;
-    all.plan_all_sub_batches = true;
-    BiPartitionScheduler with_stash(all);
-    BiPartitionScheduler without;
-    const BatchRunResult ra = run_batch(with_stash, w, c);
-    const BatchRunResult rb = run_batch(without, w, c);
-    ASSERT_TRUE(ra.ok()) << ra.error;
-    ASSERT_TRUE(rb.ok()) << rb.error;
-    EXPECT_EQ(ra.stats.tasks_executed, w.num_tasks());
-    EXPECT_EQ(rb.stats.tasks_executed, w.num_tasks());
-  }
-}
-
 TEST(ParallelBitIdentity, Ip) {
   // Truncate the branch-and-bound by node count, not wall clock: the node
   // cutoff fires at the same tree point on any machine, so the solve — and

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <fstream>
@@ -19,6 +20,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "replica/replica.h"
 #include "sched/bipartition.h"
 #include "sched/driver.h"
 #include "sched/ip_scheduler.h"
@@ -108,19 +110,35 @@ const SchedulerFactory kSchedulers[] = {
                     std::make_unique<sched::IpScheduler>()); }},
 };
 
-// Drives `pending` to completion on `eng` with `s` (the run_batch core
-// without its bookkeeping), so tests can interleave captures.
+// Drives `pending` to completion on `eng` with `s` — run_batch's loop
+// without its bookkeeping, so tests can interleave captures. Tasks a crash
+// orphans go back to pending; with a replica manager, one repair round
+// follows every sub-batch and at most 8 convergence rounds follow the last.
 void drain(sched::Scheduler& s, sim::ExecutionEngine& eng,
            const wl::Workload& w, const sim::ClusterConfig& c,
-           std::vector<wl::TaskId> pending) {
-  sched::SchedulerContext ctx(w, c, eng);
+           std::vector<wl::TaskId> pending,
+           replica::ReplicaManager* repair = nullptr,
+           const sim::InitialCacheState* warm = nullptr) {
+  sched::SchedulerContext ctx(w, c, eng, warm);
   while (!pending.empty()) {
+    ASSERT_GT(eng.alive_count(), 0u);
     ctx.refresh_alive();
     sim::SubBatchPlan plan = s.plan_sub_batch(pending, ctx);
     auto r = eng.execute(plan);
     ASSERT_TRUE(r.ok()) << r.error().message;
     std::unordered_set<wl::TaskId> done(plan.tasks.begin(), plan.tasks.end());
     std::erase_if(pending, [&](wl::TaskId t) { return done.count(t) > 0; });
+    const std::vector<wl::TaskId> orphaned = eng.take_orphaned();
+    pending.insert(pending.end(), orphaned.begin(), orphaned.end());
+    if (repair != nullptr) repair->run_repairs(eng, eng.makespan());
+  }
+  if (repair == nullptr) return;
+  double floor = eng.makespan();
+  for (int round = 0; round < 8; ++round) {
+    if (repair->files_below_target(eng).empty()) break;
+    const replica::RepairReport rep = repair->run_repairs(eng, floor);
+    if (rep.flushes_scheduled + rep.replicas_scheduled == 0) break;
+    floor = std::max(floor, rep.last_completion);
   }
 }
 
@@ -197,44 +215,93 @@ TEST(WarmStartDifferential, FirstPlanBitIdenticalLimitedDisk) {
 
 // run_batch's warm path must be exactly "seed, then the ordinary loop": a
 // hand-driven seeded loop reproduces its makespan and counters bit for bit.
+// The second input adds every recovery path the loop owns: a fail-stop
+// mid-run (crash orphans re-planned on the survivors), 2 % transfer
+// faults, speculation onto a straggler's cached peers, and tiered replica
+// repair with drain-time convergence. Its smaller disks make the
+// disk-bounded schedulers split the batch, so orphans can rejoin a
+// non-empty pending set, where their place in it matters.
 TEST(WarmStartDifferential, RunBatchSeedMatchesManualLoop) {
   WsRuntime::set_global_threads(1);
-  const sim::ClusterConfig c = test_cluster(600.0 * sim::kMB);
   const std::vector<wl::FileInfo> catalog = test_catalog();
   const wl::Workload a =
       service::make_service_batch(catalog, test_batch_cfg(8), 31);
   const wl::Workload b =
       service::make_service_batch(catalog, test_batch_cfg(10), 32);
 
-  for (const auto& spec : kSchedulers) {
-    SCOPED_TRACE(spec.name);
-    auto sched_a = spec.make();
-    sched::BatchRunOptions cap;
-    cap.capture_final_cache = true;
-    const sched::BatchRunResult ra = sched::run_batch(*sched_a, a, c, cap);
-    ASSERT_TRUE(ra.ok()) << ra.error;
-    ASSERT_FALSE(ra.final_cache.empty());
+  for (const bool hostile : {false, true}) {
+    const sim::ClusterConfig c =
+        test_cluster((hostile ? 150.0 : 600.0) * sim::kMB);
+    for (const auto& spec : kSchedulers) {
+      SCOPED_TRACE(std::string(spec.name) +
+                   (hostile ? "/faults+speculation+RF" : "/plain"));
+      auto sched_a = spec.make();
+      sched::BatchRunOptions cap;
+      cap.capture_final_cache = true;
+      const sched::BatchRunResult ra = sched::run_batch(*sched_a, a, c, cap);
+      ASSERT_TRUE(ra.ok()) << ra.error;
+      ASSERT_FALSE(ra.final_cache.empty());
 
-    sched::BatchRunOptions warm;
-    warm.initial_cache = &ra.final_cache;
-    auto sched_b = spec.make();
-    const sched::BatchRunResult rb = sched::run_batch(*sched_b, b, c, warm);
-    ASSERT_TRUE(rb.ok()) << rb.error;
+      sched::BatchRunOptions warm;
+      warm.initial_cache = &ra.final_cache;
+      if (hostile) {
+        // Node 1 crashes at 30 % of the fault-free warm run; node 2 runs
+        // 4x slower throughout, a straggler for speculation to race.
+        auto sched_probe = spec.make();
+        const sched::BatchRunResult probe =
+            sched::run_batch(*sched_probe, b, c, warm);
+        ASSERT_TRUE(probe.ok()) << probe.error;
+        warm.faults.transfer_failure_prob = 0.02;
+        warm.faults.compute_crashes = {{1, 0.3 * probe.batch_time}};
+        warm.faults.compute_slowdowns = {{2, 0.0, 1e9, 4.0}};
+        warm.speculation.enabled = true;
+        warm.replication.enabled = true;
+        warm.replication.tiers = {{0.0, 1}, {1.0, 2}};
+        warm.replication.repair_bandwidth_cap = 100.0 * sim::kMB;
+      }
+      auto sched_b = spec.make();
+      const sched::BatchRunResult rb = sched::run_batch(*sched_b, b, c, warm);
+      ASSERT_TRUE(rb.ok()) << rb.error;
 
-    auto sched_manual = spec.make();
-    sim::ExecutionEngine eng(
-        c, b, {sched_manual->eviction_policy(), false, {}, {}});
-    ASSERT_TRUE(eng.seed_cache(ra.final_cache).ok());
-    std::vector<wl::TaskId> pending;
-    for (const auto& t : b.tasks()) pending.push_back(t.id);
-    drain(*sched_manual, eng, b, c, pending);
+      auto sched_manual = spec.make();
+      sim::ExecutionEngine eng(c, b,
+                               {sched_manual->eviction_policy(), false,
+                                warm.faults, warm.speculation});
+      ASSERT_TRUE(eng.seed_cache(ra.final_cache).ok());
+      std::unique_ptr<replica::ReplicaManager> repair;
+      if (hostile)
+        repair = std::make_unique<replica::ReplicaManager>(b, warm.replication);
+      std::vector<wl::TaskId> pending;
+      for (const auto& t : b.tasks()) pending.push_back(t.id);
+      drain(*sched_manual, eng, b, c, pending, repair.get(),
+            &ra.final_cache);
+      const sim::ExecutionStats& m = eng.totals();
 
-    EXPECT_EQ(rb.batch_time, eng.makespan());
-    EXPECT_EQ(rb.stats.remote_transfers, eng.totals().remote_transfers);
-    EXPECT_EQ(rb.stats.cache_hits, eng.totals().cache_hits);
-    EXPECT_EQ(rb.stats.warm_hit_bytes, eng.totals().warm_hit_bytes);
-    EXPECT_GT(rb.stats.warm_hit_bytes, 0.0);  // shared hot files pay off
+      EXPECT_EQ(rb.batch_time, eng.makespan());
+      EXPECT_EQ(rb.stats.remote_transfers, m.remote_transfers);
+      EXPECT_EQ(rb.stats.replications, m.replications);
+      EXPECT_EQ(rb.stats.evictions, m.evictions);
+      EXPECT_EQ(rb.stats.cache_hits, m.cache_hits);
+      EXPECT_EQ(rb.stats.warm_hit_bytes, m.warm_hit_bytes);
+      EXPECT_GT(rb.stats.warm_hit_bytes, 0.0);  // shared hot files pay off
+      EXPECT_EQ(rb.stats.node_crashes, m.node_crashes);
+      EXPECT_EQ(rb.stats.task_reexecutions, m.task_reexecutions);
+      EXPECT_EQ(rb.stats.transfer_retries, m.transfer_retries);
+      EXPECT_EQ(rb.stats.speculative_launches, m.speculative_launches);
+      EXPECT_EQ(rb.stats.replicas_created, m.replicas_created);
+      EXPECT_EQ(rb.stats.repair_bytes, m.repair_bytes);
+      std::vector<double> times = eng.completed_task_times();
+      std::sort(times.begin(), times.end());
+      EXPECT_EQ(rb.task_completion_times, times);
+      EXPECT_EQ(rb.stats.tasks_executed, b.num_tasks());
+      if (hostile) {
+        EXPECT_EQ(rb.stats.node_crashes, 1u);
+        EXPECT_GT(rb.stats.task_reexecutions, 0u);
+        EXPECT_EQ(rb.replica_deficit, repair->files_below_target(eng).size());
+      }
+    }
   }
+  WsRuntime::set_global_threads(0);
 }
 
 // ---------------------------------------------------- snapshot machinery
