@@ -1,15 +1,11 @@
 #include "ip/branch_and_bound.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <memory>
-#include <queue>
 
 #include "util/check.h"
 #include "util/logging.h"
 #include "util/timer.h"
-#include "util/ws_runtime.h"
 
 namespace bsio::ip {
 
@@ -83,120 +79,6 @@ struct Attr {
   double parent_obj = 0.0;
 };
 
-// One bound tightening relative to the root model (best-bound node state).
-struct BoundChange {
-  int var;
-  double lo, up;
-};
-
-struct QNode {
-  double bound;  // parent LP objective: a valid bound for this subtree
-  long seq;      // insertion order; deterministic tie-break
-  std::vector<BoundChange> changes;
-  Attr attr;
-  // Parent's post-solve basis (parallel waves only; both children share
-  // it). Evaluating the node from this snapshot makes its LP solve a pure
-  // function of the node, whichever worker runs it.
-  std::shared_ptr<const lp::BasisSnapshot> warm;
-};
-
-struct QNodeAfter {
-  bool operator()(const QNode& a, const QNode& b) const {
-    if (a.bound != b.bound) return a.bound > b.bound;
-    return a.seq > b.seq;
-  }
-};
-
-// Shared state for one parallel wave: the popped nodes, one result slot per
-// node, and the epoch-published cutoff workers prune against. Slot i is
-// touched only by the worker running job i (and later the committing
-// thread, after the group join), so slots need no locks.
-struct WaveCtx {
-  struct Slot {
-    // Lazily built per slot index and reused across waves; restore_basis
-    // canonicalises it before every solve, so which nodes it solved before
-    // cannot leak into this node's result.
-    std::unique_ptr<lp::DualSimplex> solver;
-    std::vector<int> touched;  // vars currently tightened away from root
-    bool skipped = true;
-    lp::SolveResult sr;
-    std::vector<double> x;  // primal point when sr is optimal
-    std::shared_ptr<const lp::BasisSnapshot> snap;  // post-solve basis
-  };
-
-  const lp::Model* model = nullptr;
-  const MipOptions* opts = nullptr;
-  const WallTimer* timer = nullptr;
-  const std::vector<int>* integer_vars = nullptr;
-  std::vector<QNode>* wave = nullptr;
-  std::vector<Slot>* slots = nullptr;
-  std::atomic<double>* published_cutoff = nullptr;
-};
-
-// Evaluates wave slot i as a pure function of its node: restore the
-// parent's basis, rebase bounds root -> node.changes, solve. Runs on a
-// worker during the wave; runs again inline at commit when a worker
-// skipped the node on a published cutoff that turned out too aggressive —
-// both produce bit-identical results, so skipping is invisible.
-void solve_wave_slot(WaveCtx& ctx, std::size_t i, bool allow_skip) {
-  const QNode& node = (*ctx.wave)[i];
-  WaveCtx::Slot& slot = (*ctx.slots)[i];
-  slot.skipped = true;
-  slot.x.clear();
-  slot.snap.reset();
-  if (allow_skip &&
-      node.bound >= ctx.published_cutoff->load(std::memory_order_seq_cst))
-    return;  // dominated by the published cutoff; commit re-solves if stale
-  const bool fresh = slot.solver == nullptr;
-  if (fresh)
-    slot.solver =
-        std::make_unique<lp::DualSimplex>(*ctx.model, ctx.opts->simplex);
-  lp::DualSimplex& lp = *slot.solver;
-  if (node.warm != nullptr)
-    lp.restore_basis(*node.warm);
-  else
-    BSIO_CHECK_MSG(fresh, "only the root node may solve without a warm basis");
-  for (int v : slot.touched)
-    lp.set_bounds(v, ctx.model->lower(v), ctx.model->upper(v));
-  slot.touched.clear();
-  for (const BoundChange& bc : node.changes) {
-    lp.set_bounds(bc.var, bc.lo, bc.up);
-    slot.touched.push_back(bc.var);
-  }
-  lp.set_time_limit(std::max(
-      0.02, ctx.opts->time_limit_seconds - ctx.timer->elapsed_seconds()));
-  slot.sr = lp.solve();
-  slot.skipped = false;
-  if (slot.sr.status != lp::SolveStatus::kOptimal) return;
-  slot.x = lp.values();
-  slot.snap = std::make_shared<lp::BasisSnapshot>(lp.snapshot_basis());
-  // An integral point is an incumbent candidate: tighten the published
-  // cutoff so still-running siblings can skip dominated nodes. The commit
-  // replays the actual incumbent update deterministically; publishing an
-  // over-tight value only costs an inline re-solve, never correctness.
-  bool integral = true;
-  for (int v : *ctx.integer_vars) {
-    const double f = slot.x[v] - std::floor(slot.x[v]);
-    if (std::min(f, 1.0 - f) > ctx.opts->int_tol) {
-      integral = false;
-      break;
-    }
-  }
-  if (integral) {
-    const double obj = slot.sr.objective;
-    const double c =
-        obj - std::max(ctx.opts->gap_abs, std::abs(obj) * ctx.opts->gap_rel);
-    double cur = ctx.published_cutoff->load(std::memory_order_seq_cst);
-    while (c < cur && !ctx.published_cutoff->compare_exchange_weak(
-                          cur, c, std::memory_order_seq_cst)) {
-    }
-  }
-}
-
-void wave_slot_job(void* vctx, std::size_t i) {
-  solve_wave_slot(*static_cast<WaveCtx*>(vctx), i, /*allow_skip=*/true);
-}
-
 }  // namespace
 
 MipSolver::MipSolver(const lp::Model& model, std::vector<int> integer_vars)
@@ -226,7 +108,12 @@ MipResult MipSolver::solve(const MipOptions& opts) {
   double root_bound = -std::numeric_limits<double>::infinity();
   long stall_nodes = 0;  // nodes since the last incumbent improvement
 
+  // Nodes whose LP bound reaches this value cannot beat the incumbent by
+  // more than the gap. Before the first incumbent there is nothing to beat:
+  // +inf prunes nothing, where inf - inf would make every test NaN.
   auto cutoff = [&]() {
+    if (std::isinf(incumbent_obj_))
+      return std::numeric_limits<double>::infinity();
     return incumbent_obj_ -
            std::max(opts.gap_abs, std::abs(incumbent_obj_) * opts.gap_rel);
   };
@@ -255,11 +142,8 @@ MipResult MipSolver::solve(const MipOptions& opts) {
     double best_score = -1.0;
     for (int v : integer_vars_) {
       const double f = x[v] - std::floor(x[v]);
-      const double dist = std::min(f, 1.0 - f);
-      if (dist <= opts.int_tol) continue;
-      const double s = opts.branching == Branching::kPseudoCost
-                           ? pc.score(v, f)
-                           : dist;
+      if (std::min(f, 1.0 - f) <= opts.int_tol) continue;
+      const double s = pc.score(v, f);
       if (s > best_score) {
         best_score = s;
         best = v;
@@ -275,15 +159,56 @@ MipResult MipSolver::solve(const MipOptions& opts) {
            incumbent_obj_ < std::numeric_limits<double>::infinity();
   };
 
-  bool limit_hit = false;
   bool clean = true;  // false if any node LP failed numerically
 
-  // Evaluates one node on the solver's current bounds. Returns false when a
-  // global limit was hit (caller stops). Sets `prune` when the subtree is
-  // finished, otherwise fills `frac_x`/`branch_var` for branching.
-  auto eval_node = [&](const Attr& attr, bool& prune,
-                       std::vector<double>& frac_x, int& branch_var,
-                       double& node_obj) {
+  // Judges a solved node LP reached through `attr`. Returns the variable to
+  // branch on, with the LP point in `x`, or -1 when the subtree is finished.
+  auto evaluate = [&](const lp::SolveResult& sr, const Attr& attr,
+                      std::vector<double>& x) {
+    if (sr.status == lp::SolveStatus::kInfeasible) return -1;
+    if (sr.status != lp::SolveStatus::kOptimal) {
+      // Numerical trouble / iteration limit: cannot bound the subtree, so
+      // prune and downgrade the final status below.
+      BSIO_LOG(kWarn) << "B&B node LP did not solve to optimality (status "
+                      << static_cast<int>(sr.status) << "); pruning";
+      clean = false;
+      return -1;
+    }
+    if (attr.var >= 0)
+      pc.observe(attr.var, attr.dir, attr.frac,
+                 sr.objective - attr.parent_obj);
+    if (sr.objective >= cutoff()) return -1;
+    x = lp.values();
+    const int var = select_branch(x);
+    if (var < 0) {
+      // Integral: candidate incumbent.
+      for (int v : integer_vars_) x[v] = std::round(x[v]);
+      if (model_.is_feasible(x)) {
+        const double obj = model_.objective_value(x);
+        if (obj < incumbent_obj_) improve_incumbent(std::move(x), obj);
+      }
+      return -1;
+    }
+    if (opts.heuristic_every > 0 && res.nodes % opts.heuristic_every == 0)
+      try_rounding(x);
+    return var;
+  };
+
+  // Fixes the frame's next untried child (first_child, then the other) on
+  // the solver and returns the branch that produced it.
+  auto descend = [&](Frame& f) {
+    const int child = f.tried++ == 0 ? f.first_child : 1 - f.first_child;
+    if (child == 0)
+      lp.set_bounds(f.var, f.old_lo, f.floor_val);
+    else
+      lp.set_bounds(f.var, f.ceil_val, f.old_up);
+    return Attr{f.var, child, f.frac, f.lp_bound};
+  };
+
+  std::vector<Frame> stack;
+  Attr attr;  // branch that produced the node about to be evaluated
+  bool limit_hit = false;
+  while (true) {
     // The root node is always evaluated (its LP is still bounded by the
     // remaining-budget floor below): building the simplex can consume a
     // tight budget by itself, and a solve that never computes a root bound
@@ -292,7 +217,7 @@ MipResult MipSolver::solve(const MipOptions& opts) {
         (res.nodes >= opts.max_nodes ||
          timer.elapsed_seconds() > opts.time_limit_seconds || stalled())) {
       limit_hit = true;
-      return false;
+      break;
     }
     ++res.nodes;
     ++stall_nodes;
@@ -301,334 +226,53 @@ MipResult MipSolver::solve(const MipOptions& opts) {
     // exhausted budget from starving the LP of all progress.
     lp.set_time_limit(
         std::max(0.02, opts.time_limit_seconds - timer.elapsed_seconds()));
-    lp::SolveResult sr = lp.solve();
+    const lp::SolveResult sr = lp.solve();
     res.lp_iterations += sr.iterations;
     res.stats.accumulate(sr.stats);
-
-    prune = false;
-    branch_var = -1;
-    node_obj = -std::numeric_limits<double>::infinity();
-    if (sr.status == lp::SolveStatus::kInfeasible) {
-      prune = true;
-      return true;
-    }
     if (sr.status == lp::SolveStatus::kIterLimit &&
         timer.elapsed_seconds() > opts.time_limit_seconds) {
       // Deadline expired inside the LP: stop cleanly with the incumbent.
       limit_hit = true;
-      return false;
-    }
-    if (sr.status != lp::SolveStatus::kOptimal) {
-      // Numerical trouble / iteration limit: cannot bound the subtree, so
-      // prune and downgrade the final status below.
-      BSIO_LOG(kWarn) << "B&B node LP did not solve to optimality (status "
-                      << static_cast<int>(sr.status) << "); pruning";
-      clean = false;
-      prune = true;
-      return true;
-    }
-    node_obj = sr.objective;
-    if (attr.var >= 0)
-      pc.observe(attr.var, attr.dir, attr.frac,
-                 sr.objective - attr.parent_obj);
-    if (sr.objective >= cutoff()) {
-      prune = true;
-      return true;
-    }
-    std::vector<double> x = lp.values();
-    branch_var = select_branch(x);
-    if (branch_var < 0) {
-      // Integral: candidate incumbent.
-      for (int v : integer_vars_) x[v] = std::round(x[v]);
-      if (model_.is_feasible(x)) {
-        double obj = model_.objective_value(x);
-        if (obj < incumbent_obj_) improve_incumbent(std::move(x), obj);
-      }
-      prune = true;
-      return true;
-    }
-    if (opts.heuristic_every > 0 && res.nodes % opts.heuristic_every == 0)
-      try_rounding(x);
-    frac_x = std::move(x);
-    return true;
-  };
-
-  // The side to explore first: pseudo-cost mode descends toward the smaller
-  // estimated degradation, most-fractional toward the nearer integer.
-  auto first_side = [&](int var, double frac) {
-    if (opts.branching == Branching::kPseudoCost)
-      return pc.estimate(var, 0) * frac <= pc.estimate(var, 1) * (1.0 - frac)
-                 ? 0
-                 : 1;
-    return frac <= 0.5 ? 0 : 1;
-  };
-
-  if (opts.node_order == NodeOrder::kDepthFirst) {
-    std::vector<Frame> stack;
-    bool backtracking = false;
-    Attr attr;  // branch that produced the node about to be evaluated
-    while (true) {
-      if (!backtracking) {
-        bool prune = false;
-        std::vector<double> x;
-        int branch_var = -1;
-        double node_obj = 0.0;
-        if (!eval_node(attr, prune, x, branch_var, node_obj)) break;
-        attr = Attr{};
-        if (stack.empty() && !prune)
-          root_bound = node_obj;
-        if (prune) {
-          backtracking = true;
-          continue;
-        }
-        // Push a branching frame and descend into the first child.
-        Frame f;
-        f.var = branch_var;
-        f.old_lo = lp.lower(branch_var);
-        f.old_up = lp.upper(branch_var);
-        f.floor_val = std::floor(x[branch_var]);
-        f.ceil_val = f.floor_val + 1.0;
-        f.frac = x[branch_var] - f.floor_val;
-        f.first_child = first_side(branch_var, f.frac);
-        f.tried = 0;
-        f.lp_bound = node_obj;
-        stack.push_back(f);
-        Frame& top = stack.back();
-        int child = top.first_child;
-        ++top.tried;
-        if (child == 0)
-          lp.set_bounds(top.var, top.old_lo, top.floor_val);
-        else
-          lp.set_bounds(top.var, top.ceil_val, top.old_up);
-        attr = Attr{top.var, child, top.frac, top.lp_bound};
-        continue;
-      }
-
-      // Backtrack: find the deepest frame with an untried child.
-      if (stack.empty()) break;
-      Frame& top = stack.back();
-      if (top.tried >= 2 || top.lp_bound >= cutoff()) {
-        lp.set_bounds(top.var, top.old_lo, top.old_up);
-        stack.pop_back();
-        continue;
-      }
-      int child = 1 - top.first_child;
-      ++top.tried;
-      if (child == 0)
-        lp.set_bounds(top.var, top.old_lo, top.floor_val);
-      else
-        lp.set_bounds(top.var, top.ceil_val, top.old_up);
-      attr = Attr{top.var, child, top.frac, top.lp_bound};
-      backtracking = false;
+      break;
     }
 
-    res.solve_seconds = timer.elapsed_seconds();
-    res.objective = incumbent_obj_;
-    res.x = incumbent_;
-    if (!limit_hit) {
-      if (incumbent_.empty()) {
-        res.status = clean ? MipStatus::kInfeasible : MipStatus::kNoSolution;
-        res.best_bound = std::numeric_limits<double>::infinity();
-      } else {
-        res.status = clean ? MipStatus::kOptimal : MipStatus::kFeasible;
-        res.best_bound = incumbent_obj_;
-      }
-    } else {
-      // Bound = min over open subtree bounds and the root relaxation.
-      double bound = incumbent_obj_;
-      for (const Frame& f : stack) bound = std::min(bound, f.lp_bound);
-      if (stack.empty()) bound = std::min(bound, root_bound);
-      res.best_bound = bound;
-      res.status =
-          incumbent_.empty() ? MipStatus::kNoSolution : MipStatus::kFeasible;
+    std::vector<double> x;
+    const int var = evaluate(sr, attr, x);
+    if (var >= 0) {
+      if (stack.empty()) root_bound = sr.objective;
+      Frame f;
+      f.var = var;
+      f.old_lo = lp.lower(var);
+      f.old_up = lp.upper(var);
+      f.floor_val = std::floor(x[var]);
+      f.ceil_val = f.floor_val + 1.0;
+      f.frac = x[var] - f.floor_val;
+      // Explore first the side with the smaller estimated degradation.
+      const bool down_first = pc.estimate(var, 0) * f.frac <=
+                              pc.estimate(var, 1) * (1.0 - f.frac);
+      f.first_child = down_first ? 0 : 1;
+      f.lp_bound = sr.objective;
+      stack.push_back(f);
+      attr = descend(stack.back());
+      continue;
     }
-    return res;
-  }
 
-  // Best-bound order: open nodes in a priority queue keyed by their parent's
-  // LP objective. Each pop re-applies the node's bound changes from the root
-  // (the dual simplex absorbs them as one hypersparse warm start).
-  std::priority_queue<QNode, std::vector<QNode>, QNodeAfter> open;
-  long seq = 0;
-  open.push(QNode{-std::numeric_limits<double>::infinity(), seq++, {}, {}, {}});
-  std::vector<int> touched;  // vars currently tightened away from root bounds
-
-  if (opts.parallel_wave == 0) {
-    while (!open.empty()) {
-      QNode node = open.top();
-      if (node.bound >= cutoff()) break;  // every open node is dominated
-      open.pop();
-
-      // Rebase the solver onto this node's bound set.
-      for (int v : touched)
-        lp.set_bounds(v, model_.lower(v), model_.upper(v));
-      touched.clear();
-      for (const BoundChange& bc : node.changes) {
-        lp.set_bounds(bc.var, bc.lo, bc.up);
-        touched.push_back(bc.var);
-      }
-
-      bool prune = false;
-      std::vector<double> x;
-      int branch_var = -1;
-      double node_obj = 0.0;
-      if (!eval_node(node.attr, prune, x, branch_var, node_obj)) break;
-      if (node.changes.empty() && !prune)
-        root_bound = node_obj;
-      if (prune) continue;
-
-      const double lo = lp.lower(branch_var), up = lp.upper(branch_var);
-      const double fl = std::floor(x[branch_var]);
-      const double frac = x[branch_var] - fl;
-      for (int dir = 0; dir < 2; ++dir) {
-        QNode child;
-        child.bound = node_obj;
-        child.seq = seq++;
-        child.changes = node.changes;
-        if (dir == 0)
-          child.changes.push_back({branch_var, lo, fl});
-        else
-          child.changes.push_back({branch_var, fl + 1.0, up});
-        child.attr = Attr{branch_var, dir, frac, node_obj};
-        open.push(std::move(child));
-      }
+    // Backtrack to the deepest frame with an untried child that the
+    // incumbent does not dominate.
+    while (!stack.empty() && (stack.back().tried >= 2 ||
+                              stack.back().lp_bound >= cutoff())) {
+      lp.set_bounds(stack.back().var, stack.back().old_lo,
+                    stack.back().old_up);
+      stack.pop_back();
     }
-  } else {
-    // Parallel waves: pop the W best nodes, evaluate their LPs
-    // concurrently, then commit results sequentially in slot order,
-    // replaying pruning / pseudo-cost / incumbent / child decisions exactly
-    // as the one-node-at-a-time loop would. The wave width fixes the
-    // search; thread count and steal schedule only change wall time.
-    const std::size_t wave_width = opts.parallel_wave;
-    std::vector<QNode> wave;
-    wave.reserve(wave_width);
-    std::vector<WaveCtx::Slot> slots(wave_width);
-    std::atomic<double> published_cutoff{cutoff()};
-    WaveCtx ctx;
-    ctx.model = &model_;
-    ctx.opts = &opts;
-    ctx.timer = &timer;
-    ctx.integer_vars = &integer_vars_;
-    ctx.wave = &wave;
-    ctx.slots = &slots;
-    ctx.published_cutoff = &published_cutoff;
-    WsRuntime& rt = WsRuntime::global();
-
-    // Termination tests are spelled `!(bound >= cutoff())` — not
-    // `bound < cutoff()` — because cutoff() is NaN until the first
-    // incumbent lands (inf - inf) and every NaN comparison is false: the
-    // sequential loop keeps going in that state, so this one must too.
-    while (!open.empty() && !(open.top().bound >= cutoff())) {
-      wave.clear();
-      while (wave.size() < wave_width && !open.empty() &&
-             !(open.top().bound >= cutoff())) {
-        wave.push_back(open.top());
-        open.pop();
-      }
-      // Epoch publish: workers start this wave pruning against the cutoff
-      // as of all committed waves; integral slots tighten it mid-wave.
-      published_cutoff.store(cutoff(), std::memory_order_seq_cst);
-      {
-        WsRuntime::TaskGroup group(rt);
-        for (std::size_t i = 0; i < wave.size(); ++i)
-          group.spawn(&wave_slot_job, &ctx, i);
-      }  // joins the wave
-
-      std::size_t reopen_from = wave.size();
-      for (std::size_t i = 0; i < wave.size(); ++i) {
-        QNode& node = wave[i];
-        // Dominated by a commit earlier in this wave: discarded with no
-        // node count and no LP stats — exactly what a skipped solve left
-        // behind, which is why skips are invisible in the result.
-        if (node.bound >= cutoff()) continue;
-        if (res.nodes > 0 &&
-            (res.nodes >= opts.max_nodes ||
-             timer.elapsed_seconds() > opts.time_limit_seconds || stalled())) {
-          limit_hit = true;
-          reopen_from = i;  // not yet counted: reopen this node too
-          break;
-        }
-        WaveCtx::Slot& slot = slots[i];
-        if (slot.skipped)  // published cutoff was ahead of the commit
-          solve_wave_slot(ctx, i, /*allow_skip=*/false);
-        ++res.nodes;
-        ++stall_nodes;
-        res.lp_iterations += slot.sr.iterations;
-        res.stats.accumulate(slot.sr.stats);
-        if (slot.sr.status == lp::SolveStatus::kInfeasible) continue;
-        if (slot.sr.status == lp::SolveStatus::kIterLimit &&
-            timer.elapsed_seconds() > opts.time_limit_seconds) {
-          // Deadline expired inside the LP: this node is spent, the rest
-          // of the wave reopens for the best-bound report.
-          limit_hit = true;
-          reopen_from = i + 1;
-          break;
-        }
-        if (slot.sr.status != lp::SolveStatus::kOptimal) {
-          BSIO_LOG(kWarn)
-              << "B&B node LP did not solve to optimality (status "
-              << static_cast<int>(slot.sr.status) << "); pruning";
-          clean = false;
-          continue;
-        }
-        const double node_obj = slot.sr.objective;
-        if (node.attr.var >= 0)
-          pc.observe(node.attr.var, node.attr.dir, node.attr.frac,
-                     node_obj - node.attr.parent_obj);
-        if (node_obj >= cutoff()) continue;
-        std::vector<double>& x = slot.x;
-        const int branch_var = select_branch(x);
-        if (branch_var < 0) {
-          // Integral: candidate incumbent.
-          for (int v : integer_vars_) x[v] = std::round(x[v]);
-          if (model_.is_feasible(x)) {
-            const double obj = model_.objective_value(x);
-            if (obj < incumbent_obj_) improve_incumbent(std::move(x), obj);
-          }
-          continue;
-        }
-        if (opts.heuristic_every > 0 &&
-            res.nodes % opts.heuristic_every == 0)
-          try_rounding(x);
-        if (node.changes.empty()) root_bound = node_obj;
-
-        // The branch variable's bounds at this node (last change wins).
-        double lo = model_.lower(branch_var), up = model_.upper(branch_var);
-        for (const BoundChange& bc : node.changes)
-          if (bc.var == branch_var) {
-            lo = bc.lo;
-            up = bc.up;
-          }
-        const double fl = std::floor(x[branch_var]);
-        const double frac = x[branch_var] - fl;
-        for (int dir = 0; dir < 2; ++dir) {
-          QNode child;
-          child.bound = node_obj;
-          child.seq = seq++;
-          child.changes = node.changes;
-          if (dir == 0)
-            child.changes.push_back({branch_var, lo, fl});
-          else
-            child.changes.push_back({branch_var, fl + 1.0, up});
-          child.attr = Attr{branch_var, dir, frac, node_obj};
-          child.warm = slot.snap;
-          open.push(std::move(child));
-        }
-      }
-      if (limit_hit) {
-        for (std::size_t j = reopen_from; j < wave.size(); ++j)
-          open.push(std::move(wave[j]));
-        break;
-      }
-    }
+    if (stack.empty()) break;
+    attr = descend(stack.back());
   }
 
   res.solve_seconds = timer.elapsed_seconds();
   res.objective = incumbent_obj_;
   res.x = incumbent_;
-  const bool exhausted = !limit_hit;
-  if (exhausted) {
-    // Queue empty, or every remaining node dominated by the incumbent.
+  if (!limit_hit) {
     if (incumbent_.empty()) {
       res.status = clean ? MipStatus::kInfeasible : MipStatus::kNoSolution;
       res.best_bound = std::numeric_limits<double>::infinity();
@@ -637,11 +281,10 @@ MipResult MipSolver::solve(const MipOptions& opts) {
       res.best_bound = incumbent_obj_;
     }
   } else {
+    // Bound = min over open subtree bounds and the root relaxation.
     double bound = incumbent_obj_;
-    if (!open.empty())
-      bound = std::min(bound, open.top().bound);
-    else
-      bound = std::min(bound, root_bound);
+    for (const Frame& f : stack) bound = std::min(bound, f.lp_bound);
+    if (stack.empty()) bound = std::min(bound, root_bound);
     res.best_bound = bound;
     res.status =
         incumbent_.empty() ? MipStatus::kNoSolution : MipStatus::kFeasible;

@@ -1,14 +1,12 @@
 // 0-1 (mixed) integer programming by LP-based branch and bound.
 //
-// Search with dual-simplex warm starts: branching only changes variable
-// bounds, so every node re-optimises from its parent's basis in a handful of
-// pivots. Two node orders are available — depth-first (default; cheapest
-// warm starts, one bound change per descent) and best-bound (pops the open
-// node with the smallest LP bound; finds strong bounds sooner on models
-// whose depth-first dives go stale). Branching is pseudo-cost by default:
-// per-variable per-direction degradation estimates, initialised from the
-// objective coefficients and updated from observed child-LP bound
-// degradations, falling back to most-fractional while uninformed.
+// Depth-first search with dual-simplex warm starts: branching only changes
+// variable bounds, and a depth-first step changes one bound at a time, so
+// every node re-optimises from the previous node's basis in a handful of
+// pivots. Branching is pseudo-cost: per-variable per-direction degradation
+// estimates start from |objective coefficient| (1.0 when zero, which
+// reduces the product score to fractionality) and are refined with each
+// observed child-LP bound degradation.
 //
 // A rounding heuristic probes for incumbents at every node, and the caller
 // can seed an incumbent (the IP scheduler seeds the BiPartition solution) so
@@ -25,22 +23,6 @@
 
 namespace bsio::ip {
 
-// Branch-variable selection rule.
-enum class Branching {
-  // Product of estimated up/down objective degradations. Estimates start
-  // from |objective coefficient| (1.0 when zero, which reduces the score to
-  // fractionality) and are refined with each observed child-LP degradation.
-  kPseudoCost,
-  // Classic most-fractional: largest distance to the nearest integer.
-  kMostFractional,
-};
-
-// Order in which open nodes are explored.
-enum class NodeOrder {
-  kDepthFirst,  // stack; cheapest warm starts
-  kBestBound,   // priority queue on node LP bound; tightest bound first
-};
-
 struct MipOptions {
   double time_limit_seconds = 30.0;
   long max_nodes = 1000000;
@@ -50,27 +32,11 @@ struct MipOptions {
   double gap_rel = 1e-6;
   // Run the rounding heuristic every k-th node (0 disables).
   int heuristic_every = 1;
-  Branching branching = Branching::kPseudoCost;
-  NodeOrder node_order = NodeOrder::kDepthFirst;
   // Stop with kFeasible after this many consecutive nodes without an
   // incumbent improvement (0 disables). Only kicks in once an incumbent
   // exists, so it can never cause kNoSolution; with a seeded incumbent it
   // bounds how long B&B polishes a heuristic plan.
   long stall_node_limit = 0;
-  // Best-bound only: solve up to this many open nodes per wave concurrently
-  // on the global work-stealing runtime (0 = the historical sequential node
-  // loop). Each wave pops the best nodes in (bound, seq) order, workers
-  // evaluate their LPs as pure functions of the node (canonical parent-basis
-  // restore), and results are committed sequentially in slot order —
-  // pruning, pseudo-cost updates, incumbents, and children replay exactly
-  // as if the wave had been explored one node at a time. The wave width
-  // (not the thread count) defines the search, so MipResult is bit-identical
-  // at any thread count and steal schedule whenever the time limit does not
-  // bind. Workers share the incumbent through an epoch-published cutoff
-  // (refreshed each wave, tightened by CAS when a worker's LP comes back
-  // integral); a node skipped on a stale cutoff but surviving to commit is
-  // re-solved inline, so over-eager skips cost time, never determinism.
-  std::size_t parallel_wave = 0;
   lp::SimplexOptions simplex;
 };
 

@@ -178,8 +178,7 @@ void DualSimplex::set_bounds(int var, double lo, double up) {
   if (state_[var] == kBasic || x_dirty_) {
     // Basic: x_B is untouched; any new violation surfaces at the next
     // pricing. Dirty: the next solve recomputes x_B from scratch anyway, so
-    // accumulating a delta against the stale point would be wrong (and a
-    // restored basis may park nonbasics on re-tightened infinite bounds).
+    // accumulating a delta against the stale point would be wrong.
     lo_[var] = lo;
     up_[var] = up;
     return;
@@ -200,43 +199,6 @@ void DualSimplex::add_nonbasic_delta(int var, double dx) {
   for (std::size_t k = 0; k < idx.size(); ++k)
     pending_rhs_.add(idx[k], val[k] * dx);
   pending_ = true;
-}
-
-BasisSnapshot DualSimplex::snapshot_basis() const {
-  BSIO_CHECK_MSG(!opts_.use_dense_basis,
-                 "snapshot_basis requires the sparse basis");
-  return BasisSnapshot{basic_, state_};
-}
-
-void DualSimplex::restore_basis(const BasisSnapshot& snap) {
-  BSIO_CHECK_MSG(!opts_.use_dense_basis,
-                 "restore_basis requires the sparse basis");
-  BSIO_CHECK(snap.basic.size() == static_cast<std::size_t>(m_));
-  BSIO_CHECK(snap.state.size() == static_cast<std::size_t>(total_));
-  basic_ = snap.basic;
-  state_ = snap.state;
-  basic_pos_.assign(total_, -1);
-  for (int r = 0; r < m_; ++r) {
-    BSIO_CHECK(basic_[r] >= 0 && basic_[r] < total_);
-    basic_pos_[basic_[r]] = r;
-  }
-  pending_rhs_.clear();
-  pending_ = false;
-  if (!factorize_current_basis()) {
-    // A basis that factorised on the instance that captured it can only
-    // fail here through pathological roundoff; the slack restart is the
-    // same (deterministic) recovery refactorize_sparse uses.
-    reset_to_slack_basis();
-    return;
-  }
-  // Canonical post-restore state: devex weights back to the reference
-  // frame, duals recomputed for the active cost vector, primal values
-  // marked stale. Any instance restored from `snap` now solves the next
-  // bound set identically, whatever it solved before.
-  gamma_.assign(m_, 1.0);
-  duals_perturbed_ = perturb_active_;
-  recompute_duals_sparse(duals_perturbed_ ? pcost_ : cost_);
-  x_dirty_ = true;
 }
 
 void DualSimplex::restore_dual_feasible_sides() {

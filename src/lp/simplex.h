@@ -5,7 +5,8 @@
 // variable parked at whichever bound its cost sign prefers — is always dual
 // feasible. That removes the need for a phase-1, and branch-and-bound bound
 // changes are exactly the perturbation dual simplex re-optimises from, so
-// the MIP solver warm-starts every node from its parent's basis.
+// the depth-first MIP search warm-starts every node from the basis the
+// previous node left behind.
 //
 // Default path (sparse revised simplex): the basis is held as a sparse LU
 // factorisation (see basis_lu.h) with product-form eta updates between
@@ -94,19 +95,6 @@ struct SolveResult {
   SolverStats stats;
 };
 
-// A basis captured from one solver instance and replayable on any other
-// instance built over the same model: which variables are basic (by basis
-// position) and which bound each nonbasic sits at. Everything else a solve
-// depends on — factorisation, duals, devex weights, primal values — is
-// recomputed canonically by restore_basis, so a restored solve is a pure
-// function of (model, bounds, snapshot) regardless of the instance's
-// history. The parallel B&B relies on exactly that to keep node evaluation
-// deterministic under work stealing.
-struct BasisSnapshot {
-  std::vector<int> basic;          // basis position -> var
-  std::vector<std::uint8_t> state;  // var -> kAtLower/kAtUpper/kBasic
-};
-
 class DualSimplex {
  public:
   // The model must outlive the solver. Variable count and rows are fixed at
@@ -131,17 +119,6 @@ class DualSimplex {
   double value(int var) const;
   // All structural values.
   std::vector<double> values() const;
-
-  // Captures the current basis for replay on another instance of the same
-  // model (sparse path only — the dense oracle keeps no factorisation to
-  // rebuild from).
-  BasisSnapshot snapshot_basis() const;
-  // Rebuilds solver state from `snap` canonically: refactorises, resets the
-  // devex reference frame, recomputes duals, discards pending bound deltas,
-  // and marks primal values for recomputation. Callers apply their bound
-  // set *after* restoring; the next solve() proceeds as if this basis had
-  // just been factorised fresh.
-  void restore_basis(const BasisSnapshot& snap);
 
   int num_structural() const { return n_; }
 

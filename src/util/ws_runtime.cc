@@ -143,19 +143,6 @@ void run_for_chunk(void* ctx, std::size_t c) {
   if (begin < end) (*fc->body)(begin, end);
 }
 
-struct SlotForCtx {
-  const std::function<void(std::size_t, std::size_t, std::size_t)>* body;
-  std::size_t n = 0;
-  std::size_t nc = 0;
-};
-
-void run_slot_chunk(void* ctx, std::size_t c) {
-  const auto* fc = static_cast<const SlotForCtx*>(ctx);
-  const std::size_t begin = c * fc->n / fc->nc;
-  const std::size_t end = (c + 1) * fc->n / fc->nc;
-  if (begin < end) (*fc->body)(c, begin, end);
-}
-
 }  // namespace
 
 WsRuntime::WsRuntime(std::size_t threads, Options options)
@@ -165,7 +152,7 @@ WsRuntime::WsRuntime(std::size_t threads, Options options)
 
   std::vector<int> groups(threads, 0);
   bool pin = false;
-  if (options_.affinity && threads > 1) {
+  if (threads > 1) {
     const std::vector<int> packages = read_package_ids(threads);
     if (!packages.empty()) {
       // Dense group ids in first-seen order; pin only when there is more
@@ -190,9 +177,6 @@ WsRuntime::WsRuntime(std::size_t threads, Options options)
     slots_.back()->group = groups[i];
     slots_.back()->steal_seed = static_cast<unsigned>(i * 2654435761u + 1u);
   }
-  inject_.reserve(num_groups_);
-  for (std::size_t g = 0; g < num_groups_; ++g)
-    inject_.push_back(std::make_unique<InjectQueue>());
 
   workers_.reserve(threads - 1);
   for (std::size_t i = 1; i < threads; ++i)
@@ -250,14 +234,10 @@ WsRuntime& WsRuntime::global() {
 }
 
 void WsRuntime::set_global_threads(std::size_t threads) {
-  set_global_threads(threads, Options{});
-}
-
-void WsRuntime::set_global_threads(std::size_t threads, Options options) {
   std::lock_guard<std::mutex> lk(global_mu());
   auto& slot = global_slot();
   slot.reset();  // join the old workers before replacing them
-  slot = std::make_unique<WsRuntime>(threads, options);
+  slot = std::make_unique<WsRuntime>(threads);
 }
 
 bool WsRuntime::adopt_caller_slot() {
@@ -275,31 +255,10 @@ void WsRuntime::release_caller_slot() {
   caller_mu_.unlock();
 }
 
-void WsRuntime::push_job(Job* job, int affinity) {
-  if (affinity >= 0 && num_groups_ > 1) {
-    InjectQueue& q = *inject_[static_cast<std::size_t>(affinity) % num_groups_];
-    std::lock_guard<std::mutex> lk(q.mu);
-    q.jobs.push_back(job);
-    return;
-  }
-  BSIO_DCHECK(tl_runtime == this);
-  slots_[tl_slot]->deque.push(job);
-}
-
-Job* WsRuntime::pop_inject(int group) {
-  InjectQueue& q = *inject_[static_cast<std::size_t>(group)];
-  std::lock_guard<std::mutex> lk(q.mu);
-  if (q.jobs.empty()) return nullptr;
-  Job* job = q.jobs.front();
-  q.jobs.pop_front();
-  return job;
-}
-
 Job* WsRuntime::find_job(std::size_t self) {
   Slot& s = *slots_[self];
   if (!options_.force_steal)
     if (Job* j = s.deque.pop()) return j;
-  if (Job* j = pop_inject(s.group)) return j;
 
   const std::size_t t = slots_.size();
   // Pseudo-random victim rotation; the determinism contract makes the
@@ -315,10 +274,6 @@ Job* WsRuntime::find_job(std::size_t self) {
       if ((pass == 0) != same_group) continue;  // near victims first
       if (Job* j = slots_[v]->deque.steal()) return j;
     }
-  }
-  for (std::size_t g = 0; g < num_groups_; ++g) {
-    if (static_cast<int>(g) == s.group) continue;
-    if (Job* j = pop_inject(static_cast<int>(g))) return j;
   }
   if (options_.force_steal)
     if (Job* j = s.deque.pop()) return j;
@@ -403,65 +358,20 @@ void WsRuntime::parallel_for(
   ctx.n = n;
   // Mild over-decomposition smooths per-index cost variance while the
   // chunk boundaries stay a pure function of (n, num_threads).
-  ctx.nc = default_chunks(n);
+  ctx.nc = std::min(n, num_threads() * 4);
 
   const bool external = adopt_caller_slot();
   std::atomic<std::size_t> pending{ctx.nc};
   std::vector<Job> jobs(ctx.nc);
+  BSIO_DCHECK(tl_runtime == this);
+  ws_internal::Deque& own = slots_[tl_slot]->deque;
   for (std::size_t c = 0; c < ctx.nc; ++c) {
     jobs[c] = Job{&run_for_chunk, &ctx, c, &pending};
-    push_job(&jobs[c], -1);
+    own.push(&jobs[c]);
   }
   wake_workers();
   help_until(pending);
   if (external) release_caller_slot();
-}
-
-void WsRuntime::parallel_for_slots(
-    std::size_t n, std::size_t nc,
-    const std::function<void(std::size_t, std::size_t, std::size_t)>& body) {
-  if (n == 0 || nc == 0) return;
-  SlotForCtx ctx;
-  ctx.body = &body;
-  ctx.n = n;
-  ctx.nc = nc;
-  const bool foreign = tl_runtime != nullptr && tl_runtime != this;
-  if (num_threads() == 1 || nc < 2 || foreign) {
-    for (std::size_t c = 0; c < nc; ++c) run_slot_chunk(&ctx, c);
-    return;
-  }
-  const bool external = adopt_caller_slot();
-  std::atomic<std::size_t> pending{nc};
-  std::vector<Job> jobs(nc);
-  for (std::size_t c = 0; c < nc; ++c) {
-    jobs[c] = Job{&run_slot_chunk, &ctx, c, &pending};
-    push_job(&jobs[c], -1);
-  }
-  wake_workers();
-  help_until(pending);
-  if (external) release_caller_slot();
-}
-
-WsRuntime::TaskGroup::TaskGroup(WsRuntime& rt)
-    : rt_(rt), adopted_slot_(rt.adopt_caller_slot()) {}
-
-WsRuntime::TaskGroup::~TaskGroup() {
-  wait();
-  if (adopted_slot_) rt_.release_caller_slot();
-}
-
-void WsRuntime::TaskGroup::spawn(void (*fn)(void*, std::size_t), void* ctx,
-                                 std::size_t index, int affinity) {
-  pending_.fetch_add(1, std::memory_order_relaxed);
-  jobs_.push_back(Job{fn, ctx, index, &pending_});
-  rt_.push_job(&jobs_.back(), affinity);
-  rt_.wake_workers();
-}
-
-void WsRuntime::TaskGroup::wait() {
-  rt_.help_until(pending_);
-  // All spawned jobs completed; their descriptors can be recycled.
-  jobs_.clear();
 }
 
 }  // namespace bsio

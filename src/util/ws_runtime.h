@@ -1,36 +1,31 @@
-// Work-stealing runtime for the parallel planners (replaces the PR 2
-// static fork-join pool).
+// Work-stealing runtime for the parallel planners.
 //
 // Architecture: T worker slots, each owning a Chase-Lev deque (LIFO local
 // pop, FIFO steal). Slots 1..T-1 are background threads; slot 0 is adopted
-// by the external caller for the duration of a top-level parallel construct
+// by the external caller for the duration of a top-level parallel_for
 // (concurrent external callers serialize on an internal mutex), so a
-// runtime of size 1 spawns no threads and runs everything inline. Nested
-// constructs — FM refinement inside a bisection branch, a parallel sweep
-// inside a spawned B&B wave — push to the current worker's own deque and
-// help until their group drains; jobs never block, so helping cannot
-// deadlock. Idle workers spin over the victim list a few rounds, then park
-// on a condvar; any push bumps an epoch and wakes them.
+// runtime of size 1 spawns no threads and runs everything inline. A
+// parallel_for issued from inside a job (FM refinement inside a bisection
+// branch) pushes its chunks to the current worker's own deque and helps
+// until they drain; jobs never block, so helping cannot deadlock. Idle
+// workers spin over the victim list a few rounds, then park on a condvar;
+// any push bumps an epoch and wakes them.
 //
-// Affinity: when the host exposes multiple CPU packages (sysfs
+// Packages: when the host exposes multiple CPU packages (sysfs
 // package_id), workers are pinned one-per-CPU, slots are tagged with their
-// cache group, steals prefer same-group victims, and jobs carrying an
-// affinity hint are routed through that group's inject queue. On a
-// single-socket host (the common case) everything collapses to one group
-// and no pinning — the hint becomes a no-op.
+// package, and steals prefer same-package victims. On a single-socket host
+// (the common case) everything collapses to one group and no pinning.
 //
-// Determinism contract (unchanged from the fork-join pool, now enforced
-// across arbitrary steal interleavings): parallel_for splits [0, n) into
-// statically sized contiguous chunks — a pure function of (n, num_threads),
-// never of timing — each index is visited exactly once, and the body must
-// write only to state owned by its index (slot i of a preallocated output
-// array). Every ordering decision (argmin ties, heap pushes, reductions) is
-// made by the caller in a sequential index-order pass over the slots.
-// parallel_reduce packages that discipline: per-chunk partials in stable
-// slots, folded in chunk index order on the calling thread. Under this
-// contract plans are bit-identical at any thread count and any steal
-// schedule; `force_steal` inverts the local-pop preference to let tests
-// drive maximally adversarial schedules through the same contract.
+// Determinism contract (enforced across arbitrary steal interleavings):
+// parallel_for splits [0, n) into statically sized contiguous chunks — a
+// pure function of (n, num_threads), never of timing — each index is
+// visited exactly once, and the body must write only to state owned by its
+// index (slot i of a preallocated output array). Every ordering decision
+// (argmin ties, heap pushes, reductions) is made by the caller in a
+// sequential index-order pass over the slots. Under this contract plans are
+// bit-identical at any thread count and any steal schedule; `force_steal`
+// inverts the local-pop preference to let tests drive maximally
+// adversarial schedules through the same contract.
 //
 // The process-wide runtime (WsRuntime::global()) is sized from the
 // BSIO_THREADS environment variable. Malformed, zero, or negative values
@@ -44,7 +39,6 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -57,10 +51,9 @@ namespace bsio {
 
 namespace ws_internal {
 
-// A unit of work: fn(ctx, index) plus the group counter it completes
-// against. Jobs live in caller-owned stable storage (a stack array for
-// parallel_for chunks, a TaskGroup-owned deque for spawns); the runtime
-// only moves Job pointers.
+// A unit of work: fn(ctx, index) plus the counter it completes against.
+// Jobs live in the issuing parallel_for's chunk array; the runtime only
+// moves Job pointers.
 struct Job {
   void (*fn)(void* ctx, std::size_t index) = nullptr;
   void* ctx = nullptr;
@@ -119,9 +112,6 @@ class WsRuntime {
     // deque, driving the most adversarial schedule the determinism
     // contract must survive.
     bool force_steal = false;
-    // Pin workers to CPUs and group them by package when the host has more
-    // than one package. Off collapses to a single anonymous group.
-    bool affinity = true;
   };
 
   // `threads` counts the caller: threads <= 1 means no background workers.
@@ -135,8 +125,8 @@ class WsRuntime {
   WsRuntime& operator=(const WsRuntime&) = delete;
 
   std::size_t num_threads() const { return slots_.size(); }
-  // Distinct cache groups the workers were placed into (1 on single-socket
-  // hosts or with affinity off).
+  // Distinct CPU packages the workers were placed into (1 on single-socket
+  // hosts).
   std::size_t num_groups() const { return num_groups_; }
 
   // Invokes body(begin, end) over disjoint static sub-ranges covering
@@ -151,58 +141,6 @@ class WsRuntime {
       for (std::size_t i = begin; i < end; ++i) f(i);
     });
   }
-
-  // Deterministic reduction: partials[c] = fold of map(i) over chunk c via
-  // combine, chunks processed in parallel, then folded into `init` in chunk
-  // index order on the calling thread. Bit-identical at any thread count
-  // only if the chunk count is — callers that need cross-thread-count
-  // stability pass an explicit num_chunks; 0 uses the parallel_for default
-  // (min(n, 4 * num_threads())).
-  template <typename T, typename Map, typename Combine>
-  T parallel_reduce(std::size_t n, T init, Map&& map, Combine&& combine,
-                    std::size_t num_chunks = 0) {
-    if (n == 0) return init;
-    const std::size_t nc =
-        num_chunks > 0 ? std::min(n, num_chunks) : default_chunks(n);
-    std::vector<T> partials(nc, init);
-    std::vector<std::uint8_t> nonempty(nc, 0);
-    parallel_for_slots(n, nc, [&](std::size_t c, std::size_t begin,
-                                  std::size_t end) {
-      T acc = map(begin);
-      for (std::size_t i = begin + 1; i < end; ++i) acc = combine(acc, map(i));
-      partials[c] = acc;
-      nonempty[c] = 1;
-    });
-    T acc = init;
-    for (std::size_t c = 0; c < nc; ++c)
-      if (nonempty[c]) acc = combine(acc, partials[c]);
-    return acc;
-  }
-
-  // Irregular fan-out: spawn independent jobs, then wait() helps run them
-  // (and anything else in the runtime) until all have completed. Usable
-  // from an external thread (adopts worker slot 0) or from inside a worker
-  // (nested). Jobs must not block; they may spawn into the same group.
-  class TaskGroup {
-   public:
-    explicit TaskGroup(WsRuntime& rt);
-    ~TaskGroup();
-
-    TaskGroup(const TaskGroup&) = delete;
-    TaskGroup& operator=(const TaskGroup&) = delete;
-
-    // Runs fn(ctx, index) on some worker. `affinity` >= 0 hints the cache
-    // group the job prefers (ignored on single-group hosts).
-    void spawn(void (*fn)(void*, std::size_t), void* ctx, std::size_t index,
-               int affinity = -1);
-    void wait();
-
-   private:
-    WsRuntime& rt_;
-    bool adopted_slot_;  // this group took worker slot 0 for an external caller
-    std::atomic<std::size_t> pending_{0};
-    std::deque<ws_internal::Job> jobs_;  // stable storage for spawned jobs
-  };
 
   // BSIO_THREADS as a typed value: the thread count if set and valid, 0 if
   // unset, Error if set but malformed / zero / negative / out of range.
@@ -219,37 +157,19 @@ class WsRuntime {
   static WsRuntime& global();
 
   // Recreates the global runtime with `threads` threads (0 = default).
-  // Not safe while a parallel construct is in flight on the old runtime.
-  // The Options overload lets tests drive the planners through adversarial
-  // schedules (force_steal) on the shared runtime.
+  // Not safe while a parallel_for is in flight on the old runtime.
   static void set_global_threads(std::size_t threads);
-  static void set_global_threads(std::size_t threads, Options options);
 
  private:
-  friend class TaskGroup;
-
   struct Slot {
     ws_internal::Deque deque;
     int group = 0;
     unsigned steal_seed = 0;  // per-slot xorshift state for victim order
   };
 
-  std::size_t default_chunks(std::size_t n) const {
-    return std::min(n, num_threads() * 4);
-  }
-
-  // parallel_for over static chunks, handing the body (chunk, begin, end).
-  void parallel_for_slots(
-      std::size_t n, std::size_t nc,
-      const std::function<void(std::size_t, std::size_t, std::size_t)>& body);
-
-  // Pushes `job` from the current thread: onto the own deque when the
-  // thread holds a slot, else onto an inject queue. Honors job affinity.
-  void push_job(ws_internal::Job* job, int affinity);
-  // One attempt to find runnable work for slot `self` (may be npos for a
-  // helper without a slot — inject queues and steals only).
+  // One attempt to find runnable work for slot `self`: its own deque, then
+  // steals, same-package victims first (own deque last under force_steal).
   ws_internal::Job* find_job(std::size_t self);
-  ws_internal::Job* pop_inject(int group);
   void run_job(ws_internal::Job* job);
   // Helps until *pending drops to zero, running any runtime work found.
   void help_until(const std::atomic<std::size_t>& pending);
@@ -264,15 +184,6 @@ class WsRuntime {
   std::vector<std::unique_ptr<Slot>> slots_;
   std::vector<std::thread> workers_;
   std::size_t num_groups_ = 1;
-
-  // Inject queues, one per cache group: affinity-hinted jobs and pushes
-  // from threads without a slot land here. Mutex-guarded; pushes are chunk-
-  // granular so this is never a hot path.
-  struct InjectQueue {
-    std::mutex mu;
-    std::deque<ws_internal::Job*> jobs;
-  };
-  std::vector<std::unique_ptr<InjectQueue>> inject_;
 
   std::mutex caller_mu_;  // serializes external top-level callers (slot 0)
 

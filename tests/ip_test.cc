@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "ip/branch_and_bound.h"
@@ -126,8 +128,11 @@ TEST(Mip, NodeLimitReturnsIncumbentAndBound) {
   EXPECT_DOUBLE_EQ(r.objective, load);
 }
 
+// Size of task k on machine j in branching_model.
+double branching_size(int k, int j) { return 1.0 + (k * 7 + j * 3) % 5; }
+
 // A makespan-assignment model with non-uniform sizes: enough branching to
-// exercise the selection rules without brute-force blowing up.
+// exercise pseudo-cost selection without brute-force blowing up.
 lp::Model branching_model(int tasks, int machines, std::vector<int>* bins) {
   lp::Model m;
   int z = m.add_var(1.0, 0.0, 1e6);
@@ -143,48 +148,36 @@ lp::Model branching_model(int tasks, int machines, std::vector<int>* bins) {
   for (int j = 0; j < machines; ++j) {
     std::vector<lp::RowEntry> row{{z, -1.0}};
     for (int k = 0; k < tasks; ++k)
-      row.push_back({t[k][j], 1.0 + (k * 7 + j * 3) % 5});
+      row.push_back({t[k][j], branching_size(k, j)});
     m.add_row(lp::Sense::kLe, 0.0, std::move(row));
   }
   return m;
 }
 
-TEST(Mip, BranchingRulesReachTheSameProvenOptimum) {
-  std::vector<int> bins;
-  lp::Model m = branching_model(9, 3, &bins);
-
-  MipOptions pc;
-  pc.branching = Branching::kPseudoCost;
-  MipOptions mf;
-  mf.branching = Branching::kMostFractional;
-
-  MipSolver s1(m, bins), s2(m, bins);
-  auto r1 = s1.solve(pc);
-  auto r2 = s2.solve(mf);
-  ASSERT_EQ(r1.status, MipStatus::kOptimal);
-  ASSERT_EQ(r2.status, MipStatus::kOptimal);
-  // Different trees, same proven optimum.
-  EXPECT_NEAR(r1.objective, r2.objective, 1e-6);
-  EXPECT_GT(r1.stats.pivots + r1.stats.bound_flips, 0);
+// branching_model's optimum without an LP: the smallest makespan over all
+// machines^tasks assignments.
+double enumerated_makespan(int tasks, int machines) {
+  std::vector<int> on(tasks, 0);  // machine of each task
+  double best = std::numeric_limits<double>::infinity();
+  while (true) {
+    std::vector<double> load(machines, 0.0);
+    for (int k = 0; k < tasks; ++k) load[on[k]] += branching_size(k, on[k]);
+    best = std::min(best, *std::max_element(load.begin(), load.end()));
+    int k = 0;  // advance `on` as a base-`machines` counter
+    while (k < tasks && ++on[k] == machines) on[k++] = 0;
+    if (k == tasks) return best;
+  }
 }
 
-TEST(Mip, BestBoundNodeOrderMatchesDepthFirst) {
+TEST(Mip, BranchingRulesReachTheSameProvenOptimum) {
+  // The proven optimum must equal the best of all 3^7 = 2,187 assignments.
   std::vector<int> bins;
-  lp::Model m = branching_model(8, 3, &bins);
-
-  MipOptions dfs;
-  dfs.node_order = NodeOrder::kDepthFirst;
-  MipOptions bb;
-  bb.node_order = NodeOrder::kBestBound;
-
-  MipSolver s1(m, bins), s2(m, bins);
-  auto r1 = s1.solve(dfs);
-  auto r2 = s2.solve(bb);
-  ASSERT_EQ(r1.status, MipStatus::kOptimal);
-  ASSERT_EQ(r2.status, MipStatus::kOptimal);
-  EXPECT_NEAR(r1.objective, r2.objective, 1e-6);
-  // Best-bound terminates with the bound meeting the incumbent.
-  EXPECT_LE(r2.best_bound, r2.objective + 1e-9);
+  lp::Model m = branching_model(7, 3, &bins);
+  MipSolver solver(m, bins);
+  auto r = solver.solve();
+  ASSERT_EQ(r.status, MipStatus::kOptimal);
+  EXPECT_NEAR(r.objective, enumerated_makespan(7, 3), 1e-6);
+  EXPECT_GT(r.stats.pivots + r.stats.bound_flips, 0);
 }
 
 TEST(Mip, StallNodeLimitStopsPolishingWithIncumbent) {

@@ -1,47 +1,35 @@
 // Tests for the work-stealing runtime: coverage under adversarial steal
-// schedules, randomized nested task graphs, deterministic reduction,
-// BSIO_THREADS parsing, and the deterministic parallel-wave branch and
-// bound riding on the shared runtime.
+// schedules, randomized nested parallel_for trees, and BSIO_THREADS
+// parsing.
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdint>
 #include <cstdlib>
+#include <string>
 #include <vector>
 
-#include "ip/branch_and_bound.h"
-#include "lp/model.h"
 #include "util/rng.h"
 #include "util/ws_runtime.h"
 
 namespace bsio {
 namespace {
 
-// ----------------------------------------------------------- task graphs
+// ------------------------------------------------------- nested trees
 
-// A job that fans out into a nested TaskGroup of its own until its depth
-// is spent; every execution bumps the shared counter once.
-struct StressCtx {
-  WsRuntime* rt = nullptr;
-  std::atomic<long>* count = nullptr;
-  int depth = 0;
-  int fanout = 0;
-};
-
-void stress_job(void* p, std::size_t /*index*/) {
-  auto* c = static_cast<StressCtx*>(p);
-  c->count->fetch_add(1, std::memory_order_relaxed);
-  if (c->depth == 0) return;
-  StressCtx child{c->rt, c->count, c->depth - 1, c->fanout};
-  WsRuntime::TaskGroup g(*c->rt);
-  for (int i = 0; i < c->fanout; ++i)
-    g.spawn(&stress_job, &child, static_cast<std::size_t>(i));
-  // ~TaskGroup waits, so `child` outlives every spawned job.
+// One node of a stress tree: counts its own run, then fans out into a
+// nested parallel_for_each over its children until the depth is spent.
+void stress_node(WsRuntime& rt, std::atomic<long>& count, int depth,
+                 int fanout) {
+  count.fetch_add(1, std::memory_order_relaxed);
+  if (depth == 0) return;
+  rt.parallel_for_each(static_cast<std::size_t>(fanout), [&](std::size_t) {
+    stress_node(rt, count, depth - 1, fanout);
+  });
 }
 
-// Total executions of a (roots x depth x fanout) stress graph: every job
-// runs once, each non-leaf spawns `fanout` children.
-long expected_jobs(int roots, int depth, int fanout) {
+// Total runs of a (roots x depth x fanout) stress forest: every node runs
+// once, each non-leaf has `fanout` children.
+long expected_runs(int roots, int depth, int fanout) {
   long per_root = 0, level = 1;
   for (int d = 0; d <= depth; ++d) {
     per_root += level;
@@ -62,13 +50,11 @@ TEST(WsRuntimeStress, RandomizedNestedTaskGraphs) {
         const int depth = static_cast<int>(rng.uniform(4));
         const int fanout = 2 + static_cast<int>(rng.uniform(3));
         std::atomic<long> count{0};
-        StressCtx root{&rt, &count, depth, fanout};
-        {
-          WsRuntime::TaskGroup g(rt);
-          for (int i = 0; i < roots; ++i)
-            g.spawn(&stress_job, &root, static_cast<std::size_t>(i));
-        }
-        EXPECT_EQ(count.load(), expected_jobs(roots, depth, fanout))
+        rt.parallel_for_each(static_cast<std::size_t>(roots),
+                             [&](std::size_t) {
+                               stress_node(rt, count, depth, fanout);
+                             });
+        EXPECT_EQ(count.load(), expected_runs(roots, depth, fanout))
             << "threads=" << threads << " steal=" << force_steal
             << " round=" << round;
       }
@@ -102,27 +88,6 @@ TEST(WsRuntime, ForceStealCoversEveryIndexOnce) {
   });
   for (std::size_t i = 0; i < hits.size(); ++i)
     EXPECT_EQ(hits[i].load(), 1) << i;
-}
-
-TEST(WsRuntime, ReduceBitIdenticalAcrossThreadCountsAndSchedules) {
-  // With a pinned chunk count the reduction's partials and fold order are a
-  // pure function of n — the float result must not move by a single bit
-  // across thread counts or steal schedules.
-  const std::size_t n = 10000, chunks = 16;
-  auto run = [&](std::size_t threads, bool force_steal) {
-    WsRuntime::Options o;
-    o.force_steal = force_steal;
-    WsRuntime rt(threads, o);
-    return rt.parallel_reduce(
-        n, 0.0,
-        [](std::size_t i) { return 1.0 / (1.0 + static_cast<double>(i)); },
-        [](double a, double b) { return a + b; }, chunks);
-  };
-  const double base = run(1, false);
-  for (std::size_t threads : {2u, 4u, 8u})
-    for (bool force_steal : {false, true})
-      EXPECT_EQ(run(threads, force_steal), base)
-          << "threads=" << threads << " steal=" << force_steal;
 }
 
 // ------------------------------------------------------------ BSIO_THREADS
@@ -170,110 +135,6 @@ TEST_F(EnvThreadsTest, MalformedZeroNegativeAndHugeAreTypedErrors) {
     ASSERT_FALSE(s.ok()) << "value: " << bad;
     EXPECT_NE(s.error().message.find("BSIO_THREADS"), std::string::npos)
         << "value: " << bad;
-  }
-}
-
-// --------------------------------------------------- parallel-wave B&B
-
-// A 2-machine makespan-assignment MIP with enough symmetry to open a real
-// branch tree (optimum 14: sizes sum to 28, perfectly splittable).
-lp::Model makespan_model(std::vector<int>& bins) {
-  lp::Model m;
-  const double sizes[8] = {7, 6, 5, 4, 3, 1, 1, 1};
-  int z = m.add_var(1.0, 0.0, 28.0);
-  int t[8][2];
-  for (int i = 0; i < 8; ++i)
-    for (int j = 0; j < 2; ++j) bins.push_back(t[i][j] = m.add_binary(0.0));
-  for (int i = 0; i < 8; ++i)
-    m.add_row(lp::Sense::kEq, 1.0, {{t[i][0], 1.0}, {t[i][1], 1.0}});
-  for (int j = 0; j < 2; ++j) {
-    std::vector<lp::RowEntry> row{{z, -1.0}};
-    for (int i = 0; i < 8; ++i) row.push_back({t[i][j], sizes[i]});
-    m.add_row(lp::Sense::kLe, 0.0, std::move(row));
-  }
-  return m;
-}
-
-ip::MipResult solve_wave(const lp::Model& m, const std::vector<int>& bins,
-                         std::size_t wave) {
-  ip::MipSolver solver(m, bins);
-  ip::MipOptions o;
-  o.node_order = ip::NodeOrder::kBestBound;
-  o.parallel_wave = wave;
-  o.time_limit_seconds = 1e6;  // only deterministic limits may bind
-  return solver.solve(o);
-}
-
-TEST(MipParallelWave, FindsTheSequentialOptimum) {
-  std::vector<int> bins;
-  const lp::Model m = makespan_model(bins);
-  const ip::MipResult seq = solve_wave(m, bins, 0);
-  const ip::MipResult par = solve_wave(m, bins, 4);
-  ASSERT_EQ(seq.status, ip::MipStatus::kOptimal);
-  ASSERT_EQ(par.status, ip::MipStatus::kOptimal);
-  EXPECT_DOUBLE_EQ(seq.objective, 14.0);
-  EXPECT_DOUBLE_EQ(par.objective, 14.0);
-}
-
-TEST(MipParallelWave, BitIdenticalAcrossThreadCountsAndSchedules) {
-  // The wave width — not the thread count or steal schedule — defines the
-  // search: every field of the result, including the explored node count
-  // and the incumbent bits, must be invariant.
-  std::vector<int> bins;
-  const lp::Model m = makespan_model(bins);
-
-  WsRuntime::set_global_threads(1);
-  const ip::MipResult base = solve_wave(m, bins, 4);
-  ASSERT_EQ(base.status, ip::MipStatus::kOptimal);
-
-  for (std::size_t threads : {2u, 8u}) {
-    for (bool force_steal : {false, true}) {
-      WsRuntime::Options o;
-      o.force_steal = force_steal;
-      WsRuntime::set_global_threads(threads, o);
-      const ip::MipResult r = solve_wave(m, bins, 4);
-      EXPECT_EQ(r.status, base.status);
-      EXPECT_EQ(r.objective, base.objective);
-      EXPECT_EQ(r.best_bound, base.best_bound);
-      EXPECT_EQ(r.nodes, base.nodes);
-      EXPECT_EQ(r.lp_iterations, base.lp_iterations);
-      ASSERT_EQ(r.x.size(), base.x.size());
-      for (std::size_t i = 0; i < r.x.size(); ++i)
-        EXPECT_EQ(r.x[i], base.x[i]) << "x[" << i << "]";
-    }
-  }
-  WsRuntime::set_global_threads(0);  // restore default
-}
-
-TEST(MipParallelWave, WideWavesStayCorrectOnRandomKnapsacks) {
-  // Randomized cross-check: wave widths 1/2/8 must all land on the
-  // sequential best-bound optimum.
-  Rng rng(77);
-  for (int inst = 0; inst < 6; ++inst) {
-    lp::Model m;
-    std::vector<int> bins;
-    const int n = 10;
-    double cap = 0.0;
-    std::vector<double> wgt(n);
-    for (int i = 0; i < n; ++i) {
-      wgt[i] = 1.0 + static_cast<double>(rng.uniform(9));
-      cap += wgt[i];
-      const double value = 1.0 + static_cast<double>(rng.uniform(20));
-      bins.push_back(m.add_binary(-value));
-    }
-    std::vector<lp::RowEntry> row;
-    for (int i = 0; i < n; ++i) row.push_back({bins[i], wgt[i]});
-    m.add_row(lp::Sense::kLe, 0.45 * cap, std::move(row));
-
-    const ip::MipResult seq = solve_wave(m, bins, 0);
-    ASSERT_EQ(seq.status, ip::MipStatus::kOptimal) << "inst " << inst;
-    for (std::size_t wave : {1u, 2u, 8u}) {
-      const ip::MipResult par = solve_wave(m, bins, wave);
-      ASSERT_EQ(par.status, ip::MipStatus::kOptimal)
-          << "inst " << inst << " wave " << wave;
-      EXPECT_DOUBLE_EQ(par.objective, seq.objective)
-          << "inst " << inst << " wave " << wave;
-    }
   }
 }
 
