@@ -18,8 +18,9 @@
 //
 // --smoke shrinks the grid for CI (small batches, 1-2 threads).
 // --threads overrides the thread grid (first entry is the speedup
-// baseline); --min-speedup fails the run unless some scheduler reaches
-// that planning speedup at a thread count > 1.
+// baseline); --min-speedup fails the run unless MinMin-exact at 512 tasks
+// reaches that planning speedup at the grid's highest thread count, and
+// fails it when the grid has no such row.
 
 #include <algorithm>
 #include <cstdint>
@@ -227,9 +228,9 @@ int main(int argc, char** argv) {
   const char* out_path = args.value("--out", "BENCH_sched.json");
   const double max_ip_seconds =
       args.number("--max-ip-seconds", 0.0);  // 0 = no ceiling
-  // Require at least one scheduler to reach this planning speedup at some
-  // thread count > 1 (0 = don't check). CI's multi-core smoke passes 1.2;
-  // single-core hosts should leave it off — there is no parallelism to win.
+  // Require the gate cell (below) to reach this planning speedup (0 =
+  // don't check). CI's multi-core smoke passes 1.2; single-core hosts
+  // should leave it off — there is no parallelism to win.
   const double min_speedup = args.number("--min-speedup", 0.0);
   const char* thread_arg = args.value("--threads", "");
   args.reject_unknown(
@@ -403,24 +404,35 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // CI multi-core smoke: at least one scheduler must have turned extra
-  // threads into real planning speedup (plans are already known identical
-  // from the hash check above, so this certifies the win is free).
+  // CI multi-core gate on one named cell: MinMin-exact at 512 tasks plans
+  // for over half a second on one thread, so its speedup is signal, while
+  // the small cells plan in milliseconds and their speedups are timing
+  // noise. Plans are already known identical from the hash check above, so
+  // this certifies the win is free.
   if (min_speedup > 0.0) {
-    double best = 0.0;
-    std::string best_label = "none";
+    const char* gate_scheduler = "MinMin-exact";
+    const std::size_t gate_tasks = 512;
+    const std::size_t top = *std::max_element(threads.begin(), threads.end());
+    const Row* gate = nullptr;
     for (const Row& r : rows)
-      if (r.threads > 1 && r.speedup_vs_1t > best) {
-        best = r.speedup_vs_1t;
-        best_label = r.scheduler;
-      }
-    std::printf("best multi-thread planning speedup: %.2fx (%s)\n", best,
-                best_label.c_str());
-    if (best < min_speedup) {
+      if (r.scheduler == gate_scheduler && r.tasks == gate_tasks &&
+          r.threads == top)
+        gate = &r;
+    if (gate == nullptr) {
       std::fprintf(stderr,
-                   "perf_makespan: best speedup %.2fx is under the "
+                   "perf_makespan: --min-speedup reads the %s %zu-task row "
+                   "at %zu threads, which this grid does not have\n",
+                   gate_scheduler, gate_tasks, top);
+      return 1;
+    }
+    std::printf("%s %zu-task planning speedup at %zu threads: %.2fx\n",
+                gate_scheduler, gate_tasks, top, gate->speedup_vs_1t);
+    if (gate->speedup_vs_1t < min_speedup) {
+      std::fprintf(stderr,
+                   "perf_makespan: %s %zu-task speedup %.2fx is under the "
                    "--min-speedup floor of %.2fx\n",
-                   best, min_speedup);
+                   gate_scheduler, gate_tasks, gate->speedup_vs_1t,
+                   min_speedup);
       return 1;
     }
   }

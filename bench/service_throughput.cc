@@ -1,35 +1,38 @@
 // Online-service throughput bench: the cross-batch cache-reuse study.
 //
 // A BatchArrivalProcess feeds Zipf-skewed batches over one shared file
-// catalogue into the ServiceLoop at a sweep of arrival rates; each of the
-// four paper schedulers serves the identical arrival sequence twice — warm
-// (the cache snapshot each batch leaves behind seeds the next batch's
-// engine) and cold (every engine starts empty) — so the emitted
+// catalogue into the service at a sweep of arrival rates; each of the four
+// paper schedulers serves the identical arrival sequence twice — by the
+// one service loop (StreamServiceLoop under default StreamOptions: FIFO
+// admission, drain-all horizon, one engine whose disk cache persists
+// across batches) and by a fresh engine per batch (run_batch on each
+// arrival in FIFO order, every engine starting empty) — so the emitted
 // BENCH_service.json rows carry a per-(scheduler, rate) ablation of
-// cross-batch reuse: mean/max response time, queue wait, cross-batch hit
-// bytes vs remote bytes, and the carried-snapshot footprint.
+// cross-batch reuse: mean/max response time, queue wait, cache-hit bytes
+// vs remote bytes.
 //
 //   service_throughput [--smoke] [--out <path>]
 //   service_throughput --stream [--smoke] [--out <path>] [--min-slo <frac>]
 //
-// Exit is non-zero if the warm runs fail the reuse contract for MinMin or
-// BiPartition (zero cross-batch hit bytes, or mean response not strictly
-// below the cold run) — the CI smoke guards the subsystem's reason to
-// exist.
+// Exit is non-zero unless, for MinMin and BiPartition, the one loop serves
+// strictly more cache-hit bytes than the fresh-engine run and has a
+// strictly lower mean response — the CI smoke guards the reason one engine
+// serves the whole run.
 //
 // --stream runs the rolling-horizon study instead: one MinMin batch is run
 // cold to calibrate the mean batch makespan m, then Poisson arrivals at
 // utilizations {0.5, 0.9, 1.2} (rate = u / m) with two SLO classes
 // (premium: deadline 3m, weight 4; standard: 8m, weight 1) are served
-// twice over the IDENTICAL arrival sequence — by the batch-barrier
-// ServiceLoop (FIFO, warm start; SLO attainment judged post hoc) and by
-// the StreamServiceLoop (incremental MinMin, deadline-aware admission with
-// aging, horizon window m/2). Rows land in BENCH_service.json with p50/p99
-// batch response and SLO attainment per mode. Exit is non-zero when, at
-// u = 0.9, the stream p99 is not strictly below the batch-barrier p99, or
-// stream SLO attainment falls below the barrier's or below --min-slo
-// (default 0.5) — the rolling-horizon subsystem's acceptance gate.
+// twice over the IDENTICAL arrival sequence by the StreamServiceLoop with
+// incremental MinMin — as the batch barrier (default StreamOptions) and as
+// the stream proper (deadline-aware admission with aging, horizon window
+// m/2). Rows land in BENCH_service.json with p50/p99 batch response and SLO
+// attainment per mode. Exit is non-zero when, at u = 0.9, the stream p99 is
+// not strictly below the batch-barrier p99, or stream SLO attainment falls
+// below the barrier's or below --min-slo (default 0.5) — the
+// rolling-horizon subsystem's acceptance gate.
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -44,11 +47,10 @@
 #include "sched/minmin.h"
 #include "service/arrival.h"
 #include "service/catalog.h"
-#include "service/service.h"
 #include "service/stream.h"
 #include "sim/cluster.h"
+#include "util/error.h"
 #include "util/rng.h"
-#include "util/stats.h"
 #include "util/ws_runtime.h"
 
 namespace {
@@ -81,7 +83,8 @@ std::unique_ptr<sched::Scheduler> make_ip() {
 }
 
 // Limited disks on a slow-storage cluster: re-staging is expensive and
-// carried copies fit, so cross-batch reuse has room to pay off.
+// copies from earlier batches fit, so cross-batch reuse has room to pay
+// off.
 sim::ClusterConfig service_cluster(std::size_t compute_nodes) {
   sim::ClusterConfig c;
   c.num_compute_nodes = compute_nodes;
@@ -94,12 +97,81 @@ sim::ClusterConfig service_cluster(std::size_t compute_nodes) {
   return c;
 }
 
+// One (scheduler, rate, mode) row of the reuse ablation.
 struct ServiceRow {
   std::string scheduler;
   double rate = 0.0;
-  bool warm = false;
-  service::ServiceStats stats;
+  bool one_loop = false;  // false = a fresh engine per batch
+  std::size_t served = 0;
+  double mean_queue_wait = 0.0;
+  double mean_response = 0.0;
+  double max_response = 0.0;
+  double planning_seconds = 0.0;
+  double completion_seconds = 0.0;
+  double cache_hit_bytes = 0.0;
+  double remote_bytes = 0.0;
 };
+
+// The ablation's baseline: every arrival, in FIFO order, runs to completion
+// on its own fresh engine once the previous batch has finished.
+Result<ServiceRow> run_fresh_engines(
+    sched::Scheduler& scheduler, const sim::ClusterConfig& cluster,
+    const std::vector<service::BatchArrival>& arrivals) {
+  ServiceRow row;
+  double clock = 0.0;
+  for (const service::BatchArrival& a : arrivals) {
+    scheduler.reset_run_stats();
+    const double start = std::max(clock, a.time);
+    const sched::BatchRunResult r =
+        sched::run_batch(scheduler, a.batch, cluster);
+    if (!r.ok())
+      return Err("batch " + std::to_string(a.index) + ": " + r.error);
+    clock = start + r.batch_time;
+    const double wait = start - a.time;
+    const double response = wait + r.batch_time;
+    row.mean_queue_wait += wait;
+    row.mean_response += response;
+    row.max_response = std::max(row.max_response, response);
+    row.planning_seconds += r.scheduling_seconds;
+    row.cache_hit_bytes += r.stats.cache_hit_bytes;
+    row.remote_bytes += r.stats.remote_bytes;
+    ++row.served;
+  }
+  if (row.served > 0) {
+    row.mean_queue_wait /= static_cast<double>(row.served);
+    row.mean_response /= static_cast<double>(row.served);
+  }
+  row.completion_seconds = clock;
+  return row;
+}
+
+// The one service loop under default StreamOptions.
+Result<ServiceRow> run_one_loop(sched::Scheduler& scheduler,
+                                const sim::ClusterConfig& cluster,
+                                const std::vector<wl::FileInfo>& catalog,
+                                std::vector<service::BatchArrival> arrivals) {
+  service::StreamServiceLoop loop(scheduler, cluster, catalog);
+  auto run = loop.run(std::move(arrivals));
+  if (!run.ok()) return run.error();
+  const service::StreamStats& s = run.value().stats;
+  ServiceRow row;
+  row.one_loop = true;
+  row.served = s.batches_completed;
+  for (const service::StreamBatchMetrics& b : run.value().batches)
+    if (b.completed) row.mean_queue_wait += b.admit_time - b.arrival_time;
+  if (row.served > 0) row.mean_queue_wait /= static_cast<double>(row.served);
+  row.mean_response = s.mean_response;
+  row.max_response = s.max_response;
+  row.planning_seconds = s.total_planning_seconds;
+  row.completion_seconds = s.completion_time;
+  row.cache_hit_bytes = s.exec.cache_hit_bytes;
+  row.remote_bytes = s.exec.remote_bytes;
+  return row;
+}
+
+const char* mode_name(bool one_loop) {
+  return one_loop ? "one_loop" : "fresh_engine";
+}
 
 // One (mode, utilization) row of the rolling-horizon study.
 struct StreamRow {
@@ -115,7 +187,7 @@ struct StreamRow {
   double p99_response = 0.0;
   double slo_attainment = 0.0;
   double planning_seconds = 0.0;
-  std::size_t windows = 0;  // horizon windows (stream) / batches (barrier)
+  std::size_t windows = 0;  // horizon windows executed
   double completion_seconds = 0.0;
 };
 
@@ -186,67 +258,33 @@ int run_stream_study(bool smoke, const char* out_path, double min_slo) {
       row.mode = stream_mode ? "stream" : "batch_barrier";
       row.utilization = u;
       row.rate = arrival_cfg.rate;
-      // Both modes judge against the original per-index SLO classes.
-      std::vector<service::SloClass> slo_of(num_batches);
-      for (const service::BatchArrival& a : gen.value())
-        slo_of[a.index] = a.slo;
-
+      // The barrier is the default options: FIFO, drain-all horizon.
+      service::StreamOptions opts;
       if (stream_mode) {
-        sched::MinMinScheduler mm;
-        service::StreamOptions opts;
         opts.admission.policy = service::AdmissionPolicy::kDeadlineAware;
         opts.admission.aging_weight = 0.25;
         opts.horizon.window_seconds = 0.5 * m;
-        service::StreamServiceLoop loop(mm, cluster, catalog, opts);
-        auto run = loop.run(std::move(gen).value());
-        if (!run.ok()) {
-          std::fprintf(stderr, "service_throughput: stream run failed: %s\n",
-                       run.error().message.c_str());
-          return 1;
-        }
-        const service::StreamStats& s = run.value().stats;
-        row.completed = s.batches_completed;
-        row.rejected = s.rejected_batches;
-        row.shed = s.shed_batches;
-        row.degraded = s.degraded_batches;
-        row.mean_response = s.mean_response;
-        row.p50_response = s.p50_response;
-        row.p99_response = s.p99_response;
-        row.slo_attainment = s.slo_attainment;
-        row.planning_seconds = s.total_planning_seconds;
-        row.windows = s.windows_committed;
-        row.completion_seconds = s.completion_time;
-      } else {
-        sched::MinMinScheduler mm;
-        service::ServiceOptions options;  // FIFO, warm start
-        service::ServiceLoop loop(mm, cluster, catalog.size(), options);
-        auto run = loop.run(std::move(gen).value());
-        if (!run.ok()) {
-          std::fprintf(stderr, "service_throughput: barrier run failed: %s\n",
-                       run.error().message.c_str());
-          return 1;
-        }
-        const service::ServiceResult& r = run.value();
-        std::vector<double> responses;
-        std::size_t met = 0;
-        for (const service::BatchServiceMetrics& b : r.batches) {
-          responses.push_back(b.response_time);
-          if (b.response_time <= slo_of[b.index].deadline_seconds) ++met;
-        }
-        row.completed = r.stats.batches_served;
-        row.rejected = r.stats.rejected_batches;
-        row.mean_response = r.stats.mean_response_time;
-        if (!responses.empty()) {
-          row.p50_response = percentile(responses, 50.0);
-          row.p99_response = percentile(responses, 99.0);
-        }
-        // Rejected batches count as missed, same rule as the stream loop.
-        row.slo_attainment =
-            static_cast<double>(met) / static_cast<double>(num_batches);
-        row.planning_seconds = r.stats.total_planning_seconds;
-        row.windows = r.stats.batches_served;
-        row.completion_seconds = r.stats.completion_time;
       }
+      sched::MinMinScheduler mm;
+      service::StreamServiceLoop loop(mm, cluster, catalog, opts);
+      auto run = loop.run(std::move(gen).value());
+      if (!run.ok()) {
+        std::fprintf(stderr, "service_throughput: %s run failed: %s\n",
+                     row.mode.c_str(), run.error().message.c_str());
+        return 1;
+      }
+      const service::StreamStats& s = run.value().stats;
+      row.completed = s.batches_completed;
+      row.rejected = s.rejected_batches;
+      row.shed = s.shed_batches;
+      row.degraded = s.degraded_batches;
+      row.mean_response = s.mean_response;
+      row.p50_response = s.p50_response;
+      row.p99_response = s.p99_response;
+      row.slo_attainment = s.slo_attainment;
+      row.planning_seconds = s.total_planning_seconds;
+      row.windows = s.windows_committed;
+      row.completion_seconds = s.completion_time;
       std::printf("%-14s %5.2f %10.2f %10.2f %9.0f%% %6zu %6zu\n",
                   row.mode.c_str(), u, row.p50_response, row.p99_response,
                   100.0 * row.slo_attainment, row.shed, row.degraded);
@@ -368,8 +406,8 @@ int main(int argc, char** argv) {
 
   std::printf("service_throughput: %zu compute nodes, %zu batches/run%s\n\n",
               compute_nodes, num_batches, smoke ? " (smoke)" : "");
-  std::printf("%-16s %7s %5s %10s %10s %12s %12s\n", "scheduler", "rate",
-              "warm", "mean-resp", "max-resp", "xbatch [MB]", "remote [MB]");
+  std::printf("%-16s %7s %-12s %10s %10s %12s %12s\n", "scheduler", "rate",
+              "mode", "mean-resp", "max-resp", "hits [MB]", "remote [MB]");
 
   std::vector<ServiceRow> rows;
   bool acceptance_ok = true;
@@ -381,60 +419,59 @@ int main(int argc, char** argv) {
       arrival_cfg.seed = 3;
       service::BatchArrivalProcess arrivals(catalog, batch_cfg, arrival_cfg);
 
-      double warm_response = 0.0, cold_response = 0.0;
-      double warm_hits = 0.0;
-      for (bool warm : {false, true}) {
+      ServiceRow pair[2];
+      for (const bool one_loop : {false, true}) {
         auto gen = arrivals.generate();
         if (!gen.ok()) {
           std::fprintf(stderr, "service_throughput: %s\n",
                        gen.error().message.c_str());
           return 1;
         }
-        auto scheduler = spec.make();
-        service::ServiceOptions options;
-        options.warm_start = warm;
-        service::ServiceLoop loop(*scheduler, cluster, catalog.size(),
-                                  options);
-        auto run = loop.run(std::move(gen).value());
+        const std::vector<service::BatchArrival> batches =
+            std::move(gen).value();
+        auto planner = spec.make();
+        auto run = one_loop ? run_one_loop(*planner, cluster, catalog, batches)
+                            : run_fresh_engines(*planner, cluster, batches);
         if (!run.ok()) {
           std::fprintf(stderr, "service_throughput: %s %s run failed: %s\n",
-                       spec.label.c_str(), warm ? "warm" : "cold",
+                       spec.label.c_str(), mode_name(one_loop),
                        run.error().message.c_str());
           return 1;
         }
-        const service::ServiceStats& s = run.value().stats;
-        (warm ? warm_response : cold_response) = s.mean_response_time;
-        if (warm) warm_hits = s.cross_batch_hit_bytes;
-        std::printf("%-16s %7.3f %5s %10.2f %10.2f %12.1f %12.1f\n",
-                    spec.label.c_str(), rate, warm ? "yes" : "no",
-                    s.mean_response_time, s.max_response_time,
-                    s.cross_batch_hit_bytes / sim::kMB,
-                    s.remote_bytes / sim::kMB);
-        std::fflush(stdout);
-        ServiceRow row;
+        ServiceRow& row = pair[one_loop];
+        row = std::move(run).value();
         row.scheduler = spec.label;
         row.rate = rate;
-        row.warm = warm;
-        row.stats = s;
-        rows.push_back(std::move(row));
+        std::printf("%-16s %7.3f %-12s %10.2f %10.2f %12.1f %12.1f\n",
+                    spec.label.c_str(), rate, mode_name(one_loop),
+                    row.mean_response, row.max_response,
+                    row.cache_hit_bytes / sim::kMB,
+                    row.remote_bytes / sim::kMB);
+        std::fflush(stdout);
+        rows.push_back(row);
       }
 
-      // The subsystem's acceptance contract, enforced for the schedulers
-      // whose planners exploit residency directly.
+      // The reuse contract, enforced for the schedulers whose planners
+      // exploit residency directly.
       if (spec.label == "MinMin" || spec.label == "BiPartition") {
-        if (warm_hits <= 0.0) {
+        const ServiceRow& fresh = pair[0];
+        const ServiceRow& one = pair[1];
+        if (one.cache_hit_bytes <= fresh.cache_hit_bytes) {
           std::fprintf(stderr,
-                       "service_throughput: %s warm run at rate %.3f served "
-                       "no cross-batch bytes\n",
-                       spec.label.c_str(), rate);
+                       "service_throughput: %s one-loop cache hits %.1f MB "
+                       "are not above the fresh-engine run's %.1f MB at "
+                       "rate %.3f\n",
+                       spec.label.c_str(), one.cache_hit_bytes / sim::kMB,
+                       fresh.cache_hit_bytes / sim::kMB, rate);
           acceptance_ok = false;
         }
-        if (warm_response >= cold_response) {
+        if (one.mean_response >= fresh.mean_response) {
           std::fprintf(stderr,
-                       "service_throughput: %s warm mean response %.2f s is "
-                       "not below cold %.2f s at rate %.3f\n",
-                       spec.label.c_str(), warm_response, cold_response,
-                       rate);
+                       "service_throughput: %s one-loop mean response %.2f s "
+                       "is not below the fresh-engine run's %.2f s at rate "
+                       "%.3f\n",
+                       spec.label.c_str(), one.mean_response,
+                       fresh.mean_response, rate);
           acceptance_ok = false;
         }
       }
@@ -456,23 +493,18 @@ int main(int argc, char** argv) {
   j.field("peak_rss_mb", bench::peak_rss_mb(), 1);
   j.begin_array("results");
   for (const ServiceRow& r : rows) {
-    const service::ServiceStats& s = r.stats;
     j.begin_object();
     j.field("scheduler", r.scheduler);
     j.field("arrival_rate", r.rate, 4);
-    j.field("warm", r.warm);
-    j.field("batches_served", s.batches_served);
-    j.field("rejected_batches", s.rejected_batches);
-    j.field("mean_queue_wait_seconds", s.mean_queue_wait);
-    j.field("mean_response_seconds", s.mean_response_time);
-    j.field("max_response_seconds", s.max_response_time);
-    j.field("total_planning_seconds", s.total_planning_seconds);
-    j.field("total_makespan_seconds", s.total_makespan);
-    j.field("completion_seconds", s.completion_time);
-    j.field("cross_batch_hit_bytes", s.cross_batch_hit_bytes, 0);
-    j.field("remote_bytes", s.remote_bytes, 0);
-    j.field("carried_bytes_final", s.carried_bytes_final, 0);
-    j.field("evicted_bytes", s.evicted_bytes, 0);
+    j.field("mode", mode_name(r.one_loop));
+    j.field("batches_served", r.served);
+    j.field("mean_queue_wait_seconds", r.mean_queue_wait);
+    j.field("mean_response_seconds", r.mean_response);
+    j.field("max_response_seconds", r.max_response);
+    j.field("total_planning_seconds", r.planning_seconds);
+    j.field("completion_seconds", r.completion_seconds);
+    j.field("cache_hit_bytes", r.cache_hit_bytes, 0);
+    j.field("remote_bytes", r.remote_bytes, 0);
     j.end_object();
   }
   j.end_array();
@@ -481,8 +513,8 @@ int main(int argc, char** argv) {
 
   if (!acceptance_ok) {
     std::fprintf(stderr,
-                 "service_throughput: warm-vs-cold ablation failed the "
-                 "cross-batch reuse contract\n");
+                 "service_throughput: one-loop vs fresh-engine ablation "
+                 "failed the cross-batch reuse contract\n");
     return 1;
   }
   return 0;

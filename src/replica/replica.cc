@@ -57,30 +57,16 @@ std::uint32_t ReplicaConfig::target_rf(double popularity) const {
 
 ReplicaManager::ReplicaManager(const wl::Workload& workload,
                                const ReplicaConfig& config)
-    : workload_(workload),
-      cfg_(config),
-      popularity_override_(workload.num_files(), -1.0) {
+    : workload_(workload), cfg_(config) {
   BSIO_CHECK_MSG(cfg_.enabled,
                  "ReplicaManager requires an enabled ReplicaConfig");
   BSIO_CHECK_MSG(!cfg_.tiers.empty(),
                  "ReplicaManager requires a validated tier table");
 }
 
-void ReplicaManager::note_popularity(wl::FileId file, double popularity) {
-  BSIO_CHECK(file < popularity_override_.size());
-  BSIO_CHECK_MSG(popularity >= 0.0, "popularity must be non-negative");
-  popularity_override_[file] = popularity;
-}
-
-double ReplicaManager::popularity(const sim::ExecutionEngine& engine,
-                                  wl::FileId file) const {
-  if (popularity_override_[file] >= 0.0) return popularity_override_[file];
-  return engine.pending_requests(file);
-}
-
 std::uint32_t ReplicaManager::desired_rf(const sim::ExecutionEngine& engine,
                                          wl::FileId file) const {
-  return cfg_.target_rf(popularity(engine, file));
+  return cfg_.target_rf(engine.pending_requests(file));
 }
 
 std::uint32_t ReplicaManager::actual_rf(const sim::ExecutionEngine& engine,

@@ -35,10 +35,10 @@
 
 namespace bsio::replica {
 
-// One popularity tier: files whose popularity (remaining demand, or the
-// service's cross-batch access count via note_popularity) is at least
-// min_popularity get target_rf desired copies. The matching tier is the
-// LAST one whose min_popularity <= the file's popularity.
+// One popularity tier: files whose popularity (remaining demand,
+// ExecutionEngine::pending_requests) is at least min_popularity get
+// target_rf desired copies. The matching tier is the LAST one whose
+// min_popularity <= the file's popularity.
 struct ReplicaTier {
   double min_popularity = 0.0;
   std::uint32_t target_rf = 1;
@@ -104,12 +104,7 @@ class ReplicaManager {
   // `workload` must outlive the manager.
   ReplicaManager(const wl::Workload& workload, const ReplicaConfig& config);
 
-  // Popularity override for `file` (e.g. the service's cross-batch access
-  // counts, which outlive any single engine's pending-request counters).
-  // Files without an override use ExecutionEngine::pending_requests.
-  void note_popularity(wl::FileId file, double popularity);
-
-  double popularity(const sim::ExecutionEngine& engine, wl::FileId file) const;
+  // Tier target for the file's remaining demand.
   std::uint32_t desired_rf(const sim::ExecutionEngine& engine,
                            wl::FileId file) const;
   // Distinct current copies: alive compute holders + the home while valid.
@@ -137,7 +132,6 @@ class ReplicaManager {
  private:
   const wl::Workload& workload_;
   ReplicaConfig cfg_;
-  std::vector<double> popularity_override_;  // per file; < 0 = no override
 };
 
 }  // namespace bsio::replica

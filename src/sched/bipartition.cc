@@ -17,14 +17,9 @@ namespace {
 // Builds the task-file hypergraph over `tasks`: one vertex per task (in
 // order), one net per file requested by >= 2 of them (files used by a
 // single task fold into its vertex, preserving incident-weight accounting).
-// `zero_weight` (optional) names files whose net weight is credited to
-// zero: warm-start level-1 feasibility, where a file carried in by the
-// initial cache seed needs no fresh staging bytes and its disk space is
-// already paid for.
-hg::Hypergraph build_hypergraph(
-    const wl::Workload& w, const std::vector<wl::TaskId>& tasks,
-    const std::vector<double>& vertex_weights,
-    const std::unordered_set<wl::FileId>* zero_weight = nullptr) {
+hg::Hypergraph build_hypergraph(const wl::Workload& w,
+                                const std::vector<wl::TaskId>& tasks,
+                                const std::vector<double>& vertex_weights) {
   hg::HypergraphBuilder b;
   for (double vw : vertex_weights) b.add_vertex(vw);
 
@@ -32,10 +27,8 @@ hg::Hypergraph build_hypergraph(
   for (std::size_t i = 0; i < tasks.size(); ++i)
     for (wl::FileId f : w.task(tasks[i]).files)
       pins_of_file[f].push_back(static_cast<hg::VertexId>(i));
-  for (auto& [f, pins] : pins_of_file) {
-    const bool credited = zero_weight != nullptr && zero_weight->count(f) > 0;
-    b.add_net(credited ? 0.0 : w.file_size(f), std::move(pins));
-  }
+  for (auto& [f, pins] : pins_of_file)
+    b.add_net(w.file_size(f), std::move(pins));
   return b.build();
 }
 
@@ -83,20 +76,7 @@ sim::SubBatchPlan BiPartitionScheduler::plan_sub_batch(
         options_.probabilistic_weights
             ? probabilistic_exec_times(w, pending, topo, &exec_scratch_)
             : plain_exec_times(w, pending, topo);
-    // Warm-start credit (online service): a file the initial cache seeded
-    // and that still sits on an alive node consumes no fresh disk space, so
-    // its net weight is zero for the BINW bound — larger warm sub-batches
-    // fit. Gated on the seed being present so cold runs keep their exact
-    // historical partitions (the topology goldens depend on them).
-    std::unordered_set<wl::FileId> credited;
-    if (ctx.initial_cache != nullptr) {
-      const sim::ClusterState& state = ctx.engine.state();
-      for (const sim::CacheSeedEntry& e : ctx.initial_cache->entries)
-        if (ctx.node_alive(e.node) && state.has(e.node, e.file))
-          credited.insert(e.file);
-    }
-    hg::Hypergraph h = build_hypergraph(
-        w, pending, weights, credited.empty() ? nullptr : &credited);
+    hg::Hypergraph h = build_hypergraph(w, pending, weights);
     hg::BinwResult binw = hg::partition_binw(h, bound, options_.partitioner);
 
     std::vector<std::size_t> count(binw.num_parts, 0);

@@ -17,12 +17,10 @@
 // state concurrently. All mutation (apply_assignment, add_planned, reset)
 // must happen on a single thread between those read-only sweeps.
 //
-// Warm start (online service): no separate plumbing exists here on purpose.
-// PlannerState::reset seeds its replica holders from the engine's
-// ClusterState, so a batch whose engine was pre-seeded via
-// ExecutionEngine::seed_cache automatically prices carried-in copies as
-// local/replica reads — the estimates stay bit-identical to a run where the
-// same copies were staged by an earlier batch on the same engine.
+// Cross-batch reuse needs no plumbing here: PlannerState::reset seeds its
+// replica holders from the engine's ClusterState, so on the streaming
+// service's one long-lived engine a batch prices the copies earlier batches
+// left behind as local/replica reads.
 #pragma once
 
 #include <cstdint>

@@ -105,12 +105,6 @@ ControlLoop::ControlLoop(Scheduler& scheduler, const wl::Workload& workload,
                                                         options.replication);
 }
 
-Status ControlLoop::seed_cache(const sim::InitialCacheState& seed) {
-  if (Status v = engine_.seed_cache(seed); !v.ok()) return v;
-  warm_ = &seed;
-  return OkStatus();
-}
-
 Status ControlLoop::admit(double release) {
   if (Status v = engine_.admit_new_tasks(); !v.ok()) return v;
   if (drained()) origin_ = release;
@@ -127,7 +121,7 @@ Status ControlLoop::cycle(const HorizonOptions& horizon) {
 
   // Liveness only changes while the engine executes; one context per cycle
   // gives every planner sweep a stable view of the alive nodes.
-  const SchedulerContext ctx(workload_, cluster_, engine_, warm_);
+  const SchedulerContext ctx(workload_, cluster_, engine_);
   WallTimer timer;
   planner_->set_origin(origin_);
   if (!dirty_.empty()) planner_->repair(dirty_, ctx);
@@ -248,12 +242,6 @@ BatchRunResult run_batch(Scheduler& scheduler, const wl::Workload& workload,
   result.planning_threads = WsRuntime::global().num_threads();
 
   ControlLoop loop(scheduler, workload, cluster, options);
-  if (options.initial_cache != nullptr) {
-    if (Status v = loop.seed_cache(*options.initial_cache); !v.ok()) {
-      result.error = v.error().message;
-      return result;
-    }
-  }
   Status run = loop.admit(0.0);
   if (run.ok()) run = loop.drain(HorizonOptions{});
   if (!run.ok()) result.error = run.error().message;
@@ -268,8 +256,6 @@ BatchRunResult run_batch(Scheduler& scheduler, const wl::Workload& workload,
   result.task_completion_times = engine.completed_task_times();
   std::sort(result.task_completion_times.begin(),
             result.task_completion_times.end());
-  if (options.capture_final_cache)
-    result.final_cache = sim::InitialCacheState::capture(engine.state());
   result.per_task_scheduling_ms =
       workload.num_tasks() > 0
           ? result.scheduling_seconds * 1e3 /

@@ -12,15 +12,16 @@
 // and runs one repair round. Draining adds up to 8 repair convergence
 // rounds.
 //
-// run_batch is the loop's t = 0 case: seed the warm cache, admit every task
-// at release 0, drain with the drain-all horizon. With a drain-all horizon
-// each window is exactly the scheduler's next plan_sub_batch over the
-// still-pending tasks, so the batch results are those of the round-by-round
-// driver the paper describes. The streaming service
-// (service::StreamServiceLoop) feeds the same loop from its admission
-// queue. A batch only fails (BatchRunResult::error) when the configuration
-// is invalid, the engine rejects a plan, or every compute node has crashed
-// with tasks still pending.
+// run_batch is the loop's t = 0 case: admit every task at release 0, drain
+// with the drain-all horizon. With a drain-all horizon each window is
+// exactly the scheduler's next plan_sub_batch over the still-pending tasks,
+// so the batch results are those of the round-by-round driver the paper
+// describes. The streaming service (service::StreamServiceLoop) feeds the
+// same loop from its admission queue, one engine for the whole run, so the
+// disk cache persists from batch to batch. A batch only fails
+// (BatchRunResult::error) when the configuration is invalid, the engine
+// rejects a plan, or every compute node has crashed with tasks still
+// pending.
 #pragma once
 
 #include <memory>
@@ -39,21 +40,14 @@
 namespace bsio::sched {
 
 // Extended run controls. The plain faults-only overload below forwards
-// here; the online services (src/service) use the full struct to carry
-// caches across batches and to turn on replication.
+// here; the streaming service (src/service) uses the full struct to turn on
+// replication.
 struct BatchRunOptions {
   sim::FaultConfig faults;
   // Speculative task replication inside the engine's recovery surface
   // (sim/faults.h, DESIGN.md §10). Off by default: the run is bit-identical
   // to the non-speculative driver.
   sim::SpeculationConfig speculation;
-  // Warm start: cache contents present before the first sub-batch (seeded
-  // into the engine via ExecutionEngine::seed_cache). Null = cold run. The
-  // pointee must outlive the call.
-  const sim::InitialCacheState* initial_cache = nullptr;
-  // Capture the engine's final cache contents into
-  // BatchRunResult::final_cache — the snapshot the next batch warms from.
-  bool capture_final_cache = false;
   // Replica lifecycle manager (src/replica): tiered replication targets,
   // background repair after crashes, write-back of mutable files. Off by
   // default — a disabled config keeps the run bit-identical to the
@@ -78,10 +72,6 @@ struct BatchRunResult {
   // executed every task.
   std::string error;
   std::size_t tasks_stranded = 0;  // pending tasks when the run gave up
-  // Final cache contents (only when BatchRunOptions::capture_final_cache
-  // was set): what the batch left on the compute disks, sorted by
-  // (node, file).
-  sim::InitialCacheState final_cache;
   // Completion instant of every executed task, ascending — the raw series
   // behind tail-latency percentiles (p50/p95/p99 of task response).
   std::vector<double> task_completion_times;
@@ -122,10 +112,6 @@ class ControlLoop {
   ControlLoop(Scheduler& scheduler, const wl::Workload& workload,
               const sim::ClusterConfig& cluster,
               const BatchRunOptions& options);
-
-  // Warm start before the first cycle; `seed` must outlive the loop (the
-  // planners see it through SchedulerContext::initial_cache).
-  Status seed_cache(const sim::InitialCacheState& seed);
 
   // Admits every task appended to the workload since the last admission;
   // their reservations start no earlier than `release`. Admitting into a
@@ -171,7 +157,6 @@ class ControlLoop {
   sim::ExecutionEngine engine_;
   std::unique_ptr<IncrementalPlanner> planner_;
   std::unique_ptr<replica::ReplicaManager> repair_;
-  const sim::InitialCacheState* warm_ = nullptr;
 
   std::vector<double> release_;       // per admitted task
   std::vector<wl::TaskId> incoming_;  // admitted or orphaned, not planned

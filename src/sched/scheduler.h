@@ -30,20 +30,10 @@ struct SchedulerContext {
   // The transfer-cost model every planner prices against — the engine's own
   // topology, so plans and simulation share one bandwidth arithmetic.
   const sim::Topology& topology;
-  // Warm start (online service): the cache snapshot the engine was seeded
-  // with before this batch, or null for a cold run. The seeded copies are
-  // already visible through engine.state() — PlannerState picks them up as
-  // replica holders, the IP formulation's coalesce_files() fixes their
-  // initial-placement terms — so most planners need nothing extra; the
-  // pointer lets a planner distinguish carried-in files from copies it
-  // staged itself (BiPartition's level-1 feasibility credit).
-  const sim::InitialCacheState* initial_cache = nullptr;
 
   SchedulerContext(const wl::Workload& w, const sim::ClusterConfig& c,
-                   const sim::ExecutionEngine& e,
-                   const sim::InitialCacheState* warm = nullptr)
-      : batch(w), cluster(c), engine(e), topology(e.topology()),
-        initial_cache(warm) {
+                   const sim::ExecutionEngine& e)
+      : batch(w), cluster(c), engine(e), topology(e.topology()) {
     refresh_alive();
   }
 
@@ -79,8 +69,7 @@ class Scheduler {
   // a second run while the previous run's counters are still loaded:
   // silently continuing would fold two runs' numbers into one report.
   // Returns a typed error on such reuse; callers running many batches
-  // through one scheduler instance (the online service loops) call
-  // reset_run_stats() between runs.
+  // through one scheduler instance call reset_run_stats() between runs.
   virtual Status begin_batch() { return OkStatus(); }
 
   // Clears every per-run accumulated counter so the instance can serve the

@@ -1,14 +1,16 @@
-// Admission queue between the arrival process and the service loop.
+// Admission queue between the arrival process and the streaming service
+// loop (service/stream.h).
 //
-// Arrived batches wait here until the executor frees up. Three dequeue
-// disciplines: FIFO, shortest-estimated-batch-first (SJF on the planner-side
-// completion estimate, a classic mean-response-time lever), and
-// deadline-aware (earliest effective deadline first with priority aging, the
-// streaming service's SLO ordering). A bounded queue applies backpressure;
-// what happens to offers beyond max_queue_depth is the overload policy's
-// choice: reject the newcomer (historical behaviour), shed the lowest-value
-// queued batch to make room, or degrade the newcomer to best-effort and
-// admit it past the bound.
+// Batches that arrive while a window executes are offered together once
+// the loop's clock reaches them and leave the queue in policy order. Three
+// dequeue disciplines: FIFO, shortest-estimated-batch-first (SJF on the
+// planner-side completion estimate, a classic mean-response-time lever),
+// and deadline-aware (earliest effective deadline first with priority
+// aging, the streaming service's SLO ordering). A bounded queue applies
+// backpressure; what happens to offers beyond max_queue_depth is the
+// overload policy's choice: reject the newcomer (historical behaviour),
+// shed the lowest-value queued batch to make room, or degrade the newcomer
+// to best-effort and admit it past the bound.
 #pragma once
 
 #include <cstddef>

@@ -132,107 +132,4 @@ wl::Workload make_streamed_service_batch(
   return wl::Workload(std::move(tasks), std::move(files));
 }
 
-CrossBatchCatalog::CrossBatchCatalog(std::size_t num_files,
-                                     const sim::ClusterConfig& cluster,
-                                     CrossBatchOptions options)
-    : num_files_(num_files),
-      cluster_(cluster),
-      options_(options),
-      popularity_(num_files, 0.0),
-      file_size_(num_files, 0.0),
-      holder_index_(num_files) {
-  BSIO_CHECK_MSG(options_.carry_fraction > 0.0 &&
-                     options_.carry_fraction <= 1.0,
-                 "carry_fraction must be in (0, 1]");
-}
-
-void CrossBatchCatalog::fold_batch(const wl::Workload& batch,
-                                   const sim::InitialCacheState& final_cache,
-                                   double batch_start) {
-  BSIO_CHECK_MSG(batch.num_files() == num_files_,
-                 "service batches must share one file catalogue");
-  dropped_last_fold_.clear();
-  for (const auto& t : batch.tasks())
-    for (wl::FileId f : t.files) popularity_[f] += 1.0;
-  for (const auto& f : batch.files()) file_size_[f.id] = f.size_bytes;
-
-  // Re-stamp the batch-local snapshot onto the global service clock. The
-  // snapshot wholly replaces the previous carry: anything that did not
-  // survive the batch's own on-demand eviction is gone, and a shifted stamp
-  // preserves order within one snapshot.
-  carried_ = final_cache;
-  for (sim::CacheSeedEntry& e : carried_.entries) {
-    e.avail_time += batch_start;
-    e.last_use += batch_start;
-  }
-
-  // Inter-batch eviction: trim each node's carry to carry_fraction of its
-  // surviving bytes, choosing victims with the same Section 4.3 machinery
-  // the engine uses on demand (popularity numerator = all-time access
-  // counts, LRU key = the global-clock stamps).
-  if (options_.carry_fraction < 1.0 && !carried_.empty()) {
-    sim::ClusterState scratch(cluster_.num_compute_nodes, sim::kUnlimited);
-    std::vector<double> node_bytes(cluster_.num_compute_nodes, 0.0);
-    for (const sim::CacheSeedEntry& e : carried_.entries) {
-      scratch.restore(e.node, e.file, file_size_[e.file], e.avail_time,
-                      e.last_use);
-      node_bytes[e.node] += file_size_[e.file];
-    }
-    std::unordered_set<std::uint64_t> dropped;  // (node << 32) | file
-    for (wl::NodeId n = 0; n < cluster_.num_compute_nodes; ++n) {
-      const double need = node_bytes[n] * (1.0 - options_.carry_fraction);
-      if (need <= 0.0) continue;
-      const std::vector<wl::FileId> victims = scratch.select_victims(
-          n, need, /*pinned=*/{}, options_.eviction,
-          [&](wl::FileId f) { return popularity_[f]; },
-          [&](wl::FileId f) { return file_size_[f]; });
-      for (wl::FileId f : victims) {
-        dropped.insert((static_cast<std::uint64_t>(n) << 32) | f);
-        evicted_bytes_ += file_size_[f];
-        scratch.remove(n, f, file_size_[f]);
-      }
-    }
-    if (!dropped.empty()) {
-      // Keep the exact attribution of every deliberately released copy
-      // (which node, which stamps) before erasing: downstream actual-RF
-      // accounting must distinguish these from crash losses.
-      for (const sim::CacheSeedEntry& e : carried_.entries)
-        if (dropped.count((static_cast<std::uint64_t>(e.node) << 32) |
-                          e.file) > 0)
-          dropped_last_fold_.push_back(e);
-      std::erase_if(carried_.entries, [&](const sim::CacheSeedEntry& e) {
-        return dropped.count((static_cast<std::uint64_t>(e.node) << 32) |
-                             e.file) > 0;
-      });
-    }
-  }
-  rebuild_holder_index();
-  ++batches_folded_;
-}
-
-void CrossBatchCatalog::rebuild_holder_index() {
-  for (auto& nodes : holder_index_) nodes.clear();
-  // carried_.entries are sorted by (node, file); appending per file yields
-  // ascending node lists without a per-file sort.
-  for (const sim::CacheSeedEntry& e : carried_.entries)
-    holder_index_[e.file].push_back(e.node);
-}
-
-sim::InitialCacheState CrossBatchCatalog::seed_for_next() const {
-  return carried_.rebased();
-}
-
-const std::vector<wl::NodeId>& CrossBatchCatalog::replica_nodes(
-    wl::FileId file) const {
-  BSIO_CHECK(file < holder_index_.size());
-  return holder_index_[file];
-}
-
-double CrossBatchCatalog::carried_bytes() const {
-  double bytes = 0.0;
-  for (const sim::CacheSeedEntry& e : carried_.entries)
-    bytes += file_size_[e.file];
-  return bytes;
-}
-
 }  // namespace bsio::service

@@ -1,27 +1,19 @@
-// Shared file catalogue + cross-batch cache bookkeeping for the online
-// service.
+// Shared file catalogue for the online service.
 //
 // The single-batch pipeline treats each Workload's file catalogue as
 // private. An online service instead runs many batches against ONE
 // catalogue: consecutive batches re-request the popular files, and the
 // copies a batch leaves on the compute disks are the next batch's head
-// start. This header provides
-//  - make_shared_catalog / make_service_batch: a deterministic generator of
-//    batches drawing Zipf-skewed file sets from one shared catalogue (so
-//    cross-batch sharing exists by construction, mirroring the paper's
-//    batch-shared I/O premise stretched across batches);
-//  - CrossBatchCatalog: per-file popularity + global-clock recency folded
-//    in after every batch, the inter-batch eviction pass (reusing the
-//    Section 4.3 policies via ClusterState::select_victims), and the
-//    rebased InitialCacheState handed to the next batch.
+// start (the streaming service's one engine keeps them between batches).
+// make_shared_catalog / make_service_batch generate such batches
+// deterministically, drawing Zipf-skewed file sets from one shared
+// catalogue, so cross-batch sharing exists by construction — the paper's
+// batch-shared I/O premise stretched across batches.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "sim/cluster.h"
-#include "sim/state.h"
-#include "util/error.h"
 #include "workload/types.h"
 
 namespace bsio::service {
@@ -40,8 +32,8 @@ struct SharedCatalogConfig {
 // The catalogue every batch of one service run shares: file ids are dense
 // 0..num_files-1 and homes round-robin over the storage nodes, so a
 // Workload built over it keeps file ids stable across batches (the
-// precondition for carrying an InitialCacheState from one batch to the
-// next).
+// precondition for appending every batch to the streaming service's one
+// merged workload).
 std::vector<wl::FileInfo> make_shared_catalog(const SharedCatalogConfig& cfg);
 
 struct ServiceBatchConfig {
@@ -97,91 +89,5 @@ wl::FileInfo streamed_catalog_file(const StreamedCatalogConfig& cfg,
 wl::Workload make_streamed_service_batch(
     const StreamedCatalogConfig& catalog, const ServiceBatchConfig& cfg,
     std::uint64_t seed, std::vector<std::uint64_t>* file_uids = nullptr);
-
-// --- Cross-batch cache state. ---
-
-struct CrossBatchOptions {
-  // Inter-batch eviction policy over the carried snapshot (Section 4.3
-  // machinery, applied between batches instead of on demand).
-  sim::EvictionPolicy eviction = sim::EvictionPolicy::kPopularity;
-  // Fraction of each node's final cache bytes allowed to carry over into
-  // the next batch, in (0, 1]. 1 = keep everything that survived the
-  // batch's own on-demand eviction.
-  double carry_fraction = 1.0;
-};
-
-// Persists per-file popularity and recency across batches and produces the
-// warm-start seed for the next one.
-//
-// Lifecycle per batch: the service runs the batch with
-// BatchRunOptions::capture_final_cache, then calls fold_batch() with the
-// batch, its final cache, and its placement on the global service clock.
-// seed_for_next() returns the carried snapshot rebased to the next batch's
-// time origin (see InitialCacheState::rebased).
-class CrossBatchCatalog {
- public:
-  CrossBatchCatalog(std::size_t num_files, const sim::ClusterConfig& cluster,
-                    CrossBatchOptions options = {});
-
-  // Folds one finished batch: accumulates per-file access counts, stamps
-  // recency on the global clock (batch_start + in-batch last use), applies
-  // the carry_fraction eviction pass per node, and stores the surviving
-  // snapshot. `final_cache` is BatchRunResult::final_cache.
-  void fold_batch(const wl::Workload& batch,
-                  const sim::InitialCacheState& final_cache,
-                  double batch_start);
-
-  // The carried snapshot rebased for the next batch (avail 0, non-positive
-  // recency stamps preserving global-clock order). Empty before any fold.
-  sim::InitialCacheState seed_for_next() const;
-
-  // Accumulated access count of `file` over every folded batch (the
-  // popularity numerator of the inter-batch eviction pass).
-  double popularity(wl::FileId file) const { return popularity_[file]; }
-
-  // Compute nodes currently carrying `file` in the snapshot, ascending (the
-  // service's replica map). O(1): served from a per-file holder index
-  // rebuilt at each fold — historically a linear scan over every carried
-  // entry, which both cost O(entries) per query and, worse, meant the
-  // eviction pass left no record of WHICH node's copy it dropped. The index
-  // plus dropped_last_fold() keep holder attribution exact across epochs,
-  // so the replica manager's actual-RF accounting can tell a policy
-  // eviction from a crash loss.
-  const std::vector<wl::NodeId>& replica_nodes(wl::FileId file) const;
-  // Surviving copy count of `file` in the carried snapshot.
-  std::size_t carried_copies(wl::FileId file) const {
-    return replica_nodes(file).size();
-  }
-
-  // The exact (node, file) entries the LAST fold's carry_fraction eviction
-  // pass dropped, sorted by (node, file) with their global-clock stamps —
-  // the attribution record of deliberately released replicas.
-  const std::vector<sim::CacheSeedEntry>& dropped_last_fold() const {
-    return dropped_last_fold_;
-  }
-
-  // Bytes carried in the current snapshot, and bytes the eviction passes
-  // dropped over the whole run.
-  double carried_bytes() const;
-  double evicted_bytes() const { return evicted_bytes_; }
-
-  std::size_t batches_folded() const { return batches_folded_; }
-
- private:
-  void rebuild_holder_index();
-
-  std::size_t num_files_;
-  sim::ClusterConfig cluster_;
-  CrossBatchOptions options_;
-  std::vector<double> popularity_;     // per file, all batches
-  std::vector<double> file_size_;      // per file, from the last fold
-  sim::InitialCacheState carried_;     // global-clock stamps
-  // Per-file holders of the carried snapshot (ascending), rebuilt by
-  // fold_batch; kept in lockstep with carried_.
-  std::vector<std::vector<wl::NodeId>> holder_index_;
-  std::vector<sim::CacheSeedEntry> dropped_last_fold_;
-  double evicted_bytes_ = 0.0;
-  std::size_t batches_folded_ = 0;
-};
 
 }  // namespace bsio::service

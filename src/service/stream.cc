@@ -36,6 +36,11 @@ Result<StreamResult> StreamServiceLoop::run(
                  " repeats; arrival indices must be dense 0..N-1");
     inputs[a.index] = &a.batch;
     const wl::Workload& b = a.batch;
+    // An empty batch would end neither completed, shed nor rejected.
+    if (b.num_tasks() == 0)
+      return Err("arrival " + std::to_string(a.index) +
+                 " carries num_tasks == 0 (empty batches are not "
+                 "admissible)");
     if (b.num_files() != catalog_.size())
       return Err("arrival " + std::to_string(a.index) + " batch has " +
                  std::to_string(b.num_files()) +
@@ -130,7 +135,7 @@ Result<StreamResult> StreamServiceLoop::run(
   std::vector<double> responses;
   for (StreamBatchMetrics& m : result.batches) {
     const wl::TaskId first = first_task[m.index];
-    if (first == wl::kInvalidTask || m.tasks == 0) continue;
+    if (first == wl::kInvalidTask) continue;
     for (wl::TaskId t = first; t < first + m.tasks; ++t)
       m.completion_time =
           std::max(m.completion_time, engine.task_completion(t));

@@ -1,17 +1,21 @@
-// The streaming (rolling-horizon) service loop: batch arrivals without the
-// batch barrier.
+// The streaming (rolling-horizon) service loop: batch arrivals over time,
+// served by ONE sched::ControlLoop (sched/driver.h) for the whole run.
 //
-// ServiceLoop (service/service.h) runs one batch at a time to completion —
-// an arrival waits for the whole batch ahead of it even when the executor
-// has idle capacity. StreamServiceLoop instead feeds ONE sched::ControlLoop
-// (sched/driver.h) for the whole run: admitted batches append their tasks
-// to a growable merged workload over the shared catalogue, the loop's
-// incremental planner folds them into the live plan, and each cycle
-// releases a horizon window whose reservations are floored at the
-// admitting clock. Batches therefore overlap: a late arrival's tasks can
-// start on idle nodes while an earlier batch's tail still runs. This file
-// keeps only what is particular to a stream: arrival and catalogue
-// validation, admission, and per-batch SLO accounting.
+// Admitted batches append their tasks to a growable merged workload over
+// the shared catalogue, the loop's incremental planner folds them into the
+// live plan, and each cycle releases a horizon window whose reservations
+// are floored at the admitting clock. One engine lives for the whole run,
+// so the disk cache a batch leaves behind is the next batch's head start
+// with no hand-over between engines. This file keeps only what is
+// particular to a stream: arrival and catalogue validation, admission, and
+// per-batch SLO accounting.
+//
+// The horizon decides how batches overlap. With a finite window
+// (window_seconds > 0) a late arrival's tasks can start on idle nodes while
+// an earlier batch's tail still runs. The default drain-all horizon
+// (window_seconds <= 0) is the batch barrier: a window covers everything
+// admitted, no window is planned while another runs, and batches that
+// queue meanwhile share the next window.
 //
 // Admission is SLO-aware: each BatchArrival carries an SloClass, the
 // deadline-aware AdmissionQueue orders by effective deadline with priority
@@ -120,10 +124,11 @@ class StreamServiceLoop {
 
   // Serves the arrival sequence to drain (arrivals must be sorted by time,
   // with indices dense 0..N-1, each once). Typed errors: unsorted arrivals,
-  // missing or repeated indices, catalogue mismatch, anything
-  // sched::ControlLoop::validate rejects (invalid cluster or replication
-  // config, malformed BSIO_THREADS, an infeasible task), or the engine
-  // rejecting a window. Rejected and shed batches are counted, not errors.
+  // missing or repeated indices, an empty batch, catalogue mismatch,
+  // anything sched::ControlLoop::validate rejects (invalid cluster or
+  // replication config, malformed BSIO_THREADS, an infeasible task), or the
+  // engine rejecting a window. Rejected and shed batches are counted, not
+  // errors.
   Result<StreamResult> run(std::vector<BatchArrival> arrivals);
 
  private:

@@ -5,7 +5,6 @@
 #include <limits>
 #include <queue>
 #include <string>
-#include <unordered_set>
 
 #include "util/check.h"
 
@@ -45,7 +44,6 @@ void ExecutionStats::accumulate(const ExecutionStats& o) {
   remote_bytes += o.remote_bytes;
   replica_bytes += o.replica_bytes;
   cache_hit_bytes += o.cache_hit_bytes;
-  warm_hit_bytes += o.warm_hit_bytes;
   transfer_retries = sat_add(transfer_retries, o.transfer_retries);
   task_reexecutions = sat_add(task_reexecutions, o.task_reexecutions);
   node_crashes = sat_add(node_crashes, o.node_crashes);
@@ -96,7 +94,6 @@ ExecutionEngine::ExecutionEngine(const ClusterConfig& cluster,
       home_valid_(workload.num_files(), 1),
       executed_(workload.num_tasks(), false),
       was_evicted_(workload.num_files(), false),
-      seeded_(workload.num_files(), false),
       completion_time_(workload.num_tasks(), 0.0),
       faults_(options.faults, cluster.num_compute_nodes,
               cluster.num_storage_nodes),
@@ -119,46 +116,6 @@ ExecutionEngine::ExecutionEngine(const ClusterConfig& cluster,
   for (wl::NodeId s = 0; s < cluster.num_storage_nodes; ++s)
     for (const StorageOutage& o : faults_.outages_of(s))
       storage_tl_[s].reserve(o.start, o.end - o.start);
-}
-
-Status ExecutionEngine::seed_cache(const InitialCacheState& seed) {
-  if (started_)
-    return Err("seed_cache: the engine has already executed a sub-batch; "
-               "warm state must be seeded before the first execute()");
-  // Validate the whole seed before mutating anything.
-  std::vector<double> extra(cluster_.num_compute_nodes, 0.0);
-  std::unordered_set<std::uint64_t> seen;
-  for (const CacheSeedEntry& e : seed.entries) {
-    if (e.file >= workload_.num_files())
-      return Err("seed_cache: entry names unknown file " +
-                 std::to_string(e.file));
-    if (e.node >= cluster_.num_compute_nodes)
-      return Err("seed_cache: entry names invalid compute node " +
-                 std::to_string(e.node));
-    if (!alive_[e.node])
-      return Err("seed_cache: entry targets crashed compute node " +
-                 std::to_string(e.node));
-    if (e.avail_time < 0.0)
-      return Err("seed_cache: negative availability time for file " +
-                 std::to_string(e.file));
-    const std::uint64_t key =
-        (static_cast<std::uint64_t>(e.node) << 32) | e.file;
-    if (!seen.insert(key).second)
-      return Err("seed_cache: duplicate entry for file " +
-                 std::to_string(e.file) + " on node " + std::to_string(e.node));
-    extra[e.node] += workload_.file_size(e.file);
-    if (state_.used_bytes(e.node) + extra[e.node] >
-        state_.capacity(e.node) + 1.0)
-      return Err("seed_cache: seed overflows the disk of compute node " +
-                 std::to_string(e.node) +
-                 " (the cross-batch catalogue must evict before seeding)");
-  }
-  for (const CacheSeedEntry& e : seed.entries) {
-    state_.restore(e.node, e.file, workload_.file_size(e.file), e.avail_time,
-                   e.last_use);
-    seeded_[e.file] = true;
-  }
-  return OkStatus();
 }
 
 ExecutionEngine::TransferChoice ExecutionEngine::best_transfer(
@@ -392,7 +349,6 @@ Result<bool> ExecutionEngine::commit_task(const SubBatchPlan& plan,
     if (state_.has(node, f)) {
       ++stats.cache_hits;
       stats.cache_hit_bytes += workload_.file_size(f);
-      if (seeded_[f]) stats.warm_hit_bytes += workload_.file_size(f);
     } else {
       missing.push_back(f);
     }
@@ -749,7 +705,6 @@ Result<ExecutionStats> ExecutionEngine::execute(const SubBatchPlan& plan) {
                  std::to_string(it->second));
   }
 
-  started_ = true;  // warm seeding (seed_cache) is closed from here on
   release_floor_ = plan.release_time;
   ExecutionStats stats;
 

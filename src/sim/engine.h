@@ -113,11 +113,8 @@ struct ExecutionStats {
   double remote_bytes = 0.0;
   double replica_bytes = 0.0;
   // Bytes served straight from a node's cache (one count per (task, file)
-  // request that needed no transfer), and the subset of those attributable
-  // to files carried in by seed_cache() — the cross-batch reuse the online
-  // service reports per batch.
+  // request that needed no transfer).
   double cache_hit_bytes = 0.0;
-  double warm_hit_bytes = 0.0;
 
   // Failure / recovery counters (all zero with faults disabled).
   std::uint64_t transfer_retries = 0;   // failed transfer attempts
@@ -166,9 +163,9 @@ struct ExecutionStats {
   void accumulate(const ExecutionStats& o);
 
   // Returns every counter to zero. Callers that reuse one ExecutionStats
-  // across batch runs (the online service's per-batch reports) must reset
-  // between runs or the per-run numbers silently aggregate — see the
-  // scheduler-side guard in sched::Scheduler::begin_batch().
+  // across batch runs must reset between runs or the per-run numbers
+  // silently aggregate — see the scheduler-side guard in
+  // sched::Scheduler::begin_batch().
   void reset() { *this = ExecutionStats{}; }
 };
 
@@ -176,15 +173,6 @@ class ExecutionEngine {
  public:
   ExecutionEngine(const ClusterConfig& cluster, const wl::Workload& workload,
                   EngineOptions options = {});
-
-  // Warm start: pre-populates the disk caches from a snapshot carried over
-  // from a previous batch run (the online service's cross-batch reuse).
-  // Must be called before the first execute(); entries must name known
-  // files and alive compute nodes, fit each node's capacity, and not repeat
-  // a (node, file) pair. Availability and last-use stamps are applied
-  // verbatim, so planners and the LRU eviction policy see exactly the
-  // source run's cache. On error nothing is seeded.
-  Status seed_cache(const InitialCacheState& seed);
 
   // Executes one sub-batch plan on top of the current cluster state; returns
   // the stats of this call. A malformed plan (unknown task/node ids, a task
@@ -409,8 +397,6 @@ class ExecutionEngine {
   std::vector<char> home_valid_;
   std::vector<bool> executed_;
   std::vector<bool> was_evicted_;  // per file: evicted at least once
-  std::vector<bool> seeded_;       // per file: carried in by seed_cache()
-  bool started_ = false;           // an execute() call has run
   // Wall-clock floor of the plan currently executing (SubBatchPlan::
   // release_time); 0 outside streaming windows. Consulted everywhere a new
   // reservation or ECT cursor starts from a compute-node horizon.

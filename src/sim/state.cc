@@ -4,35 +4,6 @@
 
 namespace bsio::sim {
 
-bool InitialCacheState::contains(wl::FileId file) const {
-  for (const CacheSeedEntry& e : entries)
-    if (e.file == file) return true;
-  return false;
-}
-
-InitialCacheState InitialCacheState::capture(const ClusterState& state) {
-  InitialCacheState out;
-  for (wl::NodeId n = 0; n < state.num_nodes(); ++n) {
-    std::vector<wl::FileId> files = state.files_on(n);
-    std::sort(files.begin(), files.end());
-    for (wl::FileId f : files)
-      out.entries.push_back(
-          {n, f, state.available_at(n, f), state.last_used_at(n, f)});
-  }
-  return out;
-}
-
-InitialCacheState InitialCacheState::rebased() const {
-  double latest = 0.0;
-  for (const CacheSeedEntry& e : entries)
-    latest = std::max(latest, e.last_use);
-  InitialCacheState out;
-  out.entries.reserve(entries.size());
-  for (const CacheSeedEntry& e : entries)
-    out.entries.push_back({e.node, e.file, 0.0, e.last_use - latest});
-  return out;
-}
-
 ClusterState::ClusterState(std::size_t num_compute_nodes, double disk_capacity)
     : ClusterState(std::vector<double>(num_compute_nodes, disk_capacity)) {}
 
@@ -52,12 +23,6 @@ double ClusterState::available_at(wl::NodeId node, wl::FileId file) const {
   auto it = caches_[node].find(file);
   BSIO_CHECK(it != caches_[node].end());
   return it->second.avail_time;
-}
-
-double ClusterState::last_used_at(wl::NodeId node, wl::FileId file) const {
-  auto it = caches_[node].find(file);
-  BSIO_CHECK(it != caches_[node].end());
-  return it->second.last_use;
 }
 
 namespace {
@@ -99,20 +64,6 @@ void ClusterState::add(wl::NodeId node, wl::FileId file, double size_bytes,
   }
   it->second.avail_time = avail_time;
   it->second.last_use = std::max(it->second.last_use, avail_time);
-}
-
-void ClusterState::restore(wl::NodeId node, wl::FileId file,
-                           double size_bytes, double avail_time,
-                           double last_use) {
-  auto [it, inserted] = caches_[node].try_emplace(file);
-  if (inserted) {
-    used_[node] += size_bytes;
-    BSIO_CHECK_MSG(used_[node] <= capacity_[node] + 1.0,
-                   "disk capacity exceeded: the seed must fit the node");
-    index_add(node, file);
-  }
-  it->second.avail_time = avail_time;
-  it->second.last_use = last_use;
 }
 
 void ClusterState::remove(wl::NodeId node, wl::FileId file,

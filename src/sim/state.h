@@ -23,43 +23,6 @@ enum class EvictionPolicy {
   kSizeAscending,  // smallest file first (ablation)
 };
 
-class ClusterState;
-
-// A portable cache snapshot: the warm-start contract between batch runs.
-//
-// The online service (src/service) runs batches back to back on one
-// cluster; the files a batch leaves cached are the next batch's head
-// start. An InitialCacheState carries exactly the per-(node, file) entries
-// of a ClusterState — including the availability and last-use stamps, so a
-// seeded engine reproduces the source engine's cache bit for bit (the
-// warm-start golden differential in tests/service_test.cc relies on this).
-// Entries are kept sorted by (node, file) so captures are deterministic
-// regardless of hash-map iteration order.
-struct CacheSeedEntry {
-  wl::NodeId node = wl::kInvalidNode;
-  wl::FileId file = wl::kInvalidFile;
-  double avail_time = 0.0;  // when the copy becomes readable
-  double last_use = 0.0;    // LRU stamp carried from the source run
-};
-
-struct InitialCacheState {
-  std::vector<CacheSeedEntry> entries;  // sorted by (node, file)
-
-  bool empty() const { return entries.empty(); }
-  // True if some entry names `file` (on any node).
-  bool contains(wl::FileId file) const;
-
-  // Snapshot of every cached copy in `state`, sorted by (node, file).
-  static InitialCacheState capture(const ClusterState& state);
-
-  // The service's inter-batch rebase: the previous batch has fully drained,
-  // so every carried copy is resident from the next batch's time origin
-  // (avail_time 0) and the last-use stamps shift to non-positive values
-  // that preserve their relative order — anything the new batch touches
-  // (stamps >= 0) is younger than every carried-but-untouched file.
-  InitialCacheState rebased() const;
-};
-
 class ClusterState {
  public:
   // Uniform capacity on every node.
@@ -73,9 +36,6 @@ class ClusterState {
   bool has(wl::NodeId node, wl::FileId file) const;
   // Time the copy becomes readable; requires has().
   double available_at(wl::NodeId node, wl::FileId file) const;
-  // LRU stamp of the copy; requires has(). Exposed for cache snapshots
-  // (InitialCacheState::capture) and the cross-batch catalogue.
-  double last_used_at(wl::NodeId node, wl::FileId file) const;
 
   // Compute nodes currently holding `file`, ascending (any availability
   // time). O(1): served from an inverted holder index maintained on every
@@ -90,11 +50,6 @@ class ClusterState {
 
   void add(wl::NodeId node, wl::FileId file, double size_bytes,
            double avail_time);
-  // Like add(), but restores an explicit last-use stamp instead of coupling
-  // it to avail_time — the snapshot-seeding path (InitialCacheState), where
-  // rebased stamps may be negative while avail_time is 0.
-  void restore(wl::NodeId node, wl::FileId file, double size_bytes,
-               double avail_time, double last_use);
   void remove(wl::NodeId node, wl::FileId file, double size_bytes);
   // Drops every file cached on `node` (crash recovery); returns the bytes
   // lost.
@@ -122,7 +77,7 @@ class ClusterState {
     double last_use = 0.0;
   };
 
-  // Inverted-index maintenance shared by add/restore/remove/clear_node.
+  // Inverted-index maintenance shared by add/remove/clear_node.
   void index_add(wl::NodeId node, wl::FileId file);
   void index_remove(wl::NodeId node, wl::FileId file);
 

@@ -450,6 +450,26 @@ TEST(StreamService, DuplicateArrivalIndexIsTyped) {
       << res.error().message;
 }
 
+TEST(StreamService, EmptyBatchIsTyped) {
+  // An admitted empty batch would end neither completed, shed nor
+  // rejected, so it is refused up front, the trace parser's rule.
+  const std::vector<wl::FileInfo> catalog = stream_catalog();
+  service::ServiceBatchConfig bcfg;
+  bcfg.tasks_per_batch = 4;
+  std::vector<service::BatchArrival> arrivals(2);
+  arrivals[0].index = 0;
+  arrivals[0].batch = service::make_service_batch(catalog, bcfg, 1);
+  arrivals[1].time = 1.0;
+  arrivals[1].index = 1;
+  arrivals[1].batch = wl::Workload({}, catalog);
+  sched::MinMinScheduler mm;
+  service::StreamServiceLoop loop(mm, small_cluster(2, 2), catalog, {});
+  auto res = loop.run(std::move(arrivals));
+  ASSERT_FALSE(res.ok());
+  EXPECT_NE(res.error().message.find("num_tasks == 0"), std::string::npos)
+      << res.error().message;
+}
+
 TEST(StreamService, InfeasibleTaskIsTyped) {
   const std::vector<wl::FileInfo> catalog = stream_catalog();
   service::ServiceBatchConfig bcfg;

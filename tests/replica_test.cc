@@ -261,27 +261,6 @@ TEST(ReplicaManager, WriterCrashBeforeFlushIsLostAndUnrepairable) {
   EXPECT_EQ(eng.totals().lost_versions, 1u);
 }
 
-TEST(ReplicaManager, PopularityOverrideSelectsHotterTier) {
-  const wl::Workload w = one_file_workload(/*writes=*/false);
-  const sim::ClusterConfig c = replica_cluster(2, 2);
-  sim::ExecutionEngine eng(c, w);
-  replica::ReplicaConfig cfg;
-  cfg.enabled = true;
-  cfg.tiers = {{0.0, 1}, {10.0, 3}};
-  ASSERT_TRUE(cfg.validate(c.num_compute_nodes).ok());
-  replica::ReplicaManager mgr(w, cfg);
-
-  // One pending request: cold tier, the home copy alone satisfies it.
-  EXPECT_EQ(mgr.desired_rf(eng, 0), 1u);
-  EXPECT_EQ(mgr.residency(eng, 0), replica::Residency::kSatisfied);
-
-  // The service's cross-batch count promotes it to the hot tier.
-  mgr.note_popularity(0, 25.0);
-  EXPECT_EQ(mgr.popularity(eng, 0), 25.0);
-  EXPECT_EQ(mgr.desired_rf(eng, 0), 3u);
-  EXPECT_EQ(mgr.residency(eng, 0), replica::Residency::kDegraded);
-}
-
 // ------------------------------------------- write-back epochs and tracing
 
 TEST(ReplicaEpochs, WriteInvalidatesOtherCopiesAndTracesIt) {
@@ -430,63 +409,6 @@ TEST(ReplicaEndToEnd, RepairBudgetSpreadsWorkOverRounds) {
   rep = mgr.run_repairs(eng, rep.last_completion);
   EXPECT_EQ(rep.replicas_scheduled, 1u);
   EXPECT_TRUE(mgr.files_below_target(eng).empty());
-}
-
-// -------------------------------------- cross-batch holder attribution
-
-TEST(CrossBatchCatalog, HolderAttributionSurvivesEvictionEpochs) {
-  std::vector<wl::FileInfo> catalog(2);
-  for (std::size_t i = 0; i < 2; ++i) {
-    catalog[i].id = static_cast<wl::FileId>(i);
-    catalog[i].size_bytes = 100.0 * sim::kMB;
-    catalog[i].home_storage_node = 0;
-  }
-  // Both tasks read file 0 only: popularity 2 vs 0, so the Eq. 22 eviction
-  // key singles out file 1 unambiguously (no copy-count tie).
-  std::vector<wl::TaskInfo> tasks(2);
-  tasks[0].files = {0};
-  tasks[1].files = {0};
-  for (auto& t : tasks) t.compute_seconds = 1.0;
-  const wl::Workload batch(std::move(tasks), catalog);
-
-  service::CrossBatchOptions copts;
-  copts.carry_fraction = 0.5;  // every fold trims each node to half
-  service::CrossBatchCatalog cbc(catalog.size(), replica_cluster(2, 2),
-                                 copts);
-  EXPECT_TRUE(cbc.replica_nodes(0).empty());
-  EXPECT_TRUE(cbc.dropped_last_fold().empty());
-
-  // Node 0 carries both files, node 1 carries the popular one.
-  sim::InitialCacheState final_cache;
-  final_cache.entries = {{0, 0, 1.0, 9.0}, {0, 1, 2.0, 3.0},
-                         {1, 0, 1.0, 8.0}};
-  cbc.fold_batch(batch, final_cache, /*batch_start=*/100.0);
-
-  // Node 0 drops the never-requested file, node 1 must give up its only
-  // copy to meet the fraction.
-  EXPECT_EQ(cbc.replica_nodes(0), std::vector<wl::NodeId>{0});
-  EXPECT_TRUE(cbc.replica_nodes(1).empty());
-  EXPECT_EQ(cbc.carried_copies(0), 1u);
-  EXPECT_EQ(cbc.carried_copies(1), 0u);
-  ASSERT_EQ(cbc.dropped_last_fold().size(), 2u);
-  EXPECT_EQ(cbc.dropped_last_fold()[0].node, 0u);
-  EXPECT_EQ(cbc.dropped_last_fold()[0].file, 1u);
-  EXPECT_EQ(cbc.dropped_last_fold()[1].node, 1u);
-  EXPECT_EQ(cbc.dropped_last_fold()[1].file, 0u);
-  // Attribution keeps the global-clock stamps of the released copies.
-  EXPECT_DOUBLE_EQ(cbc.dropped_last_fold()[0].last_use, 103.0);
-  EXPECT_DOUBLE_EQ(cbc.dropped_last_fold()[1].last_use, 108.0);
-
-  // The next fold starts a fresh attribution epoch: the previous drops do
-  // not leak into it, and the index tracks the new carry exactly.
-  sim::InitialCacheState second;
-  second.entries = {{1, 1, 0.5, 0.5}};
-  cbc.fold_batch(batch, second, /*batch_start=*/200.0);
-  EXPECT_TRUE(cbc.replica_nodes(0).empty());
-  EXPECT_TRUE(cbc.replica_nodes(1).empty());  // trimmed by the fraction
-  ASSERT_EQ(cbc.dropped_last_fold().size(), 1u);
-  EXPECT_EQ(cbc.dropped_last_fold()[0].node, 1u);
-  EXPECT_EQ(cbc.dropped_last_fold()[0].file, 1u);
 }
 
 // ------------------------------------------- replication-off bit identity

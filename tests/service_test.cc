@@ -1,13 +1,11 @@
 // Online service layer tests.
 //
-// Part 1 is the warm-start golden differential: for every scheduler, a
-// fresh engine seeded with the cache snapshot a previous batch left behind
-// must plan the next batch BIT-identically to the engine that actually ran
-// that previous batch (planners read residency only through ClusterState,
-// so a faithful snapshot is indistinguishable from history). Part 2 covers
-// the seeding plumbing end to end (run_batch's warm path vs a hand-driven
-// loop), the snapshot/rebase machinery, arrivals, admission, the service
-// loop's warm-vs-cold contract, and the scheduler stats-reuse guard.
+// Part 1 pins the control loop against a hand-driven loop: run_batch must
+// reproduce a manual plan/execute/recover/repair loop bit for bit, with and
+// without faults, speculation and replication. Part 2 covers arrivals,
+// admission, the one service loop's barrier behaviour (backpressure,
+// cross-batch reuse against a fresh engine per batch), and the scheduler
+// stats-reuse guard.
 
 #include <gtest/gtest.h>
 
@@ -29,36 +27,13 @@
 #include "service/admission.h"
 #include "service/arrival.h"
 #include "service/catalog.h"
-#include "service/service.h"
+#include "service/stream.h"
 #include "sim/cluster.h"
 #include "sim/engine.h"
 #include "util/ws_runtime.h"
 
 namespace bsio {
 namespace {
-
-std::uint64_t plan_hash(const sim::SubBatchPlan& p) {
-  std::uint64_t h = 1469598103934665603ull;
-  auto mix = [&](std::uint64_t v) {
-    h ^= v;
-    h *= 1099511628211ull;
-  };
-  for (wl::TaskId t : p.tasks) {
-    mix(t);
-    mix(p.assignment.at(t));
-  }
-  for (const auto& [k, v] : p.staging) {
-    mix(k.first);
-    mix(k.second);
-    mix(static_cast<std::uint64_t>(v.kind));
-    mix(v.src_node);
-  }
-  for (const auto& [f, n] : p.prefetches) {
-    mix(f);
-    mix(n);
-  }
-  return h;
-}
 
 // One shared catalogue for every batch in a test (the service invariant:
 // stable file ids across batches).
@@ -111,15 +86,14 @@ const SchedulerFactory kSchedulers[] = {
 };
 
 // Drives `pending` to completion on `eng` with `s` — run_batch's loop
-// without its bookkeeping, so tests can interleave captures. Tasks a crash
+// without its bookkeeping. Tasks a crash
 // orphans go back to pending; with a replica manager, one repair round
 // follows every sub-batch and at most 8 convergence rounds follow the last.
 void drain(sched::Scheduler& s, sim::ExecutionEngine& eng,
            const wl::Workload& w, const sim::ClusterConfig& c,
            std::vector<wl::TaskId> pending,
-           replica::ReplicaManager* repair = nullptr,
-           const sim::InitialCacheState* warm = nullptr) {
-  sched::SchedulerContext ctx(w, c, eng, warm);
+           replica::ReplicaManager* repair = nullptr) {
+  sched::SchedulerContext ctx(w, c, eng);
   while (!pending.empty()) {
     ASSERT_GT(eng.alive_count(), 0u);
     ctx.refresh_alive();
@@ -142,139 +116,59 @@ void drain(sched::Scheduler& s, sim::ExecutionEngine& eng,
   }
 }
 
-// ------------------------------------------- warm-start golden differential
+// ------------------------------------------------ manual-loop differential
 
-// Builds the two views of one history: W_merged holds batch B's tasks at
-// ids [0, nB) and batch A's tasks appended after (the Workload constructor
-// renumbers positionally), W_b holds batch B alone at the same ids. Running
-// A to completion on a W_merged engine and snapshotting its caches gives a
-// seed; a fresh W_b engine restored from that seed must plan B identically.
-struct DifferentialFixture {
-  std::vector<wl::FileInfo> catalog = test_catalog();
-  wl::Workload merged;
-  wl::Workload batch_only;
-  std::vector<wl::TaskId> pending_a;  // A's ids within `merged`
-  std::vector<wl::TaskId> pending_b;  // B's ids in both workloads
-
-  DifferentialFixture() {
-    const wl::Workload a =
-        service::make_service_batch(catalog, test_batch_cfg(8), 21);
-    const wl::Workload b =
-        service::make_service_batch(catalog, test_batch_cfg(10), 22);
-    std::vector<wl::TaskInfo> tasks(b.tasks());
-    tasks.insert(tasks.end(), a.tasks().begin(), a.tasks().end());
-    merged = wl::Workload(std::move(tasks), catalog);
-    batch_only = wl::Workload(b.tasks(), catalog);
-    for (std::size_t t = 0; t < b.num_tasks(); ++t)
-      pending_b.push_back(static_cast<wl::TaskId>(t));
-    for (std::size_t t = b.num_tasks(); t < merged.num_tasks(); ++t)
-      pending_a.push_back(static_cast<wl::TaskId>(t));
-  }
-};
-
-void expect_first_plan_identity(const sim::ClusterConfig& c) {
-  WsRuntime::set_global_threads(1);
-  DifferentialFixture fx;
-  for (const auto& spec : kSchedulers) {
-    SCOPED_TRACE(spec.name);
-    // History: run batch A on the merged engine, snapshot its caches.
-    auto sched_a = spec.make();
-    sim::ExecutionEngine merged_eng(
-        c, fx.merged, {sched_a->eviction_policy(), false, {}, {}});
-    drain(*sched_a, merged_eng, fx.merged, c, fx.pending_a);
-    const sim::InitialCacheState seed =
-        sim::InitialCacheState::capture(merged_eng.state());
-    ASSERT_FALSE(seed.empty());
-
-    // Continuation: plan B on the engine that lived through A.
-    auto sched_m = spec.make();
-    sched::SchedulerContext ctx_m(fx.merged, c, merged_eng, &seed);
-    const std::uint64_t continued =
-        plan_hash(sched_m->plan_sub_batch(fx.pending_b, ctx_m));
-
-    // Warm start: plan B on a fresh engine restored from the snapshot.
-    auto sched_w = spec.make();
-    sim::ExecutionEngine warm_eng(c, fx.batch_only,
-                                  {sched_w->eviction_policy(), false, {}, {}});
-    ASSERT_TRUE(warm_eng.seed_cache(seed).ok());
-    sched::SchedulerContext ctx_w(fx.batch_only, c, warm_eng, &seed);
-    const std::uint64_t warm =
-        plan_hash(sched_w->plan_sub_batch(fx.pending_b, ctx_w));
-
-    EXPECT_EQ(continued, warm);
-  }
-}
-
-TEST(WarmStartDifferential, FirstPlanBitIdenticalUnlimitedDisk) {
-  expect_first_plan_identity(test_cluster());
-}
-
-TEST(WarmStartDifferential, FirstPlanBitIdenticalLimitedDisk) {
-  expect_first_plan_identity(test_cluster(600.0 * sim::kMB));
-}
-
-// run_batch's warm path must be exactly "seed, then the ordinary loop": a
-// hand-driven seeded loop reproduces its makespan and counters bit for bit.
-// The second input adds every recovery path the loop owns: a fail-stop
-// mid-run (crash orphans re-planned on the survivors), 2 % transfer
-// faults, speculation onto a straggler's cached peers, and tiered replica
-// repair with drain-time convergence. Its smaller disks make the
-// disk-bounded schedulers split the batch, so orphans can rejoin a
-// non-empty pending set, where their place in it matters.
-TEST(WarmStartDifferential, RunBatchSeedMatchesManualLoop) {
+// run_batch must be exactly the ordinary loop: a hand-driven loop
+// reproduces its makespan and counters bit for bit. The second input adds
+// every recovery path the loop owns: a fail-stop mid-run (crash orphans
+// re-planned on the survivors), 2 % transfer faults, speculation onto a
+// straggler's cached peers, and tiered replica repair with drain-time
+// convergence. Its smaller disks make the disk-bounded schedulers split the
+// batch from an empty cache (BiPartition into 3 windows, IP into 4), so
+// orphans can rejoin a non-empty pending set, where their place in it
+// matters.
+TEST(ControlLoopDifferential, RunBatchMatchesManualLoop) {
   WsRuntime::set_global_threads(1);
   const std::vector<wl::FileInfo> catalog = test_catalog();
-  const wl::Workload a =
-      service::make_service_batch(catalog, test_batch_cfg(8), 31);
   const wl::Workload b =
       service::make_service_batch(catalog, test_batch_cfg(10), 32);
 
   for (const bool hostile : {false, true}) {
     const sim::ClusterConfig c =
-        test_cluster((hostile ? 150.0 : 600.0) * sim::kMB);
+        test_cluster((hostile ? 120.0 : 600.0) * sim::kMB);
     for (const auto& spec : kSchedulers) {
       SCOPED_TRACE(std::string(spec.name) +
                    (hostile ? "/faults+speculation+RF" : "/plain"));
-      auto sched_a = spec.make();
-      sched::BatchRunOptions cap;
-      cap.capture_final_cache = true;
-      const sched::BatchRunResult ra = sched::run_batch(*sched_a, a, c, cap);
-      ASSERT_TRUE(ra.ok()) << ra.error;
-      ASSERT_FALSE(ra.final_cache.empty());
-
-      sched::BatchRunOptions warm;
-      warm.initial_cache = &ra.final_cache;
+      sched::BatchRunOptions opts;
       if (hostile) {
-        // Node 1 crashes at 30 % of the fault-free warm run; node 2 runs
-        // 4x slower throughout, a straggler for speculation to race.
+        // Node 1 crashes at 30 % of the fault-free run; node 2 runs 4x
+        // slower throughout, a straggler for speculation to race.
         auto sched_probe = spec.make();
         const sched::BatchRunResult probe =
-            sched::run_batch(*sched_probe, b, c, warm);
+            sched::run_batch(*sched_probe, b, c, opts);
         ASSERT_TRUE(probe.ok()) << probe.error;
-        warm.faults.transfer_failure_prob = 0.02;
-        warm.faults.compute_crashes = {{1, 0.3 * probe.batch_time}};
-        warm.faults.compute_slowdowns = {{2, 0.0, 1e9, 4.0}};
-        warm.speculation.enabled = true;
-        warm.replication.enabled = true;
-        warm.replication.tiers = {{0.0, 1}, {1.0, 2}};
-        warm.replication.repair_bandwidth_cap = 100.0 * sim::kMB;
+        opts.faults.transfer_failure_prob = 0.02;
+        opts.faults.compute_crashes = {{1, 0.3 * probe.batch_time}};
+        opts.faults.compute_slowdowns = {{2, 0.0, 1e9, 4.0}};
+        opts.speculation.enabled = true;
+        opts.replication.enabled = true;
+        opts.replication.tiers = {{0.0, 1}, {1.0, 2}};
+        opts.replication.repair_bandwidth_cap = 100.0 * sim::kMB;
       }
       auto sched_b = spec.make();
-      const sched::BatchRunResult rb = sched::run_batch(*sched_b, b, c, warm);
+      const sched::BatchRunResult rb = sched::run_batch(*sched_b, b, c, opts);
       ASSERT_TRUE(rb.ok()) << rb.error;
 
       auto sched_manual = spec.make();
       sim::ExecutionEngine eng(c, b,
                                {sched_manual->eviction_policy(), false,
-                                warm.faults, warm.speculation});
-      ASSERT_TRUE(eng.seed_cache(ra.final_cache).ok());
+                                opts.faults, opts.speculation});
       std::unique_ptr<replica::ReplicaManager> repair;
       if (hostile)
-        repair = std::make_unique<replica::ReplicaManager>(b, warm.replication);
+        repair = std::make_unique<replica::ReplicaManager>(b, opts.replication);
       std::vector<wl::TaskId> pending;
       for (const auto& t : b.tasks()) pending.push_back(t.id);
-      drain(*sched_manual, eng, b, c, pending, repair.get(),
-            &ra.final_cache);
+      drain(*sched_manual, eng, b, c, pending, repair.get());
       const sim::ExecutionStats& m = eng.totals();
 
       EXPECT_EQ(rb.batch_time, eng.makespan());
@@ -282,8 +176,6 @@ TEST(WarmStartDifferential, RunBatchSeedMatchesManualLoop) {
       EXPECT_EQ(rb.stats.replications, m.replications);
       EXPECT_EQ(rb.stats.evictions, m.evictions);
       EXPECT_EQ(rb.stats.cache_hits, m.cache_hits);
-      EXPECT_EQ(rb.stats.warm_hit_bytes, m.warm_hit_bytes);
-      EXPECT_GT(rb.stats.warm_hit_bytes, 0.0);  // shared hot files pay off
       EXPECT_EQ(rb.stats.node_crashes, m.node_crashes);
       EXPECT_EQ(rb.stats.task_reexecutions, m.task_reexecutions);
       EXPECT_EQ(rb.stats.transfer_retries, m.transfer_retries);
@@ -302,105 +194,6 @@ TEST(WarmStartDifferential, RunBatchSeedMatchesManualLoop) {
     }
   }
   WsRuntime::set_global_threads(0);
-}
-
-// ---------------------------------------------------- snapshot machinery
-
-TEST(InitialCacheState, CaptureSeedRoundTrips) {
-  const std::vector<wl::FileInfo> catalog = test_catalog();
-  const wl::Workload w =
-      service::make_service_batch(catalog, test_batch_cfg(8), 41);
-  const sim::ClusterConfig c = test_cluster();
-  sched::MinMinScheduler mm;
-  sched::BatchRunOptions cap;
-  cap.capture_final_cache = true;
-  const auto r = sched::run_batch(mm, w, c, cap);
-  ASSERT_TRUE(r.ok());
-  const sim::InitialCacheState& seed = r.final_cache;
-  ASSERT_FALSE(seed.empty());
-  for (std::size_t i = 1; i < seed.entries.size(); ++i) {
-    const auto& p = seed.entries[i - 1];
-    const auto& q = seed.entries[i];
-    EXPECT_TRUE(p.node < q.node || (p.node == q.node && p.file < q.file));
-  }
-
-  sim::ExecutionEngine eng(c, w);
-  ASSERT_TRUE(eng.seed_cache(seed).ok());
-  const sim::InitialCacheState again =
-      sim::InitialCacheState::capture(eng.state());
-  ASSERT_EQ(again.entries.size(), seed.entries.size());
-  for (std::size_t i = 0; i < seed.entries.size(); ++i) {
-    EXPECT_EQ(again.entries[i].node, seed.entries[i].node);
-    EXPECT_EQ(again.entries[i].file, seed.entries[i].file);
-    EXPECT_EQ(again.entries[i].avail_time, seed.entries[i].avail_time);
-    EXPECT_EQ(again.entries[i].last_use, seed.entries[i].last_use);
-  }
-}
-
-TEST(InitialCacheState, RebasedShiftsStampsPreservingOrder) {
-  sim::InitialCacheState s;
-  s.entries = {{0, 1, 12.0, 20.0}, {0, 2, 5.0, 7.0}, {1, 1, 3.0, 15.0}};
-  const sim::InitialCacheState r = s.rebased();
-  ASSERT_EQ(r.entries.size(), 3u);
-  for (const auto& e : r.entries) {
-    EXPECT_EQ(e.avail_time, 0.0);
-    EXPECT_LE(e.last_use, 0.0);
-  }
-  // 20 was youngest -> stays largest after the shift.
-  EXPECT_GT(r.entries[0].last_use, r.entries[1].last_use);
-  EXPECT_GT(r.entries[2].last_use, r.entries[1].last_use);
-  EXPECT_EQ(r.entries[0].last_use, 0.0);
-}
-
-TEST(SeedCache, RejectsMalformedSeeds) {
-  const std::vector<wl::FileInfo> catalog = test_catalog();
-  const wl::Workload w =
-      service::make_service_batch(catalog, test_batch_cfg(4), 43);
-  const sim::ClusterConfig c = test_cluster(100.0 * sim::kMB);
-
-  auto expect_rejected = [&](const sim::InitialCacheState& seed) {
-    sim::ExecutionEngine eng(c, w);
-    const Status s = eng.seed_cache(seed);
-    EXPECT_FALSE(s.ok());
-    // Failed validation must seed nothing.
-    for (const auto& e : seed.entries) {
-      if (e.node < c.num_compute_nodes && e.file < w.num_files()) {
-        EXPECT_FALSE(eng.state().has(e.node, e.file));
-      }
-    }
-  };
-
-  sim::InitialCacheState bad_file;
-  bad_file.entries = {{0, static_cast<wl::FileId>(w.num_files()), 0.0, 0.0}};
-  expect_rejected(bad_file);
-
-  sim::InitialCacheState bad_node;
-  bad_node.entries = {{static_cast<wl::NodeId>(c.num_compute_nodes), 0, 0.0,
-                       0.0}};
-  expect_rejected(bad_node);
-
-  sim::InitialCacheState negative;
-  negative.entries = {{0, 0, -1.0, 0.0}};
-  expect_rejected(negative);
-
-  sim::InitialCacheState dup;
-  dup.entries = {{0, 0, 0.0, 0.0}, {0, 0, 0.0, 0.0}};
-  expect_rejected(dup);
-
-  sim::InitialCacheState overflow;  // every file on one 100 MB node
-  for (wl::FileId f = 0; f < w.num_files(); ++f)
-    overflow.entries.push_back({0, f, 0.0, 0.0});
-  expect_rejected(overflow);
-
-  // Seeding after execution has started is a typed error too.
-  sched::MinMinScheduler mm;
-  sim::ExecutionEngine eng(test_cluster(), w);
-  std::vector<wl::TaskId> pending;
-  for (const auto& t : w.tasks()) pending.push_back(t.id);
-  drain(mm, eng, w, test_cluster(), pending);
-  sim::InitialCacheState ok_seed;
-  ok_seed.entries = {{0, 0, 0.0, 0.0}};
-  EXPECT_FALSE(eng.seed_cache(ok_seed).ok());
 }
 
 // --------------------------------------------------------------- arrivals
@@ -726,75 +519,33 @@ TEST(Admission, SjfPricesOnceAtOfferTimeOnly) {
   EXPECT_EQ(dq.pricing_calls(), 0u);
 }
 
-// ---------------------------------------------------- cross-batch catalog
-
-TEST(CrossBatchCatalog, AccumulatesPopularityAndRebasesSeeds) {
-  const std::vector<wl::FileInfo> catalog = test_catalog();
-  const sim::ClusterConfig c = test_cluster(600.0 * sim::kMB);
-  service::CrossBatchCatalog cbc(catalog.size(), c);
-  EXPECT_TRUE(cbc.seed_for_next().empty());
-
-  const wl::Workload w =
-      service::make_service_batch(catalog, test_batch_cfg(8), 51);
-  sched::MinMinScheduler mm;
-  sched::BatchRunOptions cap;
-  cap.capture_final_cache = true;
-  const auto r = sched::run_batch(mm, w, c, cap);
-  ASSERT_TRUE(r.ok());
-
-  cbc.fold_batch(w, r.final_cache, /*batch_start=*/100.0);
-  EXPECT_EQ(cbc.batches_folded(), 1u);
-  double requests = 0.0;
-  for (wl::FileId f = 0; f < catalog.size(); ++f) requests += cbc.popularity(f);
-  EXPECT_EQ(requests, 8.0 * 3.0);  // tasks * files_per_task
-
-  const sim::InitialCacheState seed = cbc.seed_for_next();
-  ASSERT_EQ(seed.entries.size(), r.final_cache.entries.size());
-  for (const auto& e : seed.entries) {
-    EXPECT_EQ(e.avail_time, 0.0);
-    EXPECT_LE(e.last_use, 0.0);
-  }
-  // Replica map agrees with the snapshot.
-  const wl::FileId f0 = seed.entries.front().file;
-  EXPECT_FALSE(cbc.replica_nodes(f0).empty());
-  EXPECT_GT(cbc.carried_bytes(), 0.0);
-
-  // Folding a second batch doubles nothing away: popularity accumulates.
-  cbc.fold_batch(w, r.final_cache, /*batch_start=*/200.0);
-  double requests2 = 0.0;
-  for (wl::FileId f = 0; f < catalog.size(); ++f)
-    requests2 += cbc.popularity(f);
-  EXPECT_EQ(requests2, 2.0 * requests);
-}
-
-TEST(CrossBatchCatalog, CarryFractionEvictsBetweenBatches) {
-  const std::vector<wl::FileInfo> catalog = test_catalog();
-  const sim::ClusterConfig c = test_cluster(600.0 * sim::kMB);
-  const wl::Workload w =
-      service::make_service_batch(catalog, test_batch_cfg(8), 51);
-  sched::MinMinScheduler mm;
-  sched::BatchRunOptions cap;
-  cap.capture_final_cache = true;
-  const auto r = sched::run_batch(mm, w, c, cap);
-  ASSERT_TRUE(r.ok());
-
-  service::CrossBatchCatalog full(catalog.size(), c, {});
-  full.fold_batch(w, r.final_cache, 0.0);
-
-  service::CrossBatchOptions half_opt;
-  half_opt.carry_fraction = 0.5;
-  service::CrossBatchCatalog half(catalog.size(), c, half_opt);
-  half.fold_batch(w, r.final_cache, 0.0);
-
-  EXPECT_EQ(full.evicted_bytes(), 0.0);
-  EXPECT_GT(half.evicted_bytes(), 0.0);
-  EXPECT_LT(half.carried_bytes(), full.carried_bytes());
-  EXPECT_LE(half.carried_bytes(), 0.5 * full.carried_bytes() + 1.0);
-}
-
 // ------------------------------------------------------------ service loop
 
-TEST(ServiceLoop, WarmBeatsColdAndIsDeterministic) {
+// A fresh engine per batch: every arrival, in FIFO order, runs to
+// completion on its own empty engine once the previous batch has finished.
+struct FreshEngineRun {
+  double mean_response = 0.0;
+  double cache_hit_bytes = 0.0;
+};
+
+FreshEngineRun run_fresh_engines(
+    const std::vector<service::BatchArrival>& arrivals,
+    const sim::ClusterConfig& c) {
+  FreshEngineRun out;
+  double clock = 0.0;
+  for (const service::BatchArrival& a : arrivals) {
+    sched::MinMinScheduler mm;
+    const sched::BatchRunResult r = sched::run_batch(mm, a.batch, c);
+    EXPECT_TRUE(r.ok()) << r.error;
+    clock = std::max(clock, a.time) + r.batch_time;
+    out.mean_response += clock - a.time;
+    out.cache_hit_bytes += r.stats.cache_hit_bytes;
+  }
+  out.mean_response /= static_cast<double>(arrivals.size());
+  return out;
+}
+
+TEST(StreamService, DefaultLoopBeatsFreshEnginePerBatch) {
   WsRuntime::set_global_threads(1);
   const std::vector<wl::FileInfo> catalog = test_catalog();
   const sim::ClusterConfig c = test_cluster(600.0 * sim::kMB);
@@ -804,70 +555,63 @@ TEST(ServiceLoop, WarmBeatsColdAndIsDeterministic) {
   acfg.seed = 13;
   service::BatchArrivalProcess arrivals(catalog, test_batch_cfg(8), acfg);
 
-  auto run_once = [&](bool warm) {
+  auto run_once = [&] {
     auto gen = arrivals.generate();
     EXPECT_TRUE(gen.ok());
     sched::MinMinScheduler mm;
-    service::ServiceOptions opt;
-    opt.warm_start = warm;
-    service::ServiceLoop loop(mm, c, catalog.size(), opt);
+    service::StreamServiceLoop loop(mm, c, catalog);
     auto r = loop.run(std::move(gen).value());
-    EXPECT_TRUE(r.ok());
+    EXPECT_TRUE(r.ok()) << r.error().message;
     return std::move(r).value();
   };
+  const service::StreamResult one = run_once();
+  const service::StreamResult again = run_once();
+  auto gen = arrivals.generate();
+  ASSERT_TRUE(gen.ok());
+  const FreshEngineRun fresh = run_fresh_engines(gen.value(), c);
 
-  const service::ServiceResult cold = run_once(false);
-  const service::ServiceResult warm = run_once(true);
-  const service::ServiceResult warm2 = run_once(true);
-
-  ASSERT_EQ(cold.stats.batches_served, 3u);
-  ASSERT_EQ(warm.stats.batches_served, 3u);
-  EXPECT_EQ(cold.stats.cross_batch_hit_bytes, 0.0);
-  EXPECT_GT(warm.stats.cross_batch_hit_bytes, 0.0);
-  EXPECT_LT(warm.stats.mean_response_time, cold.stats.mean_response_time);
-  // The first batch has no history: its metrics match the cold run.
-  EXPECT_EQ(warm.batches[0].makespan, cold.batches[0].makespan);
-  EXPECT_EQ(warm.batches[0].cross_batch_hit_bytes, 0.0);
-  EXPECT_GT(warm.batches[1].cross_batch_hit_bytes, 0.0);
+  ASSERT_EQ(one.stats.batches_completed, 3u);
+  // The one engine keeps the hot files between batches.
+  EXPECT_GT(one.stats.exec.cache_hit_bytes, fresh.cache_hit_bytes);
+  EXPECT_LT(one.stats.mean_response, fresh.mean_response);
   // Bit-determinism across runs.
-  EXPECT_EQ(warm.stats.mean_response_time, warm2.stats.mean_response_time);
-  EXPECT_EQ(warm.stats.cross_batch_hit_bytes,
-            warm2.stats.cross_batch_hit_bytes);
-  // Response = wait + makespan, aggregated consistently.
-  for (const auto& b : warm.batches) {
-    EXPECT_EQ(b.response_time, b.queue_wait + b.makespan);
-    EXPECT_GE(b.start_time, b.arrival_time);
-  }
+  EXPECT_EQ(one.stats.mean_response, again.stats.mean_response);
+  EXPECT_EQ(one.stats.completion_time, again.stats.completion_time);
+  EXPECT_EQ(one.stats.exec.cache_hit_bytes, again.stats.exec.cache_hit_bytes);
+  for (std::size_t i = 0; i < one.batches.size(); ++i)
+    EXPECT_EQ(one.batches[i].completion_time, again.batches[i].completion_time);
 }
 
-TEST(ServiceLoop, BackpressureCountsRejections) {
+TEST(StreamService, BackpressureCountsRejections) {
   WsRuntime::set_global_threads(1);
   const std::vector<wl::FileInfo> catalog = test_catalog();
-  const sim::ClusterConfig c = test_cluster();
-  // Every batch arrives before the first finishes; depth 1 must shed load.
+  // Every batch arrives at once; depth 1 must shed load.
   std::vector<service::BatchArrival> arrivals;
   for (std::size_t i = 0; i < 4; ++i)
     arrivals.push_back(arrival_of(catalog, 6, i, 0.0));
   sched::MinMinScheduler mm;
-  service::ServiceOptions opt;
+  service::StreamOptions opt;
   opt.admission.max_queue_depth = 1;
-  service::ServiceLoop loop(mm, c, catalog.size(), opt);
+  opt.admission.overload = service::OverloadPolicy::kReject;
+  service::StreamServiceLoop loop(mm, test_cluster(), catalog, opt);
   auto r = loop.run(std::move(arrivals));
-  ASSERT_TRUE(r.ok());
+  ASSERT_TRUE(r.ok()) << r.error().message;
   EXPECT_GT(r.value().stats.rejected_batches, 0u);
-  EXPECT_EQ(r.value().stats.batches_served +
+  EXPECT_EQ(r.value().stats.batches_completed +
                 r.value().stats.rejected_batches,
-            4u);
+            r.value().stats.batches_arrived);
 }
 
-TEST(ServiceLoop, RejectsUnsortedArrivals) {
+TEST(StreamService, RejectsUnsortedArrivals) {
   const std::vector<wl::FileInfo> catalog = test_catalog();
   std::vector<service::BatchArrival> arrivals;
   arrivals.push_back(arrival_of(catalog, 4, 0, 5.0));
   arrivals.push_back(arrival_of(catalog, 4, 1, 1.0));
   sched::MinMinScheduler mm;
-  service::ServiceLoop loop(mm, test_cluster(), catalog.size(), {});
-  EXPECT_FALSE(loop.run(std::move(arrivals)).ok());
+  service::StreamServiceLoop loop(mm, test_cluster(), catalog);
+  auto r = loop.run(std::move(arrivals));
+  ASSERT_FALSE(r.ok());
+  EXPECT_NE(r.error().message.find("sorted"), std::string::npos);
 }
 
 // ------------------------------------------------------- stats-reuse guard
@@ -901,12 +645,12 @@ TEST(StatsReuseGuard, ExecutionStatsResetClearsEverything) {
   sim::ExecutionStats s;
   s.tasks_executed = 3;
   s.remote_bytes = 1.0;
-  s.warm_hit_bytes = 2.0;
+  s.cache_hit_bytes = 2.0;
   s.lp_pivots = 7;
   s.reset();
   EXPECT_EQ(s.tasks_executed, 0u);
   EXPECT_EQ(s.remote_bytes, 0.0);
-  EXPECT_EQ(s.warm_hit_bytes, 0.0);
+  EXPECT_EQ(s.cache_hit_bytes, 0.0);
   EXPECT_EQ(s.lp_pivots, 0);
 }
 

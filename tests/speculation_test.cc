@@ -13,7 +13,6 @@
 #include "core/batch_scheduler.h"
 #include "sched/driver.h"
 #include "sched/minmin.h"
-#include "service/service.h"
 #include "sim/engine.h"
 #include "sim/faults.h"
 #include "util/stats.h"
@@ -60,13 +59,6 @@ wl::Workload shared_workload(std::uint64_t seed = 23) {
   cfg.num_storage_nodes = 2;
   cfg.seed = seed;
   return wl::make_synthetic(cfg);
-}
-
-// Seed one 100 MB file replica, available from t = 0.
-sim::InitialCacheState seed_one(wl::NodeId node, wl::FileId file) {
-  sim::InitialCacheState s;
-  s.entries.push_back({node, file, 0.0, 0.0});
-  return s;
 }
 
 // --- Configuration validation. ---
@@ -164,8 +156,7 @@ TEST(Speculation, DuplicateWinsAndLoserIsCancelled) {
   opts.speculation.enabled = true;
   opts.speculation.straggler_ratio = 1.5;
   sim::ExecutionEngine eng(spec_cluster(), w, opts);
-  const auto seed = seed_one(1, 0);
-  ASSERT_TRUE(eng.seed_cache(seed).ok());
+  eng.state().add(1, 0, w.file_size(0), 0.0);  // cached on node 1 at t = 0
 
   sim::SubBatchPlan p;
   p.tasks = {0};
@@ -205,8 +196,7 @@ TEST(Speculation, InFlightTransferIsTruncatedAndRolledBack) {
   opts.speculation.enabled = true;
   opts.speculation.straggler_ratio = 1.5;
   sim::ExecutionEngine eng(c, w, opts);
-  const auto seed = seed_one(1, 0);
-  ASSERT_TRUE(eng.seed_cache(seed).ok());
+  eng.state().add(1, 0, w.file_size(0), 0.0);  // cached on node 1 at t = 0
 
   sim::SubBatchPlan p;
   p.tasks = {0};
@@ -257,8 +247,7 @@ TEST(Speculation, PrimaryCrashBackupCompletes) {
   sim::ClusterConfig c = spec_cluster();
   c.allow_replication = false;  // primary stages remotely: est 3.1 vs 2.1
   sim::ExecutionEngine eng(c, w, opts);
-  const auto seed = seed_one(1, 0);
-  ASSERT_TRUE(eng.seed_cache(seed).ok());
+  eng.state().add(1, 0, w.file_size(0), 0.0);  // cached on node 1 at t = 0
 
   sim::SubBatchPlan p;
   p.tasks = {0};
@@ -285,8 +274,7 @@ TEST(Speculation, BothAttemptsCrashOrphansTaskOnce) {
   sim::ClusterConfig c = spec_cluster();
   c.allow_replication = false;
   sim::ExecutionEngine eng(c, w, opts);
-  const auto seed = seed_one(1, 0);
-  ASSERT_TRUE(eng.seed_cache(seed).ok());
+  eng.state().add(1, 0, w.file_size(0), 0.0);  // cached on node 1 at t = 0
 
   sim::SubBatchPlan p;
   p.tasks = {0};
@@ -396,41 +384,6 @@ TEST(Speculation, ImprovesTailLatencyUnderDegradedNode) {
   EXPECT_GT(spec.stats.wasted_seconds, 0.0);
   EXPECT_LT(p99_spec, p99_retry) << "duplicating stragglers must cut p99";
   EXPECT_EQ(spec.stats.tasks_executed, w.num_tasks());
-}
-
-// --- Online service budget. ---
-
-TEST(Speculation, ServiceBudgetFractionBoundsSpeculation) {
-  const wl::Workload w = disjoint_workload(4, 1.0);
-  const sim::ClusterConfig c = spec_cluster(2, 2);
-  service::ServiceOptions options;
-  options.faults.compute_slowdowns = {{0, 0.0, kInf, 10.0}};
-  options.speculation.enabled = true;
-  options.speculation.straggler_ratio = 1.5;
-  options.speculation.min_cached_inputs = 0;
-
-  auto arrivals = [&] {
-    std::vector<service::BatchArrival> a(2);
-    a[0] = {0.0, 0, {}, w};
-    a[1] = {0.0, 1, {}, w};
-    return a;
-  };
-
-  options.speculation_budget_fraction = 1.0;
-  sched::MinMinScheduler s1;
-  service::ServiceLoop generous(s1, c, w.num_files(), options);
-  const auto with_budget = generous.run(arrivals());
-  ASSERT_TRUE(with_budget.ok()) << with_budget.error().message;
-  EXPECT_GT(with_budget.value().stats.speculative_launches, 0u);
-
-  options.speculation_budget_fraction = 0.0;
-  sched::MinMinScheduler s2;
-  service::ServiceLoop starved(s2, c, w.num_files(), options);
-  const auto no_budget = starved.run(arrivals());
-  ASSERT_TRUE(no_budget.ok()) << no_budget.error().message;
-  EXPECT_EQ(no_budget.value().stats.speculative_launches, 0u);
-  // Starving the duplicate budget cannot lose work.
-  EXPECT_EQ(no_budget.value().stats.batches_served, 2u);
 }
 
 }  // namespace
