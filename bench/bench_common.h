@@ -1,18 +1,28 @@
-// Shared helpers for the figure-reproduction benches: the common workload
-// builders, a single CLI flag parser, and a streaming JSON emitter — so
-// each bench main declares its knobs and rows instead of re-implementing
-// strcmp loops and fprintf comma bookkeeping.
+// Shared helpers for the benches: the common workload builders, a single
+// CLI flag parser, a streaming JSON emitter and the figure benches'
+// experiment runner — so each bench main declares its knobs, schedulers
+// and rows instead of re-implementing strcmp loops, fprintf comma
+// bookkeeping and table layout.
 #pragma once
 
 #include <sys/resource.h>
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
-#include "core/experiment.h"
+#include "sched/bipartition.h"
+#include "sched/driver.h"
+#include "sched/ip_scheduler.h"
+#include "sched/job_data_present.h"
+#include "sched/minmin.h"
+#include "util/table.h"
+#include "util/timer.h"
 #include "workload/image.h"
 #include "workload/sat.h"
 #include "workload/stats.h"
@@ -35,13 +45,16 @@ inline double peak_rss_mb() {
 
 // Minimal argv scanner for the bench mains. Flags are queried, not
 // pre-registered: has("--smoke") consumes a bare flag, value/number
-// consume `--flag <operand>` pairs. After all queries, unknown() reports
-// anything left unconsumed so typos fail loudly instead of silently
-// running the default grid.
+// consume `--flag <operand>` pairs. After all queries, reject_unknown()
+// reports anything left unconsumed so typos fail loudly instead of
+// silently running the default grid. Every rejection prints `usage` and
+// exits 2.
 class ParseArgs {
  public:
-  ParseArgs(int argc, char** argv)
-      : argv_(argv + 1, argv + argc), used_(argv_.size(), false) {}
+  ParseArgs(int argc, char** argv, const char* usage)
+      : argv_(argv + 1, argv + argc),
+        used_(argv_.size(), false),
+        usage_(usage) {}
 
   // True (and consumed) if the bare flag is present.
   bool has(const char* name) {
@@ -63,25 +76,35 @@ class ParseArgs {
     return def;
   }
 
+  // `--flag <number>`: a finite, non-negative number, or `def` when
+  // absent. Any other operand is rejected: read as 0 it would silently
+  // turn off the gate the flag sets.
   double number(const char* name, double def) {
     const char* v = value(name, nullptr);
-    return v != nullptr ? std::atof(v) : def;
+    if (v == nullptr) return def;
+    char* end = nullptr;
+    const double x = std::strtod(v, &end);
+    if (end == v || *end != '\0' || !std::isfinite(x) || x < 0.0)
+      fail(std::string("bad value '") + v + "' for " + name +
+           " (want a finite number >= 0)");
+    return x;
   }
 
-  // Exits with a usage hint if any argument was never consumed. Call after
-  // the last query.
-  void reject_unknown(const char* usage) const {
+  // Rejects any argument never consumed. Call after the last query.
+  void reject_unknown() const {
     for (std::size_t i = 0; i < argv_.size(); ++i)
-      if (!used_[i]) {
-        std::fprintf(stderr, "unknown argument '%s'\nusage: %s\n", argv_[i],
-                     usage);
-        std::exit(2);
-      }
+      if (!used_[i]) fail(std::string("unknown argument '") + argv_[i] + "'");
   }
 
  private:
+  [[noreturn]] void fail(const std::string& what) const {
+    std::fprintf(stderr, "%s\nusage: %s\n", what.c_str(), usage_);
+    std::exit(2);
+  }
+
   std::vector<char*> argv_;
   std::vector<bool> used_;
+  const char* usage_;
 };
 
 // Streaming JSON emitter with automatic comma placement. Keys and string
@@ -203,6 +226,118 @@ inline wl::Workload sat_workload(double overlap, std::size_t tasks = 100,
   cfg.seed = seed;
   if (overlap < 0.5) cfg.files_per_task = 14.0;
   return wl::make_sat_calibrated(cfg, overlap).workload;
+}
+
+// --- Experiment runner: schedulers x cases -> the paper-style tables. ---
+
+// Makes a fresh scheduler for every run: run_batch refuses an IP scheduler
+// still holding the solver counters of a previous run.
+using SchedulerFactory = std::function<std::unique_ptr<sched::Scheduler>()>;
+
+template <typename S, typename... Args>
+SchedulerFactory factory_of(Args... args) {
+  return [=] { return std::make_unique<S>(args...); };
+}
+
+// The paper's four schemes in the figures' column order.
+inline std::vector<SchedulerFactory> paper_schedulers(
+    const sched::IpSchedulerOptions& ip) {
+  return {factory_of<sched::IpScheduler>(ip),
+          factory_of<sched::BiPartitionScheduler>(),
+          factory_of<sched::MinMinScheduler>(),
+          factory_of<sched::JobDataPresentScheduler>()};
+}
+
+struct ExperimentCase {
+  std::string label;  // e.g. "high overlap" or "500 tasks"
+  wl::Workload workload;
+  sim::ClusterConfig cluster;
+};
+
+struct CaseResult {
+  std::string label;
+  std::vector<sched::BatchRunResult> runs;  // one per scheduler, in order
+};
+
+// Runs every scheduler on every case; `echo_progress` prints one stderr
+// line per run.
+inline std::vector<CaseResult> run_experiment(
+    const std::vector<ExperimentCase>& cases,
+    const std::vector<SchedulerFactory>& schedulers,
+    bool echo_progress = true) {
+  std::vector<CaseResult> results;
+  results.reserve(cases.size());
+  for (const ExperimentCase& c : cases) {
+    CaseResult cr{c.label, {}};
+    for (const SchedulerFactory& make : schedulers) {
+      WallTimer timer;
+      cr.runs.push_back(sched::run_batch(*make(), c.workload, c.cluster));
+      if (echo_progress)
+        std::fprintf(stderr, "  [%s] %-14s batch=%s wall=%.1fs\n",
+                     c.label.c_str(), cr.runs.back().scheduler.c_str(),
+                     format_seconds(cr.runs.back().batch_time).c_str(),
+                     timer.elapsed_seconds());
+    }
+    results.push_back(std::move(cr));
+  }
+  return results;
+}
+
+// "case x scheduler -> batch time (s)" (the shape of Figs 3-5), then the
+// same columns relative to the first scheduler. Column names are the
+// first case's BatchRunResult::scheduler.
+inline Table batch_time_table(const std::vector<CaseResult>& results) {
+  std::vector<std::string> header{"case"};
+  if (!results.empty()) {
+    for (const auto& run : results.front().runs)
+      header.push_back(run.scheduler + " (s)");
+    for (const auto& run : results.front().runs)
+      header.push_back(run.scheduler + " (rel)");
+  }
+  Table t(std::move(header));
+  for (const auto& r : results) {
+    std::vector<std::string> row{r.label};
+    const double base = r.runs.empty() ? 1.0 : r.runs.front().batch_time;
+    for (const auto& run : r.runs)
+      row.push_back(format_fixed(run.batch_time, 1));
+    for (const auto& run : r.runs)
+      row.push_back(format_fixed(run.batch_time / base, 2));
+    t.add_row(std::move(row));
+  }
+  return t;
+}
+
+// Per-task scheduling overhead in ms (the shape of Fig 6b).
+inline Table overhead_table(const std::vector<CaseResult>& results) {
+  std::vector<std::string> header{"case"};
+  if (!results.empty())
+    for (const auto& run : results.front().runs)
+      header.push_back(run.scheduler + " (ms/task)");
+  Table t(std::move(header));
+  for (const auto& r : results) {
+    std::vector<std::string> row{r.label};
+    for (const auto& run : r.runs)
+      row.push_back(format_fixed(run.per_task_scheduling_ms, 3));
+    t.add_row(std::move(row));
+  }
+  return t;
+}
+
+// Transfer statistics: remote/replica counts and bytes, evictions.
+inline Table transfer_table(const std::vector<CaseResult>& results) {
+  Table t({"case", "algorithm", "remote", "replica", "evictions", "restages",
+           "remote bytes", "replica bytes", "sub-batches"});
+  for (const auto& r : results)
+    for (const auto& run : r.runs)
+      t.add_row({r.label, run.scheduler,
+                 std::to_string(run.stats.remote_transfers),
+                 std::to_string(run.stats.replications),
+                 std::to_string(run.stats.evictions),
+                 std::to_string(run.stats.restages),
+                 format_bytes(run.stats.remote_bytes),
+                 format_bytes(run.stats.replica_bytes),
+                 std::to_string(run.sub_batches)});
+  return t;
 }
 
 }  // namespace bsio::bench

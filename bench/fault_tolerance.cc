@@ -35,13 +35,13 @@ namespace {
 
 using namespace bsio;
 
-core::RunOptions tuned_options() {
-  core::RunOptions opts;
+sched::IpSchedulerOptions tuned_ip() {
+  sched::IpSchedulerOptions ip = sched::IpScheduler::default_options();
   // Keep the IP solves bounded; the heuristic incumbent keeps quality sane.
-  opts.ip.selection_mip.time_limit_seconds = 2.0;
-  opts.ip.allocation_mip.time_limit_seconds = 4.0;
-  opts.ip.max_subbatch_tasks = 40;
-  return opts;
+  ip.selection_mip.time_limit_seconds = 2.0;
+  ip.allocation_mip.time_limit_seconds = 4.0;
+  ip.max_subbatch_tasks = 40;
+  return ip;
 }
 
 struct Tail {
@@ -137,10 +137,10 @@ void write_json(const char* path, bool smoke,
 int main(int argc, char** argv) {
   using namespace bsio::bench;
 
-  ParseArgs args(argc, argv);
+  ParseArgs args(argc, argv, "fault_tolerance [--smoke] [--out <path>]");
   const bool smoke = args.has("--smoke");
   const char* out_path = args.value("--out", "BENCH_faults.json");
-  args.reject_unknown("fault_tolerance [--smoke] [--out <path>]");
+  args.reject_unknown();
 
   banner("Fault tolerance — makespan degradation under injected failures",
          "4 compute + 4 XIO storage nodes, 60-task IMAGE batch, seeded "
@@ -154,16 +154,15 @@ int main(int argc, char** argv) {
 
   const wl::Workload w = image_workload(0.85, /*tasks=*/60);
   const sim::ClusterConfig cluster = sim::xio_cluster(4, 4);
-  const core::RunOptions base_opts = tuned_options();
+  const std::vector<SchedulerFactory> schedulers = paper_schedulers(tuned_ip());
 
   std::vector<FaultRow> fault_rows;
   std::vector<CrossRow> cross_rows;
 
   // Fault-free reference makespans.
   std::vector<double> reference;
-  for (core::Algorithm a : core::all_algorithms())
-    reference.push_back(
-        core::run_batch_scheduler(a, w, cluster, base_opts).batch_time);
+  for (const SchedulerFactory& make : schedulers)
+    reference.push_back(sched::run_batch(*make(), w, cluster).batch_time);
 
   // --- Sweep 1: transient transfer failures. ---
   {
@@ -174,25 +173,25 @@ int main(int argc, char** argv) {
               : std::vector<double>{0.0, 0.05, 0.1, 0.2, 0.3};
     for (double prob : probs) {
       std::size_t i = 0;
-      for (core::Algorithm a : core::all_algorithms()) {
-        core::RunOptions opts = base_opts;
-        opts.faults.transfer_failure_prob = prob;
-        auto r = core::run_batch_scheduler(a, w, cluster, opts);
+      for (const SchedulerFactory& make : schedulers) {
+        sim::FaultConfig faults;
+        faults.transfer_failure_prob = prob;
+        auto r = sched::run_batch(*make(), w, cluster, faults);
         const Tail tail = tail_of(r);
-        t.add_row({format_fixed(prob, 2), core::algorithm_name(a),
+        t.add_row({format_fixed(prob, 2), r.scheduler,
                    format_fixed(r.batch_time, 1),
                    format_fixed(r.batch_time / reference[i], 2) + "x",
                    std::to_string(r.stats.transfer_retries),
                    format_fixed(r.stats.recovery_seconds, 1),
                    format_fixed(tail.p50, 1), format_fixed(tail.p95, 1),
                    format_fixed(tail.p99, 1)});
-        fault_rows.push_back({"transfer_failures", core::algorithm_name(a),
+        fault_rows.push_back({"transfer_failures", r.scheduler,
                               prob, r.batch_time, r.batch_time / reference[i],
                               r.stats.transfer_retries,
                               r.stats.task_reexecutions,
                               r.stats.recovery_seconds, tail});
         std::fprintf(stderr, "  [flaky p=%.2f %s] %.1fs (%zu retries)%s\n",
-                     prob, core::algorithm_name(a), r.batch_time,
+                     prob, r.scheduler.c_str(), r.batch_time,
                      r.stats.transfer_retries,
                      r.ok() ? "" : " FAILED");
         ++i;
@@ -209,29 +208,29 @@ int main(int argc, char** argv) {
         smoke ? std::vector<int>{0, 2} : std::vector<int>{0, 1, 2, 3};
     for (int crashes : crash_counts) {
       std::size_t i = 0;
-      for (core::Algorithm a : core::all_algorithms()) {
-        core::RunOptions opts = base_opts;
+      for (const SchedulerFactory& make : schedulers) {
+        sim::FaultConfig faults;
         // Stagger the fail-stops at 30% / 50% / 70% of this scheduler's
         // fault-free makespan so each crash lands mid-run.
         for (int k = 0; k < crashes; ++k)
-          opts.faults.compute_crashes.push_back(
+          faults.compute_crashes.push_back(
               {static_cast<wl::NodeId>(k), (0.3 + 0.2 * k) * reference[i]});
-        auto r = core::run_batch_scheduler(a, w, cluster, opts);
+        auto r = sched::run_batch(*make(), w, cluster, faults);
         const Tail tail = tail_of(r);
-        t.add_row({std::to_string(crashes), core::algorithm_name(a),
+        t.add_row({std::to_string(crashes), r.scheduler,
                    format_fixed(r.batch_time, 1),
                    format_fixed(r.batch_time / reference[i], 2) + "x",
                    std::to_string(r.stats.task_reexecutions),
                    format_fixed(r.stats.lost_replica_bytes / sim::kMB, 0),
                    format_fixed(tail.p99, 1)});
-        fault_rows.push_back({"compute_crashes", core::algorithm_name(a),
+        fault_rows.push_back({"compute_crashes", r.scheduler,
                               static_cast<double>(crashes), r.batch_time,
                               r.batch_time / reference[i],
                               r.stats.transfer_retries,
                               r.stats.task_reexecutions,
                               r.stats.recovery_seconds, tail});
         std::fprintf(stderr, "  [crashes=%d %s] %.1fs (%zu re-exec)%s\n",
-                     crashes, core::algorithm_name(a), r.batch_time,
+                     crashes, r.scheduler.c_str(), r.batch_time,
                      r.stats.task_reexecutions, r.ok() ? "" : " FAILED");
         ++i;
       }
@@ -248,22 +247,22 @@ int main(int argc, char** argv) {
               : std::vector<double>{0.0, 20.0, 60.0, 120.0};
     for (double len : lengths) {
       std::size_t i = 0;
-      for (core::Algorithm a : core::all_algorithms()) {
-        core::RunOptions opts = base_opts;
-        if (len > 0.0) opts.faults.storage_outages = {{0, 5.0, 5.0 + len}};
-        auto r = core::run_batch_scheduler(a, w, cluster, opts);
+      for (const SchedulerFactory& make : schedulers) {
+        sim::FaultConfig faults;
+        if (len > 0.0) faults.storage_outages = {{0, 5.0, 5.0 + len}};
+        auto r = sched::run_batch(*make(), w, cluster, faults);
         const Tail tail = tail_of(r);
-        t.add_row({format_fixed(len, 0), core::algorithm_name(a),
+        t.add_row({format_fixed(len, 0), r.scheduler,
                    format_fixed(r.batch_time, 1),
                    format_fixed(r.batch_time / reference[i], 2) + "x",
                    format_fixed(tail.p99, 1)});
-        fault_rows.push_back({"storage_outage", core::algorithm_name(a), len,
+        fault_rows.push_back({"storage_outage", r.scheduler, len,
                               r.batch_time, r.batch_time / reference[i],
                               r.stats.transfer_retries,
                               r.stats.task_reexecutions,
                               r.stats.recovery_seconds, tail});
         std::fprintf(stderr, "  [outage=%.0fs %s] %.1fs%s\n", len,
-                     core::algorithm_name(a), r.batch_time,
+                     r.scheduler.c_str(), r.batch_time,
                      r.ok() ? "" : " FAILED");
         ++i;
       }
@@ -284,14 +283,15 @@ int main(int argc, char** argv) {
     const std::vector<double> factors =
         smoke ? std::vector<double>{1.0, 8.0}
               : std::vector<double>{1.0, 2.0, 4.0, 8.0};
-    const std::vector<core::Algorithm> cross_algos = {
-        core::Algorithm::kMinMin, core::Algorithm::kBiPartition};
+    const std::vector<SchedulerFactory> cross_schedulers = {
+        factory_of<sched::MinMinScheduler>(),
+        factory_of<sched::BiPartitionScheduler>()};
     const double most_severe = factors.back();
     for (double factor : factors) {
-      for (core::Algorithm a : cross_algos) {
+      for (const SchedulerFactory& make : cross_schedulers) {
         double retry_p99 = 0.0;
         for (bool speculative : {false, true}) {
-          core::RunOptions opts = base_opts;
+          sched::BatchRunOptions opts;
           if (factor > 1.0)
             opts.faults.compute_slowdowns = {{0, 0.0,
                                               std::numeric_limits<double>::
@@ -302,9 +302,9 @@ int main(int argc, char** argv) {
             opts.speculation.straggler_ratio = 1.5;
             opts.speculation.min_cached_inputs = 0;
           }
-          auto r = core::run_batch_scheduler(a, w, cluster, opts);
+          auto r = sched::run_batch(*make(), w, cluster, opts);
           CrossRow row;
-          row.algorithm = core::algorithm_name(a);
+          row.algorithm = r.scheduler;
           row.slowdown = factor;
           row.speculative = speculative;
           row.makespan = r.batch_time;

@@ -15,22 +15,22 @@ int main() {
          "high overlap); absolute times larger than IMAGE because SAT moves "
          "50 MB chunks");
 
-  core::ExperimentOptions opts;
-  opts.run_options.ip.allocation_mip.time_limit_seconds = 8.0;
+  sched::IpSchedulerOptions ip = sched::IpScheduler::default_options();
+  ip.allocation_mip.time_limit_seconds = 8.0;
+  const std::vector<SchedulerFactory> schedulers = paper_schedulers(ip);
 
   for (bool osumed : {true, false}) {
-    std::vector<core::ExperimentCase> cases;
+    std::vector<ExperimentCase> cases;
     for (double ov : {0.85, 0.40, 0.10}) {
       cases.push_back({overlap_label(ov), sat_workload(ov),
                        osumed ? sim::osumed_cluster(4, 4)
                               : sim::xio_cluster(4, 4)});
     }
-    auto results = core::run_experiment(cases, opts);
+    auto results = run_experiment(cases, schedulers);
     const char* sys = osumed ? "(a) OSUMED storage" : "(b) XIO storage";
-    core::batch_time_table(results, opts.algorithms)
-        .print(std::string("Fig 4") + sys);
-    core::transfer_table(results, opts.algorithms)
-        .print(std::string("Fig 4") + sys + " — data movement");
+    batch_time_table(results).print(std::string("Fig 4") + sys);
+    transfer_table(results).print(std::string("Fig 4") + sys +
+                                  " — data movement");
   }
   return 0;
 }

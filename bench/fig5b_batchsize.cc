@@ -30,11 +30,12 @@ int main() {
     return wl::make_image_calibrated(cfg, 0.85).workload;
   };
 
-  core::ExperimentOptions opts;
-  opts.algorithms = {core::Algorithm::kBiPartition, core::Algorithm::kMinMin,
-                     core::Algorithm::kJobDataPresent};
+  const std::vector<SchedulerFactory> schedulers = {
+      factory_of<sched::BiPartitionScheduler>(),
+      factory_of<sched::MinMinScheduler>(),
+      factory_of<sched::JobDataPresentScheduler>()};
 
-  std::vector<core::ExperimentCase> cases;
+  std::vector<ExperimentCase> cases;
   for (std::size_t tasks : {500u, 1000u, 2000u, 4000u}) {
     wl::Workload w = make_workload(tasks);
     sim::ClusterConfig cluster = sim::xio_cluster(4, 4);
@@ -44,9 +45,8 @@ int main() {
                   format_bytes(w.unique_request_bytes()).c_str());
     cases.push_back({label, std::move(w), cluster});
   }
-  auto results = core::run_experiment(cases, opts);
-  core::batch_time_table(results, opts.algorithms).print("Fig 5(b)");
-  core::transfer_table(results, opts.algorithms)
-      .print("Fig 5(b) — evictions and re-stages");
+  auto results = run_experiment(cases, schedulers);
+  batch_time_table(results).print("Fig 5(b)");
+  transfer_table(results).print("Fig 5(b) — evictions and re-stages");
   return 0;
 }

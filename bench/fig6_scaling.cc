@@ -25,13 +25,9 @@ int main() {
 
   wl::Workload w = image_workload(0.85, /*tasks=*/1000, /*storage_nodes=*/8);
 
-  core::ExperimentOptions all;
-  all.algorithms = {core::Algorithm::kBiPartition, core::Algorithm::kMinMin,
-                    core::Algorithm::kJobDataPresent};
-  core::ExperimentOptions with_ip = all;
-  with_ip.algorithms.insert(with_ip.algorithms.begin(), core::Algorithm::kIp);
-  with_ip.run_options.ip.selection_mip.time_limit_seconds = 5.0;
-  with_ip.run_options.ip.allocation_mip.time_limit_seconds = 5.0;
+  sched::IpSchedulerOptions ip = sched::IpScheduler::default_options();
+  ip.selection_mip.time_limit_seconds = 5.0;
+  ip.allocation_mip.time_limit_seconds = 5.0;
 
   Table fig6a({"compute nodes", "IP (s)", "BiPartition (s)", "MinMin (s)",
                "JobDataPresent (s)"});
@@ -42,11 +38,12 @@ int main() {
     const bool run_ip = nodes <= 8;
     // Shrink IP slices as the node count grows: the allocation model holds
     // O(groups x nodes^2) replication variables.
-    with_ip.run_options.ip.max_subbatch_tasks = 512 / nodes;
-    const core::ExperimentOptions& opts = run_ip ? with_ip : all;
-    std::vector<core::ExperimentCase> cases{
+    ip.max_subbatch_tasks = 512 / nodes;
+    std::vector<SchedulerFactory> schedulers = paper_schedulers(ip);
+    if (!run_ip) schedulers.erase(schedulers.begin());  // IP comes first
+    std::vector<ExperimentCase> cases{
         {std::to_string(nodes) + " nodes", w, sim::xio_cluster(nodes, 8)}};
-    auto results = core::run_experiment(cases, opts);
+    auto results = run_experiment(cases, schedulers);
     const auto& runs = results.front().runs;
 
     std::vector<std::string> row_a{std::to_string(nodes)};

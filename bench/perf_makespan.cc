@@ -223,7 +223,10 @@ void write_json(const char* path, const std::vector<Row>& rows,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::ParseArgs args(argc, argv);
+  bench::ParseArgs args(
+      argc, argv,
+      "perf_makespan [--smoke] [--out <path>] [--max-ip-seconds <s>] "
+      "[--min-speedup <x>] [--threads <t1,t2,...>]");
   const bool smoke = args.has("--smoke");
   const char* out_path = args.value("--out", "BENCH_sched.json");
   const double max_ip_seconds =
@@ -233,9 +236,7 @@ int main(int argc, char** argv) {
   // should leave it off — there is no parallelism to win.
   const double min_speedup = args.number("--min-speedup", 0.0);
   const char* thread_arg = args.value("--threads", "");
-  args.reject_unknown(
-      "perf_makespan [--smoke] [--out <path>] [--max-ip-seconds <s>] "
-      "[--min-speedup <x>] [--threads <t1,t2,...>]");
+  args.reject_unknown();
 
   const std::size_t compute_nodes = smoke ? 8 : 32;
   const std::size_t storage_nodes = 4;

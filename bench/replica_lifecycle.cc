@@ -115,10 +115,10 @@ void write_json(const char* path, bool smoke,
 int main(int argc, char** argv) {
   using namespace bsio::bench;
 
-  ParseArgs args(argc, argv);
+  ParseArgs args(argc, argv, "replica_lifecycle [--smoke] [--out <path>]");
   const bool smoke = args.has("--smoke");
   const char* out_path = args.value("--out", "BENCH_replica.json");
-  args.reject_unknown("replica_lifecycle [--smoke] [--out <path>]");
+  args.reject_unknown();
 
   banner("Replica lifecycle — crash repair and the durability frontier",
          "4 compute + 4 XIO storage nodes; tiered replication targets with "

@@ -141,16 +141,17 @@ sim::ClusterConfig scale_cluster(std::size_t compute_nodes,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::ParseArgs args(argc, argv);
+  bench::ParseArgs args(
+      argc, argv,
+      "scale_sweep [--smoke] [--out <path>] [--max-point-seconds <s>] "
+      "[--max-rss-mb <mb>] [--threads <t1,t2,...>]");
   const bool smoke = args.has("--smoke");
   const char* out_path = args.value("--out", "BENCH_scale.json");
   const double max_point_seconds = args.number("--max-point-seconds", 0.0);
   const double max_rss_mb = args.number("--max-rss-mb", 0.0);
   const std::vector<std::size_t> thread_grid =
       parse_thread_grid(args.value("--threads", ""));
-  args.reject_unknown(
-      "scale_sweep [--smoke] [--out <path>] [--max-point-seconds <s>] "
-      "[--max-rss-mb <mb>] [--threads <t1,t2,...>]");
+  args.reject_unknown();
 
   const std::vector<std::size_t> node_grid =
       smoke ? std::vector<std::size_t>{8, 64}

@@ -34,7 +34,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
@@ -364,14 +363,14 @@ int run_stream_study(bool smoke, const char* out_path, double min_slo) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::ParseArgs args(argc, argv);
+  bench::ParseArgs args(argc, argv,
+                        "service_throughput [--stream] [--smoke] "
+                        "[--out <path>] [--min-slo <frac>]");
   const bool smoke = args.has("--smoke");
   const bool stream = args.has("--stream");
   const char* out_path = args.value("--out", "BENCH_service.json");
-  const double min_slo = std::atof(args.value("--min-slo", "0.5"));
-  args.reject_unknown(
-      "service_throughput [--stream] [--smoke] [--out <path>] "
-      "[--min-slo <frac>]");
+  const double min_slo = args.number("--min-slo", 0.5);
+  args.reject_unknown();
 
   WsRuntime::set_global_threads(1);
 

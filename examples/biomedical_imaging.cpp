@@ -13,7 +13,9 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "core/batch_scheduler.h"
+#include "sched/bipartition.h"
+#include "sched/driver.h"
+#include "sched/job_data_present.h"
 #include "util/table.h"
 #include "workload/image.h"
 #include "workload/stats.h"
@@ -42,15 +44,18 @@ int main(int argc, char** argv) {
   std::printf("  per-node disk cache: %s\n",
               format_bytes(cluster.disk_capacity).c_str());
 
-  for (core::Algorithm alg :
-       {core::Algorithm::kBiPartition, core::Algorithm::kJobDataPresent}) {
-    sched::BatchRunResult r =
-        core::run_batch_scheduler(alg, cal.workload, cluster);
+  auto report = [&](sched::Scheduler& scheduler) {
+    const sched::BatchRunResult r =
+        sched::run_batch(scheduler, cal.workload, cluster);
     std::printf("\n%-14s batch %-9s sub-batches %zu evictions %zu "
                 "restages %zu\n",
                 r.scheduler.c_str(), format_seconds(r.batch_time).c_str(),
                 r.sub_batches, r.stats.evictions, r.stats.restages);
-  }
+  };
+  sched::BiPartitionScheduler bipartition;
+  report(bipartition);
+  sched::JobDataPresentScheduler job_data_present;
+  report(job_data_present);
   std::printf("\nBINW sub-batch selection keeps each wave of tasks inside "
               "the aggregate\ncache, so files are evicted between waves "
               "rather than thrashing within one.\n");

@@ -10,7 +10,8 @@
 
 #include <cstdio>
 
-#include "core/batch_scheduler.h"
+#include "sched/bipartition.h"
+#include "sched/driver.h"
 #include "util/table.h"
 #include "workload/stats.h"
 #include "workload/synthetic.h"
@@ -42,8 +43,8 @@ int main() {
 
   // 3. Run the full pipeline: scheduling, file staging and simulated
   //    execution.
-  sched::BatchRunResult result = core::run_batch_scheduler(
-      core::Algorithm::kBiPartition, workload, cluster);
+  sched::BiPartitionScheduler scheduler;
+  sched::BatchRunResult result = sched::run_batch(scheduler, workload, cluster);
 
   std::printf("\nscheduler      : %s\n", result.scheduler.c_str());
   std::printf("batch time     : %s (simulated)\n",

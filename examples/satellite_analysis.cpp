@@ -12,7 +12,9 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "core/batch_scheduler.h"
+#include "sched/bipartition.h"
+#include "sched/driver.h"
+#include "sched/minmin.h"
 #include "util/table.h"
 #include "workload/sat.h"
 #include "workload/stats.h"
@@ -39,16 +41,19 @@ int main(int argc, char** argv) {
 
   sim::ClusterConfig cluster = sim::xio_cluster(4, 4);
 
-  for (core::Algorithm alg :
-       {core::Algorithm::kBiPartition, core::Algorithm::kMinMin}) {
-    sched::BatchRunResult r =
-        core::run_batch_scheduler(alg, cal.workload, cluster);
+  auto report = [&](sched::Scheduler& scheduler) {
+    const sched::BatchRunResult r =
+        sched::run_batch(scheduler, cal.workload, cluster);
     std::printf("\n%-12s batch time %-9s  remote %zux (%s)  replicas %zux\n",
                 r.scheduler.c_str(), format_seconds(r.batch_time).c_str(),
                 r.stats.remote_transfers,
                 format_bytes(r.stats.remote_bytes).c_str(),
                 r.stats.replications);
-  }
+  };
+  sched::BiPartitionScheduler bipartition;
+  report(bipartition);
+  sched::MinMinScheduler minmin;
+  report(minmin);
   std::printf("\nBiPartition clusters queries that share chunks onto the "
               "same node, so\neach hot chunk crosses the storage network "
               "once instead of once per node.\n");

@@ -1,6 +1,7 @@
 // Side-by-side comparison of all four scheduling schemes on one workload —
-// a miniature of the paper's Figure 3 experiment, handy for exploring how
-// the algorithms respond to overlap, cluster choice and replication.
+// a miniature of the paper's Figure 3 experiment, run through the figure
+// benches' experiment runner (bench/bench_common.h), handy for exploring
+// how the algorithms respond to overlap, cluster choice and replication.
 //
 //   $ ./scheduler_comparison [overlap%] [xio|osumed] [tasks]
 //   $ ./scheduler_comparison 85 xio 100
@@ -9,9 +10,7 @@
 #include <cstdlib>
 #include <cstring>
 
-#include "core/experiment.h"
-#include "workload/image.h"
-#include "workload/stats.h"
+#include "bench_common.h"
 
 int main(int argc, char** argv) {
   using namespace bsio;
@@ -28,20 +27,18 @@ int main(int argc, char** argv) {
   cfg.num_storage_nodes = 4;
   wl::CalibrationResult cal = wl::make_image_calibrated(cfg, overlap);
 
-  core::ExperimentCase cs{
+  bench::ExperimentCase cs{
       "IMAGE " + std::to_string(static_cast<int>(overlap * 100)) + "% on " +
           (osumed ? "OSUMED" : "XIO"),
       cal.workload,
       osumed ? sim::osumed_cluster(4, 4) : sim::xio_cluster(4, 4)};
 
-  core::ExperimentOptions opts;
-  opts.run_options.ip.allocation_mip.time_limit_seconds = 10.0;
-  auto results = core::run_experiment({cs}, opts);
+  sched::IpSchedulerOptions ip = sched::IpScheduler::default_options();
+  ip.allocation_mip.time_limit_seconds = 10.0;
+  auto results = bench::run_experiment({cs}, bench::paper_schedulers(ip));
 
-  core::batch_time_table(results, opts.algorithms)
-      .print("batch execution time");
-  core::overhead_table(results, opts.algorithms)
-      .print("scheduling overhead");
-  core::transfer_table(results, opts.algorithms).print("data movement");
+  bench::batch_time_table(results).print("batch execution time");
+  bench::overhead_table(results).print("scheduling overhead");
+  bench::transfer_table(results).print("data movement");
   return 0;
 }

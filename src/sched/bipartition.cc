@@ -68,10 +68,9 @@ sim::SubBatchPlan BiPartitionScheduler::plan_sub_batch(
   if (!limited) {
     sub_batch = pending;
   } else {
-    // Aggregate disk space of the surviving nodes only.
-    double aggregate = 0.0;
-    for (wl::NodeId n : nodes) aggregate += cluster.node_disk_capacity(n);
-    const double bound = aggregate * options_.aggregate_bound_fraction;
+    // BINW's bound D: the aggregate disk space of the surviving nodes.
+    double bound = 0.0;
+    for (wl::NodeId n : nodes) bound += cluster.node_disk_capacity(n);
     const auto weights =
         options_.probabilistic_weights
             ? probabilistic_exec_times(w, pending, topo, &exec_scratch_)

@@ -24,8 +24,6 @@ struct BiPartitionOptions {
   // Use Eq. 25-26 probabilistic vertex weights (true) or plain compute
   // weights (false; ablation).
   bool probabilistic_weights = true;
-  // Fraction of the aggregate disk space handed to BINW as the bound D.
-  double aggregate_bound_fraction = 1.0;
 };
 
 class BiPartitionScheduler : public Scheduler {

@@ -36,7 +36,7 @@ sim::SubBatchPlan IncrementalPlanner::commit_horizon(
       keep.push_back(lt);
     }
   }
-  if (plan.tasks.empty() && opts.ensure_progress) {
+  if (plan.tasks.empty()) {
     // Nothing inside the window: release the earliest estimated start
     // (ties to live order) so the service always makes progress.
     std::size_t best = 0;

@@ -36,16 +36,15 @@
 
 namespace bsio::sched {
 
-// Horizon-freeze controls (the streaming service's planning knobs).
+// Horizon-freeze controls (the streaming service's planning knob).
 struct HorizonOptions {
   // Freeze live tasks whose estimated start falls within this many seconds
   // of the window base. <= 0 = drain-all: freeze the entire live plan (the
   // horizon run_batch uses: each window is the scheduler's next sub-batch).
+  // A commit over a non-empty live plan always releases at least the
+  // earliest estimated start, so a window shorter than every estimate
+  // cannot stall the service.
   double window_seconds = 0.0;
-  // A non-empty live plan must always release at least one task per commit
-  // (the earliest estimated start), or a window shorter than every estimate
-  // would stall the service.
-  bool ensure_progress = true;
 };
 
 // One uncommitted live-plan entry. est_start is the planner-relative

@@ -23,6 +23,11 @@ std::vector<std::vector<std::size_t>> groups_of_tasks(
   return out;
 }
 
+// Tiny per-transfer objective weight that breaks ties toward fewer
+// transfers (the min-max objective alone is indifferent off the critical
+// node).
+constexpr double kTransferEpsilon = 1e-6;
+
 // Task compute cost as the model sees it: CPU (scaled by the node's speed
 // factor) plus the local read of its inputs (both serialized on the node,
 // Eq. 12).
@@ -176,13 +181,13 @@ AllocationModel::AllocationModel(const wl::Workload& w,
   r_vars_.assign(G * C_, -1);
   y_vars_.assign(G * C_ * C_, -1);
   for (std::size_t g = 0; g < G; ++g) {
-    const double eps_rem = opts_.transfer_epsilon * t_rem * groups_[g].bytes;
-    const double eps_rep = opts_.transfer_epsilon * t_rep * groups_[g].bytes;
+    const double eps_rem = kTransferEpsilon * t_rem * groups_[g].bytes;
+    const double eps_rep = kTransferEpsilon * t_rep * groups_[g].bytes;
     for (std::size_t i = 0; i < C_; ++i) {
       if (!present(g, i)) {
         x_vars_[g * C_ + i] = model_.add_binary(0.0);
         r_vars_[g * C_ + i] = model_.add_binary(
-            uni_rem ? eps_rem : opts_.transfer_epsilon * rem_secs(g, i));
+            uni_rem ? eps_rem : kTransferEpsilon * rem_secs(g, i));
         integer_vars_.push_back(x_vars_[g * C_ + i]);
         integer_vars_.push_back(r_vars_[g * C_ + i]);
       }
@@ -190,7 +195,7 @@ AllocationModel::AllocationModel(const wl::Workload& w,
         for (std::size_t j = 0; j < C_; ++j) {
           if (i == j || present(g, j)) continue;  // never copy onto a holder
           y_vars_[(g * C_ + i) * C_ + j] = model_.add_binary(
-              uni_rep ? eps_rep : opts_.transfer_epsilon * rep_secs(g, i, j));
+              uni_rep ? eps_rep : kTransferEpsilon * rep_secs(g, i, j));
           integer_vars_.push_back(y_vars_[(g * C_ + i) * C_ + j]);
         }
     }
@@ -516,7 +521,7 @@ SelectionModel::SelectionModel(const wl::Workload& w,
       if (present[g][i]) continue;
       // Tiny cost discourages staging files nobody uses.
       x_vars_[g * C_ + i] =
-          model_.add_binary(opts_.transfer_epsilon * groups_[g].bytes /
+          model_.add_binary(kTransferEpsilon * groups_[g].bytes /
                             topo_.min_remote_bw());
       integer_vars_.push_back(x_vars_[g * C_ + i]);
     }

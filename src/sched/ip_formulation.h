@@ -36,10 +36,6 @@ struct IpFormulationOptions {
   // slightly weaker LP relaxation). The exact per-(i,j,l) forms are kept
   // for tests and small instances.
   bool aggregate_constraints = true;
-  // Tiny per-transfer objective epsilon that breaks ties toward fewer
-  // transfers (the min-max objective alone is indifferent off the critical
-  // node).
-  double transfer_epsilon = 1e-6;
 };
 
 // A coalesced file group: member files share the same requester set within

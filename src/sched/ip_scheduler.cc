@@ -49,7 +49,6 @@ Status IpScheduler::begin_batch() {
 void IpScheduler::reset_run_stats() {
   total_stats_ = lp::SolverStats{};
   total_nodes_ = 0;
-  last_ = SolveInfo{};
 }
 
 void IpScheduler::add_solver_stats(sim::ExecutionStats& stats) const {
@@ -65,7 +64,6 @@ void IpScheduler::add_solver_stats(sim::ExecutionStats& stats) const {
 sim::SubBatchPlan IpScheduler::plan_sub_batch(
     const std::vector<wl::TaskId>& pending, const SchedulerContext& ctx) {
   const wl::Workload& w = ctx.batch;
-  last_ = SolveInfo{};
 
   // The IP models index compute nodes densely 0..C-1. Under fault injection
   // some nodes are dead, so the models are built over a compact cluster of
@@ -143,9 +141,6 @@ sim::SubBatchPlan IpScheduler::plan_sub_batch(
     auto seed = sel.greedy_incumbent();
     if (!seed.empty()) solver.set_incumbent(seed);
     ip::MipResult r = solver.solve(options_.selection_mip);
-    last_.selection_nodes = r.nodes;
-    last_.selection_seconds = r.solve_seconds;
-    last_.stats.accumulate(r.stats);
     total_stats_.accumulate(r.stats);
     total_nodes_ += r.nodes;
     if (r.status == ip::MipStatus::kOptimal ||
@@ -189,21 +184,15 @@ sim::SubBatchPlan IpScheduler::plan_sub_batch(
   }
 
   ip::MipResult r = solver.solve(options_.allocation_mip);
-  last_.allocation_nodes = r.nodes;
-  last_.allocation_seconds = r.solve_seconds;
-  last_.allocation_status = r.status;
-  last_.stats.accumulate(r.stats);
   total_stats_.accumulate(r.stats);
   total_nodes_ += r.nodes;
 
   sim::SubBatchPlan plan;
   if (r.status == ip::MipStatus::kOptimal ||
       r.status == ip::MipStatus::kFeasible) {
-    last_.surrogate_objective = alloc.makespan_surrogate(r.x);
     plan = alloc.extract_plan(r.x);
   } else if (seeded) {
     plan = alloc.extract_plan(incumbent);
-    last_.surrogate_objective = alloc.makespan_surrogate(incumbent);
   } else {
     // Node/time-limited solve found nothing and the heuristic incumbent was
     // disk-infeasible for the static model. Fall back to the warm mapping

@@ -56,26 +56,12 @@ class IpScheduler : public Scheduler {
   sim::SubBatchPlan plan_sub_batch(const std::vector<wl::TaskId>& pending,
                                    const SchedulerContext& ctx) override;
 
-  // Diagnostics of the most recent plan_sub_batch call.
-  struct SolveInfo {
-    long selection_nodes = 0;
-    long allocation_nodes = 0;
-    double selection_seconds = 0.0;
-    double allocation_seconds = 0.0;
-    ip::MipStatus allocation_status = ip::MipStatus::kNoSolution;
-    double surrogate_objective = 0.0;
-    // Simplex kernel counters over both stages of this call.
-    lp::SolverStats stats;
-  };
-  const SolveInfo& last_solve() const { return last_; }
-
   // Kernel counters accumulated over every plan_sub_batch call, folded into
   // the batch driver's ExecutionStats.
   void add_solver_stats(sim::ExecutionStats& stats) const override;
 
  private:
   IpSchedulerOptions options_;
-  SolveInfo last_;
   lp::SolverStats total_stats_;
   long total_nodes_ = 0;
 };

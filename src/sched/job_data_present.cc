@@ -24,10 +24,8 @@ sim::SubBatchPlan JobDataPresentScheduler::plan_sub_batch(
 
   // --- Data Least Loaded: proactive replication of popular files. ---
   if (c.allow_replication) {
-    double threshold = options_.popularity_threshold;
-    if (threshold <= 0.0)
-      threshold = static_cast<double>(pending.size()) /
-                  static_cast<double>(nodes.size());
+    const double threshold = static_cast<double>(pending.size()) /
+                             static_cast<double>(nodes.size());
     std::unordered_map<wl::FileId, double> popularity;
     for (wl::TaskId t : pending)
       for (wl::FileId f : w.task(t).files) popularity[f] += 1.0;
@@ -44,9 +42,6 @@ sim::SubBatchPlan JobDataPresentScheduler::plan_sub_batch(
     std::sort(hot.rbegin(), hot.rend());  // most popular first
 
     for (const auto& [pop, f] : hot) {
-      if (options_.max_prefetches > 0 &&
-          plan.prefetches.size() >= options_.max_prefetches)
-        break;
       // Least loaded alive node not already holding the file.
       wl::NodeId dst = wl::kInvalidNode;
       for (wl::NodeId n : nodes) {

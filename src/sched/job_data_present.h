@@ -9,9 +9,9 @@
 // committed in order of least expected earliest completion time.
 //
 // Replication (Data Least Loaded), decoupled from scheduling: files whose
-// popularity (pending request count) exceeds a threshold are proactively
-// replicated onto the least-loaded compute node before the batch runs.
-// Pairs with LRU eviction, as in [13].
+// popularity (pending request count) strictly exceeds pending tasks / alive
+// compute nodes are proactively replicated onto the least-loaded compute
+// node before the batch runs. Pairs with LRU eviction, as in [13].
 #pragma once
 
 #include "sched/cost_model.h"
@@ -19,19 +19,8 @@
 
 namespace bsio::sched {
 
-struct JdpOptions {
-  // A file is replicated when its pending request count strictly exceeds
-  // num_tasks / num_compute_nodes (<= 0 picks that default).
-  double popularity_threshold = 0.0;
-  // Cap on proactive replications per sub-batch (0 = no cap).
-  std::size_t max_prefetches = 0;
-};
-
 class JobDataPresentScheduler : public Scheduler {
  public:
-  explicit JobDataPresentScheduler(JdpOptions options = {})
-      : options_(options) {}
-
   std::string name() const override { return "JobDataPresent"; }
   sim::EvictionPolicy eviction_policy() const override {
     return sim::EvictionPolicy::kLru;
@@ -40,7 +29,6 @@ class JobDataPresentScheduler : public Scheduler {
                                    const SchedulerContext& ctx) override;
 
  private:
-  JdpOptions options_;
   PlannerState ps_;  // reused across rounds (epoch-stamped reset)
 };
 

@@ -1,9 +1,12 @@
 #include "service/arrival.h"
 
+#include <charconv>
 #include <cmath>
 #include <fstream>
 #include <sstream>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "util/rng.h"
 
@@ -15,6 +18,18 @@ BatchArrivalProcess::BatchArrivalProcess(std::vector<wl::FileInfo> catalog,
     : catalog_(std::move(catalog)),
       batch_cfg_(batch_cfg),
       cfg_(std::move(cfg)) {}
+
+namespace {
+
+// True when `field` is exactly one number of type T, nothing left over.
+template <typename T>
+bool parse_full(const std::string& field, T& out) {
+  const char* end = field.data() + field.size();
+  const auto [ptr, ec] = std::from_chars(field.data(), end, out);
+  return ec == std::errc() && ptr == end;
+}
+
+}  // namespace
 
 // Parsed arrival rows; tasks 0 = use the configured batch size, deadline
 // NaN = use the drawn SLO class.
@@ -32,44 +47,41 @@ BatchArrivalProcess::arrival_times() const {
       ++line_no;
       const auto hash = line.find('#');
       if (hash != std::string::npos) line.resize(hash);
-      if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
       std::istringstream row(line);
-      double t;
-      if (!(row >> t))
-        return Err("arrival trace " + cfg_.trace_path + " line " +
-                   std::to_string(line_no) + ": expected a number");
-      if (t < prev)
-        return Err("arrival trace " + cfg_.trace_path + " line " +
-                   std::to_string(line_no) +
-                   ": arrival times must be non-decreasing");
+      std::vector<std::string> fields;
+      for (std::string f; row >> f;) fields.push_back(std::move(f));
+      if (fields.empty()) continue;
+      const std::string at = "arrival trace " + cfg_.trace_path + " line " +
+                             std::to_string(line_no) + ": ";
+      if (fields.size() > 3)
+        return Err(at + "expected at most 3 fields, got " +
+                   std::to_string(fields.size()));
       ArrivalRow rec;
-      rec.time = t;
-      long n = 0;
-      if (row >> n) {
+      if (!parse_full(fields[0], rec.time) || !std::isfinite(rec.time))
+        return Err(at + "arrival time '" + fields[0] +
+                   "' is not a finite number");
+      if (rec.time < prev)
+        return Err(at + "arrival times must be non-decreasing");
+      if (fields.size() > 1) {
+        long n = 0;
+        if (!parse_full(fields[1], n))
+          return Err(at + "num_tasks '" + fields[1] + "' is not an integer");
         // A zero gets its own typed error: an arrival carrying
         // num_tasks == 0 describes an empty batch, which the service
         // cannot plan or account for.
         if (n == 0)
-          return Err("arrival trace " + cfg_.trace_path + " line " +
-                     std::to_string(line_no) +
-                     ": arrival carries num_tasks == 0 (empty batches are "
-                     "not admissible)");
-        if (n < 0)
-          return Err("arrival trace " + cfg_.trace_path + " line " +
-                     std::to_string(line_no) +
-                     ": batch size must be positive");
+          return Err(at + "num_tasks == 0 (empty batches are not admissible)");
+        if (n < 0) return Err(at + "batch size must be positive");
         rec.tasks = static_cast<std::size_t>(n);
-        double d = 0.0;
-        if (row >> d) {
-          if (!(d > 0.0))
-            return Err("arrival trace " + cfg_.trace_path + " line " +
-                       std::to_string(line_no) +
-                       ": deadline_seconds must be positive");
-          rec.deadline = d;
-        }
+      }
+      if (fields.size() > 2) {
+        if (!parse_full(fields[2], rec.deadline) ||
+            !std::isfinite(rec.deadline) || !(rec.deadline > 0.0))
+          return Err(at + "deadline_seconds '" + fields[2] +
+                     "' must be positive and finite");
       }
       times.push_back(rec);
-      prev = t;
+      prev = rec.time;
     }
     if (times.empty())
       return Err("arrival trace " + cfg_.trace_path + " contains no arrivals");

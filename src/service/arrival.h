@@ -33,11 +33,12 @@ struct ArrivalConfig {
   std::uint64_t seed = 1;
   // Non-empty: read arrivals from this trace instead of sampling. Each
   // non-comment line is `<arrival_seconds> [num_tasks [deadline_seconds]]`,
-  // times non-decreasing; '#' starts a comment. num_tasks (optional, must
-  // be positive — a zero raises a typed error instead of generating an
-  // empty batch) overrides ServiceBatchConfig::tasks_per_batch for that
-  // batch; deadline_seconds (optional, positive) overrides the drawn SLO
-  // class.
+  // times finite and non-decreasing; '#' starts a comment. num_tasks
+  // (optional, a positive integer — a zero raises a typed error instead of
+  // generating an empty batch) overrides ServiceBatchConfig::tasks_per_batch
+  // for that batch; deadline_seconds (optional, positive and finite)
+  // overrides the drawn SLO class. Every field must parse in full; a
+  // malformed row is a typed error naming the file and line.
   std::string trace_path;
   // Non-empty: every batch draws one of these SLO classes, deterministic in
   // (seed, index) — swapping Poisson for trace arrivals never re-deals the

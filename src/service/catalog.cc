@@ -62,74 +62,4 @@ wl::Workload make_service_batch(const std::vector<wl::FileInfo>& catalog,
   return wl::Workload(std::move(tasks), catalog);
 }
 
-wl::FileInfo streamed_catalog_file(const StreamedCatalogConfig& cfg,
-                                   std::uint64_t uid) {
-  wl::FileInfo f;
-  const std::uint64_t h = hash_mix(cfg.seed ^ hash_mix(uid + 1));
-  const double u = static_cast<double>(h >> 11) * 0x1.0p-53;  // [0, 1)
-  const double jitter = cfg.file_size_jitter > 0.0
-                            ? 1.0 + cfg.file_size_jitter * (2.0 * u - 1.0)
-                            : 1.0;
-  f.size_bytes = cfg.mean_file_size_bytes * jitter;
-  f.home_storage_node = static_cast<wl::NodeId>(
-      uid % std::max<std::size_t>(1, cfg.num_storage_nodes));
-  return f;
-}
-
-wl::Workload make_streamed_service_batch(
-    const StreamedCatalogConfig& catalog, const ServiceBatchConfig& cfg,
-    std::uint64_t seed, std::vector<std::uint64_t>* file_uids) {
-  BSIO_CHECK(catalog.universe_files > 0);
-  BSIO_CHECK(cfg.tasks_per_batch > 0);
-  BSIO_CHECK(cfg.files_per_task > 0 &&
-             cfg.files_per_task <= catalog.universe_files);
-  BSIO_CHECK(catalog.file_size_jitter >= 0.0 &&
-             catalog.file_size_jitter < 1.0);
-
-  // Draw every task's universe-id set first; materialize afterwards.
-  std::vector<std::vector<std::uint64_t>> task_uids(cfg.tasks_per_batch);
-  Rng rng(seed);
-  for (auto& uids : task_uids) {
-    uids.reserve(cfg.files_per_task);
-    while (uids.size() < cfg.files_per_task) {
-      const std::uint64_t uid =
-          rng.zipf_stream(catalog.universe_files, cfg.zipf_s);
-      if (std::find(uids.begin(), uids.end(), uid) == uids.end())
-        uids.push_back(uid);
-    }
-  }
-
-  std::vector<std::uint64_t> distinct;
-  distinct.reserve(cfg.tasks_per_batch * cfg.files_per_task);
-  for (const auto& uids : task_uids)
-    distinct.insert(distinct.end(), uids.begin(), uids.end());
-  std::sort(distinct.begin(), distinct.end());
-  distinct.erase(std::unique(distinct.begin(), distinct.end()),
-                 distinct.end());
-
-  std::vector<wl::FileInfo> files(distinct.size());
-  for (std::size_t i = 0; i < distinct.size(); ++i) {
-    files[i] = streamed_catalog_file(catalog, distinct[i]);
-    files[i].id = static_cast<wl::FileId>(i);
-  }
-
-  std::vector<wl::TaskInfo> tasks(cfg.tasks_per_batch);
-  for (std::size_t t = 0; t < cfg.tasks_per_batch; ++t) {
-    wl::TaskInfo& task = tasks[t];
-    task.id = static_cast<wl::TaskId>(t);
-    task.files.reserve(cfg.files_per_task);
-    for (std::uint64_t uid : task_uids[t]) {
-      const auto it = std::lower_bound(distinct.begin(), distinct.end(), uid);
-      task.files.push_back(static_cast<wl::FileId>(it - distinct.begin()));
-    }
-    std::sort(task.files.begin(), task.files.end());
-    double bytes = 0.0;
-    for (wl::FileId f : task.files) bytes += files[f].size_bytes;
-    task.compute_seconds = bytes * cfg.compute_seconds_per_byte;
-  }
-
-  if (file_uids != nullptr) *file_uids = std::move(distinct);
-  return wl::Workload(std::move(tasks), std::move(files));
-}
-
 }  // namespace bsio::service

@@ -18,8 +18,6 @@
 
 namespace bsio::service {
 
-// --- Shared catalogue + batch generation. ---
-
 struct SharedCatalogConfig {
   std::size_t num_files = 256;
   double mean_file_size_bytes = 50.0 * 1024 * 1024;
@@ -59,35 +57,5 @@ struct ServiceBatchConfig {
 wl::Workload make_service_batch(const std::vector<wl::FileInfo>& catalog,
                                 const ServiceBatchConfig& cfg,
                                 std::uint64_t seed);
-
-// --- Streamed catalogue (scale regime). ---
-//
-// make_shared_catalog materializes every file up front — the right contract
-// for the online service, whose batches must share dense stable ids, but
-// hopeless when the catalogue has millions of entries and a batch touches a
-// fraction of them. The streamed variant defines a VIRTUAL catalogue whose
-// per-file metadata derives from hashing the universe id, and materializes
-// only the files a batch actually draws. The produced Workload uses dense
-// batch-local file ids; `file_uids` (when non-null) receives the universe
-// id behind each dense id, the key for correlating files across batches.
-struct StreamedCatalogConfig {
-  std::size_t universe_files = 1'000'000;
-  double mean_file_size_bytes = 50.0 * 1024 * 1024;
-  double file_size_jitter = 0.25;  // in [0, 1); hashed per universe id
-  std::size_t num_storage_nodes = 4;
-  std::uint64_t seed = 1;
-};
-
-// Metadata of universe file `uid`, derived by hashing — no table involved.
-// FileInfo::id is left invalid (dense ids are batch-local).
-wl::FileInfo streamed_catalog_file(const StreamedCatalogConfig& cfg,
-                                   std::uint64_t uid);
-
-// One batch drawn Zipf-skewed (Rng::zipf_stream) from the virtual
-// catalogue; peak memory scales with the files drawn, never with
-// universe_files. Deterministic in `seed`.
-wl::Workload make_streamed_service_batch(
-    const StreamedCatalogConfig& catalog, const ServiceBatchConfig& cfg,
-    std::uint64_t seed, std::vector<std::uint64_t>* file_uids = nullptr);
 
 }  // namespace bsio::service

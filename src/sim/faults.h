@@ -115,8 +115,7 @@ struct SpeculationConfig {
   // (primary ECT − backup ECT, seconds) to reach this floor, filtering
   // near-ties where a duplicate mostly burns bandwidth.
   double min_ect_gain_seconds = 0.0;
-  // Per-batch budget: at most this many duplicate launches per engine
-  // lifetime (the online service derives a per-batch cap from it).
+  // Budget: at most this many duplicate launches per engine lifetime.
   std::size_t max_speculative_tasks =
       std::numeric_limits<std::size_t>::max();
   // A backup node qualifies only if it already caches at least this many of

@@ -1,6 +1,5 @@
 #include "workload/io.h"
 
-#include <fstream>
 #include <sstream>
 #include <string>
 
@@ -86,18 +85,6 @@ Workload load_workload(std::istream& is) {
     BSIO_CHECK_MSG(!ls.fail(), "task references fewer files than declared");
   }
   return Workload(std::move(tasks), std::move(files));
-}
-
-void save_workload_file(const Workload& w, const std::string& path) {
-  std::ofstream os(path);
-  BSIO_CHECK_MSG(os.good(), "cannot open workload file for writing");
-  save_workload(w, os);
-}
-
-Workload load_workload_file(const std::string& path) {
-  std::ifstream is(path);
-  BSIO_CHECK_MSG(is.good(), "cannot open workload file for reading");
-  return load_workload(is);
 }
 
 }  // namespace bsio::wl

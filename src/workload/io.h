@@ -10,7 +10,6 @@
 #pragma once
 
 #include <iosfwd>
-#include <string>
 
 #include "workload/types.h"
 
@@ -19,9 +18,5 @@ namespace bsio::wl {
 void save_workload(const Workload& w, std::ostream& os);
 // Aborts (BSIO_CHECK) on malformed input.
 Workload load_workload(std::istream& is);
-
-// File-path convenience wrappers; abort if the file cannot be opened.
-void save_workload_file(const Workload& w, const std::string& path);
-Workload load_workload_file(const std::string& path);
 
 }  // namespace bsio::wl

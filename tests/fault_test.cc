@@ -9,8 +9,9 @@
 #include <set>
 #include <string>
 
-#include "core/batch_scheduler.h"
+#include "sched/bipartition.h"
 #include "sched/driver.h"
+#include "sched/ip_scheduler.h"
 #include "sched/job_data_present.h"
 #include "sched/minmin.h"
 #include "sim/engine.h"
@@ -119,18 +120,23 @@ TEST(FaultModel, ZeroFaultConfigReproducesSeedMakespans) {
   // bit-identical to the engine without fault plumbing.
   const wl::Workload w = shared_workload();
   const sim::ClusterConfig c = fault_cluster(3, 2);
-  for (core::Algorithm a : core::all_algorithms()) {
-    SCOPED_TRACE(core::algorithm_name(a));
-    core::RunOptions opts;
-    // Make the IP solves node-limited rather than wall-clock-limited so the
-    // comparison is deterministic under arbitrary machine load.
-    opts.ip.selection_mip.max_nodes = 2000;
-    opts.ip.selection_mip.time_limit_seconds = 300.0;
-    opts.ip.allocation_mip.max_nodes = 5000;
-    opts.ip.allocation_mip.time_limit_seconds = 300.0;
-    auto baseline = core::run_batch_scheduler(a, w, c, opts);
-    opts.faults = sim::FaultConfig{};  // explicit zero-fault config
-    auto replay = core::run_batch_scheduler(a, w, c, opts);
+  // Make the IP solves node-limited rather than wall-clock-limited so the
+  // comparison is deterministic under arbitrary machine load.
+  sched::IpSchedulerOptions ip = sched::IpScheduler::default_options();
+  ip.selection_mip.max_nodes = 2000;
+  ip.selection_mip.time_limit_seconds = 300.0;
+  ip.allocation_mip.max_nodes = 5000;
+  ip.allocation_mip.time_limit_seconds = 300.0;
+  sched::IpScheduler ip_sched(ip);
+  sched::BiPartitionScheduler bipartition;
+  sched::MinMinScheduler minmin;
+  sched::JobDataPresentScheduler jdp;
+  sched::Scheduler* const all[] = {&ip_sched, &bipartition, &minmin, &jdp};
+  for (sched::Scheduler* s : all) {
+    SCOPED_TRACE(s->name());
+    auto baseline = sched::run_batch(*s, w, c);
+    s->reset_run_stats();
+    auto replay = sched::run_batch(*s, w, c, sim::FaultConfig{});
     ASSERT_TRUE(baseline.ok());
     ASSERT_TRUE(replay.ok());
     EXPECT_EQ(baseline.batch_time, replay.batch_time);  // bit-identical
@@ -361,13 +367,17 @@ TEST(FaultInjection, DriverReschedulesAcrossCrashForAllSchedulers) {
   const sim::ClusterConfig c = fault_cluster(3, 2);
   sim::FaultConfig faults;
   faults.compute_crashes = {{1, 3.0}};
-  for (core::Algorithm a : core::all_algorithms()) {
-    SCOPED_TRACE(core::algorithm_name(a));
-    core::RunOptions opts;
-    opts.faults = faults;
-    opts.ip.selection_mip.time_limit_seconds = 1.0;
-    opts.ip.allocation_mip.time_limit_seconds = 2.0;
-    auto r = core::run_batch_scheduler(a, w, c, opts);
+  sched::IpSchedulerOptions ip = sched::IpScheduler::default_options();
+  ip.selection_mip.time_limit_seconds = 1.0;
+  ip.allocation_mip.time_limit_seconds = 2.0;
+  sched::IpScheduler ip_sched(ip);
+  sched::BiPartitionScheduler bipartition;
+  sched::MinMinScheduler minmin;
+  sched::JobDataPresentScheduler jdp;
+  sched::Scheduler* const all[] = {&ip_sched, &bipartition, &minmin, &jdp};
+  for (sched::Scheduler* s : all) {
+    SCOPED_TRACE(s->name());
+    auto r = sched::run_batch(*s, w, c, faults);
     ASSERT_TRUE(r.ok()) << r.error;
     EXPECT_EQ(r.stats.tasks_executed, w.num_tasks());
     EXPECT_EQ(r.stats.node_crashes, 1u);

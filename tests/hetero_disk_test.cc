@@ -6,8 +6,11 @@
 
 #include <set>
 
-#include "core/batch_scheduler.h"
+#include "sched/bipartition.h"
 #include "sched/driver.h"
+#include "sched/ip_scheduler.h"
+#include "sched/job_data_present.h"
+#include "sched/minmin.h"
 #include "workload/synthetic.h"
 
 namespace bsio {
@@ -82,12 +85,17 @@ TEST(HeteroDisk, AllSchedulersCompleteWithUnevenDisks) {
   c.disk_capacity = unique;  // fallback scalar, overridden below
   c.disk_capacity_per_node = {unique * 0.2, unique * 0.4, unique * 0.6};
 
-  core::RunOptions opts;
-  opts.ip.selection_mip.time_limit_seconds = 2.0;
-  opts.ip.allocation_mip.time_limit_seconds = 3.0;
-  for (core::Algorithm a : core::all_algorithms()) {
-    SCOPED_TRACE(core::algorithm_name(a));
-    auto r = core::run_batch_scheduler(a, w, c, opts);
+  sched::IpSchedulerOptions ip = sched::IpScheduler::default_options();
+  ip.selection_mip.time_limit_seconds = 2.0;
+  ip.allocation_mip.time_limit_seconds = 3.0;
+  sched::IpScheduler ip_sched(ip);
+  sched::BiPartitionScheduler bipartition;
+  sched::MinMinScheduler minmin;
+  sched::JobDataPresentScheduler jdp;
+  sched::Scheduler* const all[] = {&ip_sched, &bipartition, &minmin, &jdp};
+  for (sched::Scheduler* s : all) {
+    SCOPED_TRACE(s->name());
+    auto r = sched::run_batch(*s, w, c);
     EXPECT_EQ(r.stats.tasks_executed, w.num_tasks());
   }
 }

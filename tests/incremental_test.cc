@@ -8,9 +8,9 @@
 // two-round presets), at 1, 2 and 8 planning threads. Part 2 unit-tests the
 // planner mechanics: delta-extend leaving the earlier wave untouched, the
 // BiPartition footprint gate, the commit_horizon freeze rule and its
-// ensure_progress escape, and the dirty-set derivation. Part 3 exercises
-// the streaming loop proper: overlapping batches, SLO accounting, and the
-// typed error surface.
+// release-at-least-one progress rule, and the dirty-set derivation. Part 3
+// exercises the streaming loop proper: overlapping batches, SLO accounting,
+// and the typed error surface.
 
 #include <gtest/gtest.h>
 
@@ -19,11 +19,10 @@
 #include <string>
 #include <vector>
 
+#include "goldens.h"
 #include "sched/bipartition.h"
 #include "sched/driver.h"
 #include "sched/incremental.h"
-#include "sched/ip_scheduler.h"
-#include "sched/job_data_present.h"
 #include "sched/minmin.h"
 #include "service/catalog.h"
 #include "service/stream.h"
@@ -37,99 +36,28 @@ namespace {
 
 // ------------------------------------------------------ quiescence goldens
 
-// Same workload and presets as tests/topology_test.cc kGolden.
-wl::Workload golden_workload() {
-  wl::SyntheticConfig cfg;
-  cfg.num_tasks = 24;
-  cfg.files_per_task = 3;
-  cfg.overlap = 0.5;
-  cfg.file_size_bytes = 50.0 * sim::kMB;
-  cfg.num_storage_nodes = 4;
-  cfg.seed = 11;
-  return wl::make_synthetic(cfg);
-}
-
-sim::ClusterConfig golden_preset(const std::string& name,
-                                 double unique_bytes) {
-  sim::ClusterConfig c = (name == "xio" || name == "xio_disk")
-                             ? sim::xio_cluster(4, 4)
-                             : sim::osumed_cluster(4, 4);
-  if (name == "xio_disk" || name == "osumed_disk")
-    c.disk_capacity = 0.35 * unique_bytes;
-  return c;
-}
-
-struct QuiescentRow {
-  const char* preset;
-  const char* scheduler;
-  double batch_time;    // hexfloat: the PR 4 golden, bit-exact
-  std::size_t windows;  // = the batch driver's sub_batches
-};
-
-// batch_time values are the kGolden rows of tests/topology_test.cc; a
-// mismatch here means the incremental path stopped reproducing the batch
-// arithmetic, not that these need regenerating.
-const QuiescentRow kQuiescent[] = {
-    // clang-format off
-    {"xio",         "MinMin",         0x1.915f15f15f16p+2,   1},
-    {"osumed",      "MinMin",         0x1.2519999999999p+7,  1},
-    {"xio_disk",    "MinMin",         0x1.915f15f15f16p+2,   1},
-    {"osumed_disk", "MinMin",         0x1.2519999999999p+7,  1},
-    {"xio",         "BiPartition",    0x1.915f15f15f16p+2,   1},
-    {"osumed",      "BiPartition",    0x1.268p+7,            1},
-    {"xio_disk",    "BiPartition",    0x1.a09c09c09c09dp+2,  2},
-    {"osumed_disk", "BiPartition",    0x1.23b3333333333p+7,  2},
-    {"xio",         "JobDataPresent", 0x1.da35a35a35a37p+2,  1},
-    {"osumed",      "JobDataPresent", 0x1.2519999999999p+7,  1},
-    {"xio_disk",    "JobDataPresent", 0x1.da35a35a35a37p+2,  1},
-    {"osumed_disk", "JobDataPresent", 0x1.2519999999999p+7,  1},
-    {"xio",         "IP",             0x1.dd41d41d41d43p+2,  1},
-    {"osumed",      "IP",             0x1.4fe6666666666p+7,  1},
-    {"xio_disk",    "IP",             0x1.d222222222223p+2,  2},
-    {"osumed_disk", "IP",             0x1.53b3333333333p+7,  2},
-    // clang-format on
-};
-
-std::unique_ptr<sched::Scheduler> quiescent_scheduler(
-    const std::string& name) {
-  if (name == "BiPartition")
-    return std::make_unique<sched::BiPartitionScheduler>();
-  if (name == "JobDataPresent")
-    return std::make_unique<sched::JobDataPresentScheduler>();
-  if (name == "IP") {
-    // The goldens' deterministic IP truncation: cut by node count, never
-    // wall clock.
-    sched::IpSchedulerOptions o = sched::IpScheduler::default_options();
-    o.selection_mip.time_limit_seconds = 1e9;
-    o.allocation_mip.time_limit_seconds = 1e9;
-    o.selection_mip.max_nodes = 2000;
-    o.allocation_mip.max_nodes = 2000;
-    o.selection_mip.stall_node_limit = 64;
-    o.allocation_mip.stall_node_limit = 64;
-    return std::make_unique<sched::IpScheduler>(o);
-  }
-  return std::make_unique<sched::MinMinScheduler>();
-}
-
+// Every golden row (tests/goldens.h): a mismatch here means the
+// incremental path stopped reproducing the batch arithmetic, not that the
+// goldens need regenerating.
 TEST(StreamQuiescence, BitIdenticalToBatchDriverAtAnyThreadCount) {
-  const wl::Workload w = golden_workload();
+  const wl::Workload w = goldens::golden_workload();
   const std::size_t thread_counts[] = {1, 2, 8};
   for (std::size_t threads : thread_counts) {
     WsRuntime::set_global_threads(threads);
-    for (const QuiescentRow& row : kQuiescent) {
+    for (const goldens::GoldenRow& row : goldens::kGolden) {
       SCOPED_TRACE(std::string(row.preset) + "/" + row.scheduler + "/" +
                    std::to_string(threads) + "t");
       const sim::ClusterConfig c =
-          golden_preset(row.preset, w.unique_request_bytes());
+          goldens::golden_preset(row.preset, w.unique_request_bytes());
 
-      auto batch_sched = quiescent_scheduler(row.scheduler);
+      auto batch_sched = goldens::make_golden_scheduler(row.scheduler);
       const sched::BatchRunResult r =
           sched::run_batch(*batch_sched, w, c, sched::BatchRunOptions{});
       ASSERT_TRUE(r.ok()) << r.error;
       EXPECT_EQ(r.batch_time, row.batch_time);
-      EXPECT_EQ(r.sub_batches, row.windows);
+      EXPECT_EQ(r.sub_batches, row.sub_batches);
 
-      auto stream_sched = quiescent_scheduler(row.scheduler);
+      auto stream_sched = goldens::make_golden_scheduler(row.scheduler);
       service::StreamOptions sopts;  // drain-all horizon, no admission bound
       service::StreamServiceLoop loop(*stream_sched, c, w.files(), sopts);
       std::vector<service::BatchArrival> arrivals(1);
@@ -162,8 +90,9 @@ TEST(StreamQuiescence, BitIdenticalToBatchDriverAtAnyThreadCount) {
 
 TEST(DeltaMinMin, ExtendLeavesEarlierWaveUntouched) {
   WsRuntime::set_global_threads(1);
-  const wl::Workload w = golden_workload();
-  const sim::ClusterConfig c = golden_preset("xio", w.unique_request_bytes());
+  const wl::Workload w = goldens::golden_workload();
+  const sim::ClusterConfig c =
+      goldens::golden_preset("xio", w.unique_request_bytes());
   sched::MinMinScheduler mm;
   sim::EngineOptions eo;
   eo.eviction = mm.eviction_policy();
@@ -322,23 +251,18 @@ TEST(CommitHorizon, FreezeRuleAndEnsureProgress) {
   EXPECT_EQ(p1.tasks[0], 0u);
   EXPECT_EQ(planner->live().size(), 2u);
 
-  // The survivors start past the window; ensure_progress still releases
-  // the earliest one.
+  // The survivors start past the window; the commit still releases the
+  // earliest one.
   sim::SubBatchPlan p2 = planner->commit_horizon(h);
   ASSERT_EQ(p2.tasks.size(), 1u);
   EXPECT_EQ(p2.tasks[0], 1u);
-
-  // Without the escape the same commit releases nothing.
-  h.ensure_progress = false;
-  sim::SubBatchPlan p3 = planner->commit_horizon(h);
-  EXPECT_TRUE(p3.empty());
   EXPECT_EQ(planner->live().size(), 1u);
 
   // Drain-all freezes whatever remains.
   h.window_seconds = 0.0;
-  sim::SubBatchPlan p4 = planner->commit_horizon(h);
-  ASSERT_EQ(p4.tasks.size(), 1u);
-  EXPECT_EQ(p4.tasks[0], 2u);
+  sim::SubBatchPlan p3 = planner->commit_horizon(h);
+  ASSERT_EQ(p3.tasks.size(), 1u);
+  EXPECT_EQ(p3.tasks[0], 2u);
   EXPECT_TRUE(planner->drained());
   WsRuntime::set_global_threads(0);
 }

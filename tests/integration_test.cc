@@ -6,19 +6,39 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
+#include <string>
 #include <tuple>
 
-#include "core/batch_scheduler.h"
+#include "sched/bipartition.h"
+#include "sched/driver.h"
+#include "sched/ip_scheduler.h"
+#include "sched/job_data_present.h"
+#include "sched/minmin.h"
 #include "sim/topology.h"
 #include "workload/image.h"
 #include "workload/stats.h"
 #include "workload/synthetic.h"
 
-namespace bsio::core {
+namespace bsio {
 namespace {
 
+// The paper's four schedulers by name, the IP solves bounded by `ip`.
+std::unique_ptr<sched::Scheduler> make_scheduler(
+    const std::string& name, const sched::IpSchedulerOptions& ip) {
+  if (name == "IP") return std::make_unique<sched::IpScheduler>(ip);
+  if (name == "BiPartition")
+    return std::make_unique<sched::BiPartitionScheduler>();
+  if (name == "JobDataPresent")
+    return std::make_unique<sched::JobDataPresentScheduler>();
+  return std::make_unique<sched::MinMinScheduler>();
+}
+
+const char* const kSchedulers[] = {"IP", "BiPartition", "MinMin",
+                                   "JobDataPresent"};
+
 struct SweepParam {
-  Algorithm algorithm;
+  const char* scheduler;
   double overlap;
   bool limited_disk;
   bool osumed;
@@ -26,7 +46,7 @@ struct SweepParam {
 
 std::string param_name(const ::testing::TestParamInfo<SweepParam>& info) {
   const auto& p = info.param;
-  std::string s = algorithm_name(p.algorithm);
+  std::string s = p.scheduler;
   s += "_ov" + std::to_string(static_cast<int>(p.overlap * 100));
   s += p.limited_disk ? "_disk" : "_nodisk";
   s += p.osumed ? "_osumed" : "_xio";
@@ -51,10 +71,10 @@ TEST_P(SchedulerSweep, PhysicalInvariantsHold) {
       p.osumed ? sim::osumed_cluster(3, 2) : sim::xio_cluster(3, 2);
   if (p.limited_disk) c.disk_capacity = w.unique_request_bytes() / 2.0;
 
-  RunOptions opts;
-  opts.ip.selection_mip.time_limit_seconds = 2.0;
-  opts.ip.allocation_mip.time_limit_seconds = 3.0;
-  auto r = run_batch_scheduler(p.algorithm, w, c, opts);
+  sched::IpSchedulerOptions ip = sched::IpScheduler::default_options();
+  ip.selection_mip.time_limit_seconds = 2.0;
+  ip.allocation_mip.time_limit_seconds = 3.0;
+  auto r = sched::run_batch(*make_scheduler(p.scheduler, ip), w, c);
 
   // Completeness.
   EXPECT_EQ(r.stats.tasks_executed, w.num_tasks());
@@ -108,11 +128,11 @@ TEST_P(SchedulerSweep, PhysicalInvariantsHold) {
 
 std::vector<SweepParam> sweep_params() {
   std::vector<SweepParam> out;
-  for (Algorithm a : all_algorithms())
+  for (const char* s : kSchedulers)
     for (double ov : {0.2, 0.7})
       for (bool disk : {false, true})
         for (bool osumed : {false, true})
-          out.push_back({a, ov, disk, osumed});
+          out.push_back({s, ov, disk, osumed});
   return out;
 }
 
@@ -129,14 +149,14 @@ TEST(Integration, SchedulersAreDeterministic) {
   cfg.seed = 7;
   wl::Workload w = wl::make_synthetic(cfg);
   sim::ClusterConfig c = sim::xio_cluster(2, 2);
-  for (Algorithm a : all_algorithms()) {
-    RunOptions opts;
-    opts.ip.allocation_mip.time_limit_seconds = 1e9;  // node limit governs
-    opts.ip.allocation_mip.max_nodes = 500;           // deterministic stop
-    opts.ip.selection_mip.max_nodes = 500;
-    SCOPED_TRACE(algorithm_name(a));
-    auto r1 = run_batch_scheduler(a, w, c, opts);
-    auto r2 = run_batch_scheduler(a, w, c, opts);
+  sched::IpSchedulerOptions ip = sched::IpScheduler::default_options();
+  ip.allocation_mip.time_limit_seconds = 1e9;  // node limit governs
+  ip.allocation_mip.max_nodes = 500;           // deterministic stop
+  ip.selection_mip.max_nodes = 500;
+  for (const char* s : kSchedulers) {
+    SCOPED_TRACE(s);
+    auto r1 = sched::run_batch(*make_scheduler(s, ip), w, c);
+    auto r2 = sched::run_batch(*make_scheduler(s, ip), w, c);
     EXPECT_DOUBLE_EQ(r1.batch_time, r2.batch_time);
     EXPECT_EQ(r1.stats.remote_transfers, r2.stats.remote_transfers);
     EXPECT_EQ(r1.stats.replications, r2.stats.replications);
@@ -157,7 +177,8 @@ TEST(Integration, TighterDiskNeverReducesTransfers) {
     sim::ClusterConfig c = sim::xio_cluster(2, 2);
     if (fraction < 1e9)
       c.disk_capacity = w.unique_request_bytes() * fraction;
-    auto r = run_batch_scheduler(Algorithm::kBiPartition, w, c);
+    sched::BiPartitionScheduler bipartition;
+    auto r = sched::run_batch(bipartition, w, c);
     return r.stats.remote_transfers + r.stats.replications;
   };
   std::size_t unlimited = transfers_with_disk(1e18);
@@ -175,12 +196,12 @@ TEST(Integration, HigherOverlapMeansFewerRemoteBytes) {
     cfg.num_storage_nodes = 2;
     cfg.seed = 19;
     wl::Workload w = wl::make_synthetic(cfg);
-    auto r = run_batch_scheduler(Algorithm::kBiPartition, w,
-                                 sim::xio_cluster(4, 2));
+    sched::BiPartitionScheduler bipartition;
+    auto r = sched::run_batch(bipartition, w, sim::xio_cluster(4, 2));
     return r.stats.remote_bytes;
   };
   EXPECT_LT(remote_bytes(0.8), remote_bytes(0.2));
 }
 
 }  // namespace
-}  // namespace bsio::core
+}  // namespace bsio

@@ -15,7 +15,7 @@
 #include <string>
 #include <vector>
 
-#include "core/batch_scheduler.h"
+#include "goldens.h"
 #include "replica/replica.h"
 #include "sched/driver.h"
 #include "sched/minmin.h"
@@ -413,91 +413,22 @@ TEST(ReplicaEndToEnd, RepairBudgetSpreadsWorkOverRounds) {
 
 // ------------------------------------------- replication-off bit identity
 
-wl::Workload golden_workload() {
-  wl::SyntheticConfig cfg;
-  cfg.num_tasks = 24;
-  cfg.files_per_task = 3;
-  cfg.overlap = 0.5;
-  cfg.file_size_bytes = 50.0 * sim::kMB;
-  cfg.num_storage_nodes = 4;
-  cfg.seed = 11;
-  return wl::make_synthetic(cfg);
-}
-
-struct GoldenRow {
-  const char* preset;
-  const char* scheduler;
-  double batch_time;  // hexfloat: compared for exact bit equality
-  std::size_t sub_batches;
-  std::size_t remote_transfers;
-  std::size_t replications;
-  std::size_t evictions;
-  std::size_t cache_hits;
-  double remote_bytes;
-  double replica_bytes;
-};
-
-// The PR 4 topology goldens (tests/topology_test.cc, captured from commit
-// edb0c75), re-pinned here with the replica subsystem COMPILED IN but
-// disabled: all-zero epochs and all-valid homes must keep every staging
-// decision, tie-break and counter bit-identical, at every thread count.
-const GoldenRow kGolden[] = {
-    // clang-format off
-    {"xio", "IP", 0x1.dd41d41d41d43p+2, 1, 40, 8, 0, 24, 0x1.f4p+30, 0x1.9p+28},
-    {"xio", "BiPartition", 0x1.915f15f15f16p+2, 1, 48, 0, 0, 24, 0x1.2cp+31, 0x0p+0},
-    {"xio", "MinMin", 0x1.915f15f15f16p+2, 1, 50, 0, 0, 22, 0x1.388p+31, 0x0p+0},
-    {"xio", "JobDataPresent", 0x1.da35a35a35a37p+2, 1, 50, 0, 0, 22, 0x1.388p+31, 0x0p+0},
-    {"osumed", "IP", 0x1.4fe6666666666p+7, 1, 41, 11, 0, 20, 0x1.004p+31, 0x1.13p+29},
-    {"osumed", "BiPartition", 0x1.268p+7, 1, 36, 16, 0, 20, 0x1.c2p+30, 0x1.9p+29},
-    {"osumed", "MinMin", 0x1.2519999999999p+7, 1, 36, 13, 0, 23, 0x1.c2p+30, 0x1.45p+29},
-    {"osumed", "JobDataPresent", 0x1.2519999999999p+7, 1, 36, 13, 0, 23, 0x1.c2p+30, 0x1.45p+29},
-    {"xio_disk", "IP", 0x1.d222222222223p+2, 2, 44, 8, 4, 20, 0x1.13p+31, 0x1.9p+28},
-    {"xio_disk", "BiPartition", 0x1.a09c09c09c09dp+2, 2, 49, 0, 2, 23, 0x1.324p+31, 0x0p+0},
-    {"xio_disk", "MinMin", 0x1.915f15f15f16p+2, 1, 50, 0, 2, 22, 0x1.388p+31, 0x0p+0},
-    {"xio_disk", "JobDataPresent", 0x1.da35a35a35a37p+2, 1, 50, 0, 7, 22, 0x1.388p+31, 0x0p+0},
-    {"osumed_disk", "IP", 0x1.53b3333333333p+7, 2, 42, 14, 8, 16, 0x1.068p+31, 0x1.5ep+29},
-    {"osumed_disk", "BiPartition", 0x1.23b3333333333p+7, 2, 36, 20, 8, 16, 0x1.c2p+30, 0x1.f4p+29},
-    {"osumed_disk", "MinMin", 0x1.2519999999999p+7, 1, 36, 13, 4, 23, 0x1.c2p+30, 0x1.45p+29},
-    {"osumed_disk", "JobDataPresent", 0x1.2519999999999p+7, 1, 36, 13, 6, 23, 0x1.c2p+30, 0x1.45p+29},
-    // clang-format on
-};
-
-sim::ClusterConfig golden_preset(const std::string& name, double unique_bytes) {
-  sim::ClusterConfig c = (name == "xio" || name == "xio_disk")
-                             ? sim::xio_cluster(4, 4)
-                             : sim::osumed_cluster(4, 4);
-  if (name == "xio_disk" || name == "osumed_disk")
-    c.disk_capacity = 0.35 * unique_bytes;
-  return c;
-}
-
-core::Algorithm algorithm_named(const std::string& name) {
-  for (core::Algorithm a : core::all_algorithms())
-    if (name == core::algorithm_name(a)) return a;
-  ADD_FAILURE() << "unknown scheduler " << name;
-  return core::Algorithm::kMinMin;
-}
-
+// The topology goldens (tests/goldens.h), re-pinned with the replica
+// subsystem COMPILED IN but disabled: all-zero epochs and all-valid homes
+// must keep every staging decision, tie-break and counter bit-identical,
+// at every thread count.
 TEST(ReplicaBitIdentity, ReplicationOffReproducesTopologyGoldens) {
-  const wl::Workload w = golden_workload();
-  core::RunOptions opts;
-  // Deterministic IP truncation: cut by node count, never wall clock.
-  opts.ip.selection_mip.time_limit_seconds = 1e9;
-  opts.ip.allocation_mip.time_limit_seconds = 1e9;
-  opts.ip.selection_mip.max_nodes = 2000;
-  opts.ip.allocation_mip.max_nodes = 2000;
-  opts.ip.selection_mip.stall_node_limit = 64;
-  opts.ip.allocation_mip.stall_node_limit = 64;
+  const wl::Workload w = goldens::golden_workload();
 
   for (std::size_t threads : {1u, 2u, 8u}) {
     WsRuntime::set_global_threads(threads);
-    for (const GoldenRow& row : kGolden) {
+    for (const goldens::GoldenRow& row : goldens::kGolden) {
       SCOPED_TRACE(std::string(row.preset) + "/" + row.scheduler + " @" +
                    std::to_string(threads) + "t");
       const sim::ClusterConfig c =
-          golden_preset(row.preset, w.unique_request_bytes());
-      const auto r =
-          core::run_batch_scheduler(algorithm_named(row.scheduler), w, c, opts);
+          goldens::golden_preset(row.preset, w.unique_request_bytes());
+      const auto r = sched::run_batch(
+          *goldens::make_golden_scheduler(row.scheduler), w, c);
       ASSERT_TRUE(r.ok()) << r.error;
       EXPECT_EQ(r.batch_time, row.batch_time);
       EXPECT_EQ(r.sub_batches, row.sub_batches);

@@ -301,6 +301,28 @@ TEST(Arrivals, TraceErrorsAreTyped) {
   EXPECT_NE(zr.error().message.find("num_tasks == 0"), std::string::npos);
 }
 
+// Each field of a trace row must parse in full: a fractional or garbled
+// num_tasks, or a fourth field, is a typed error naming the file and line,
+// never a silent reinterpretation (5.5 tasks read as 5 tasks due in 0.5 s,
+// 'abc' as the default batch size, '3x' as 3).
+TEST(ArrivalTrace, MalformedRowsAreTypedErrors) {
+  const std::vector<wl::FileInfo> catalog = test_catalog();
+  const std::string path = testing::TempDir() + "malformed_trace.txt";
+  for (const char* bad : {"10 5.5", "10 abc", "10 3x", "10 3 20 junk"}) {
+    SCOPED_TRACE(bad);
+    std::ofstream(path) << "0.5 4\n" << bad << "\n";
+    service::ArrivalConfig cfg;
+    cfg.trace_path = path;
+    service::BatchArrivalProcess p(catalog, test_batch_cfg(8), cfg);
+    const auto a = p.generate();
+    EXPECT_FALSE(a.ok());
+    if (!a.ok()) {
+      EXPECT_NE(a.error().message.find(path + " line 2"), std::string::npos)
+          << a.error().message;
+    }
+  }
+}
+
 TEST(Arrivals, SloClassesDrawDeterministicallyAndTraceOverrides) {
   const std::vector<wl::FileInfo> catalog = test_catalog();
   service::ArrivalConfig cfg;

@@ -10,7 +10,6 @@
 #include <limits>
 #include <string>
 
-#include "core/batch_scheduler.h"
 #include "sched/driver.h"
 #include "sched/minmin.h"
 #include "sim/engine.h"

@@ -1,11 +1,12 @@
 // Topology layer tests.
 //
-// Part 1 is the homogeneous bit-identity contract: the golden table below
-// was captured from the pre-topology code (every transfer priced by the
-// scalar ClusterConfig::remote_bw()/replica_bw()) on the XIO and OSUMED
-// presets, with and without limited disk, for all four schedulers. The
-// refactored tree must reproduce every makespan BIT for BIT (hexfloat
-// compare), every transfer/eviction counter, and the first-round plan hash.
+// Part 1 is the homogeneous bit-identity contract: the golden table
+// (tests/goldens.h) was captured from the pre-topology code (every transfer
+// priced by the scalar ClusterConfig::remote_bw()/replica_bw()) on the XIO
+// and OSUMED presets, with and without limited disk, for all four
+// schedulers. The refactored tree must reproduce every makespan BIT for BIT
+// (hexfloat compare), every transfer/eviction counter, and the first-round
+// plan hash.
 //
 // Part 2 covers the heterogeneous extensions the layer opens up: per-storage
 // disk bandwidths, per-compute NIC caps and CPU speed factors, two-level
@@ -16,8 +17,12 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/batch_scheduler.h"
+#include "goldens.h"
+#include "sched/bipartition.h"
 #include "sched/driver.h"
+#include "sched/ip_scheduler.h"
+#include "sched/job_data_present.h"
+#include "sched/minmin.h"
 #include "sim/topology.h"
 #include "util/ws_runtime.h"
 #include "workload/synthetic.h"
@@ -26,17 +31,6 @@ namespace bsio {
 namespace {
 
 // ------------------------------------------------------- golden differential
-
-wl::Workload golden_workload() {
-  wl::SyntheticConfig cfg;
-  cfg.num_tasks = 24;
-  cfg.files_per_task = 3;
-  cfg.overlap = 0.5;
-  cfg.file_size_bytes = 50.0 * sim::kMB;
-  cfg.num_storage_nodes = 4;
-  cfg.seed = 11;
-  return wl::make_synthetic(cfg);
-}
 
 std::uint64_t plan_hash(const sim::SubBatchPlan& p) {
   std::uint64_t h = 1469598103934665603ull;
@@ -61,84 +55,20 @@ std::uint64_t plan_hash(const sim::SubBatchPlan& p) {
   return h;
 }
 
-struct GoldenRow {
-  const char* preset;
-  const char* scheduler;
-  double batch_time;  // hexfloat: compared for exact bit equality
-  std::size_t sub_batches;
-  std::size_t remote_transfers;
-  std::size_t replications;
-  std::size_t evictions;
-  std::size_t restages;
-  std::size_t cache_hits;
-  double remote_bytes;
-  double replica_bytes;
-  std::uint64_t first_plan_hash;
-};
-
-// Captured from the pre-topology seed (commit edb0c75) with a single
-// planning thread and node-count-truncated IP solves. Do NOT regenerate
-// these from the current tree when a change breaks them — a mismatch means
-// the homogeneous fast paths stopped reproducing the historical arithmetic.
-const GoldenRow kGolden[] = {
-    // clang-format off
-    {"xio", "IP", 0x1.dd41d41d41d43p+2, 1, 40, 8, 0, 0, 24, 0x1.f4p+30, 0x1.9p+28, 0x20909099dcca5092ull},
-    {"xio", "BiPartition", 0x1.915f15f15f16p+2, 1, 48, 0, 0, 0, 24, 0x1.2cp+31, 0x0p+0, 0x981396d46be57b5full},
-    {"xio", "MinMin", 0x1.915f15f15f16p+2, 1, 50, 0, 0, 0, 22, 0x1.388p+31, 0x0p+0, 0xe5d3924395b9d3faull},
-    {"xio", "JobDataPresent", 0x1.da35a35a35a37p+2, 1, 50, 0, 0, 0, 22, 0x1.388p+31, 0x0p+0, 0x6a767e967d3d2d4dull},
-    {"osumed", "IP", 0x1.4fe6666666666p+7, 1, 41, 11, 0, 0, 20, 0x1.004p+31, 0x1.13p+29, 0x222c20d867519347ull},
-    {"osumed", "BiPartition", 0x1.268p+7, 1, 36, 16, 0, 0, 20, 0x1.c2p+30, 0x1.9p+29, 0xb941add9e7ad5dbfull},
-    {"osumed", "MinMin", 0x1.2519999999999p+7, 1, 36, 13, 0, 0, 23, 0x1.c2p+30, 0x1.45p+29, 0xb3e1281ad78175efull},
-    {"osumed", "JobDataPresent", 0x1.2519999999999p+7, 1, 36, 13, 0, 0, 23, 0x1.c2p+30, 0x1.45p+29, 0x2dde3b8b064f5e7dull},
-    {"xio_disk", "IP", 0x1.d222222222223p+2, 2, 44, 8, 4, 0, 20, 0x1.13p+31, 0x1.9p+28, 0xa84a68c06f97f137ull},
-    {"xio_disk", "BiPartition", 0x1.a09c09c09c09dp+2, 2, 49, 0, 2, 0, 23, 0x1.324p+31, 0x0p+0, 0x55e13708d3cd98d5ull},
-    {"xio_disk", "MinMin", 0x1.915f15f15f16p+2, 1, 50, 0, 2, 0, 22, 0x1.388p+31, 0x0p+0, 0xe5d3924395b9d3faull},
-    {"xio_disk", "JobDataPresent", 0x1.da35a35a35a37p+2, 1, 50, 0, 7, 0, 22, 0x1.388p+31, 0x0p+0, 0x6a767e967d3d2d4dull},
-    {"osumed_disk", "IP", 0x1.53b3333333333p+7, 2, 42, 14, 8, 0, 16, 0x1.068p+31, 0x1.5ep+29, 0xe69037d6bf694bdaull},
-    {"osumed_disk", "BiPartition", 0x1.23b3333333333p+7, 2, 36, 20, 8, 0, 16, 0x1.c2p+30, 0x1.f4p+29, 0xf79ff8e050af6de8ull},
-    {"osumed_disk", "MinMin", 0x1.2519999999999p+7, 1, 36, 13, 4, 0, 23, 0x1.c2p+30, 0x1.45p+29, 0xb3e1281ad78175efull},
-    {"osumed_disk", "JobDataPresent", 0x1.2519999999999p+7, 1, 36, 13, 6, 0, 23, 0x1.c2p+30, 0x1.45p+29, 0x2dde3b8b064f5e7dull},
-    // clang-format on
-};
-
-sim::ClusterConfig golden_preset(const std::string& name, double unique_bytes) {
-  sim::ClusterConfig c = (name == "xio" || name == "xio_disk")
-                             ? sim::xio_cluster(4, 4)
-                             : sim::osumed_cluster(4, 4);
-  if (name == "xio_disk" || name == "osumed_disk")
-    c.disk_capacity = 0.35 * unique_bytes;
-  return c;
-}
-
-core::Algorithm algorithm_named(const std::string& name) {
-  for (core::Algorithm a : core::all_algorithms())
-    if (name == core::algorithm_name(a)) return a;
-  ADD_FAILURE() << "unknown scheduler " << name;
-  return core::Algorithm::kMinMin;
-}
-
 TEST(TopologyBitIdentity, HomogeneousGoldensReproduceSeedBits) {
   // The goldens were captured single-threaded; the thread-pool determinism
   // contract makes the count irrelevant, but pinning it keeps this test
   // meaningful even if that contract ever regresses separately.
   WsRuntime::set_global_threads(1);
-  const wl::Workload w = golden_workload();
-  core::RunOptions opts;
-  // Deterministic IP truncation: cut by node count, never wall clock.
-  opts.ip.selection_mip.time_limit_seconds = 1e9;
-  opts.ip.allocation_mip.time_limit_seconds = 1e9;
-  opts.ip.selection_mip.max_nodes = 2000;
-  opts.ip.allocation_mip.max_nodes = 2000;
-  opts.ip.selection_mip.stall_node_limit = 64;
-  opts.ip.allocation_mip.stall_node_limit = 64;
+  const wl::Workload w = goldens::golden_workload();
 
-  for (const GoldenRow& row : kGolden) {
+  for (const goldens::GoldenRow& row : goldens::kGolden) {
     SCOPED_TRACE(std::string(row.preset) + "/" + row.scheduler);
     const sim::ClusterConfig c =
-        golden_preset(row.preset, w.unique_request_bytes());
-    const core::Algorithm a = algorithm_named(row.scheduler);
+        goldens::golden_preset(row.preset, w.unique_request_bytes());
 
-    const auto r = core::run_batch_scheduler(a, w, c, opts);
+    const auto r = sched::run_batch(
+        *goldens::make_golden_scheduler(row.scheduler), w, c);
     ASSERT_TRUE(r.ok()) << r.error;
     // Bitwise, not approximate: the whole point of the uniform fast paths.
     EXPECT_EQ(r.batch_time, row.batch_time);
@@ -152,7 +82,7 @@ TEST(TopologyBitIdentity, HomogeneousGoldensReproduceSeedBits) {
     EXPECT_EQ(r.stats.replica_bytes, row.replica_bytes);
 
     // First-round plan, structurally hashed.
-    auto sched = core::make_scheduler(a, opts);
+    auto sched = goldens::make_golden_scheduler(row.scheduler);
     sim::EngineOptions eng_opts;
     eng_opts.eviction = sched->eviction_policy();
     sim::ExecutionEngine eng(c, w, eng_opts);
@@ -378,15 +308,20 @@ wl::Workload hetero_workload(std::uint64_t seed) {
 
 TEST(TopologyEndToEnd, AllSchedulersDrainHeteroClusters) {
   const wl::Workload w = hetero_workload(13);
-  core::RunOptions opts;
-  opts.ip.allocation_mip.time_limit_seconds = 5.0;
+  sched::IpSchedulerOptions ip = sched::IpScheduler::default_options();
+  ip.allocation_mip.time_limit_seconds = 5.0;
   for (const sim::ClusterConfig& c :
        {sim::xio_mixed_cluster(4, 4), sim::racked_cluster(8, 4, 2),
         sim::make_skewed_cluster(sim::xio_cluster(4, 4), 0.75, 3)}) {
     ASSERT_TRUE(c.validate().ok());
-    for (core::Algorithm a : core::all_algorithms()) {
-      const auto r = core::run_batch_scheduler(a, w, c, opts);
-      ASSERT_TRUE(r.ok()) << core::algorithm_name(a) << ": " << r.error;
+    sched::IpScheduler ip_sched(ip);
+    sched::BiPartitionScheduler bipartition;
+    sched::MinMinScheduler minmin;
+    sched::JobDataPresentScheduler jdp;
+    sched::Scheduler* const all[] = {&ip_sched, &bipartition, &minmin, &jdp};
+    for (sched::Scheduler* s : all) {
+      const auto r = sched::run_batch(*s, w, c);
+      ASSERT_TRUE(r.ok()) << r.scheduler << ": " << r.error;
       EXPECT_EQ(r.stats.tasks_executed, w.num_tasks());
     }
   }
@@ -397,13 +332,14 @@ TEST(TopologyEndToEnd, FasterCpusNeverSlowTheBatch) {
   sim::ClusterConfig slow = sim::xio_cluster(4, 4);
   sim::ClusterConfig fast = slow;
   fast.compute_speed = {2.0, 2.0, 2.0, 2.0};
-  for (core::Algorithm a :
-       {core::Algorithm::kMinMin, core::Algorithm::kBiPartition}) {
-    const auto rs = core::run_batch_scheduler(a, w, slow, {});
-    const auto rf = core::run_batch_scheduler(a, w, fast, {});
+  sched::MinMinScheduler minmin;
+  sched::BiPartitionScheduler bipartition;
+  sched::Scheduler* const both[] = {&minmin, &bipartition};
+  for (sched::Scheduler* s : both) {
+    const auto rs = sched::run_batch(*s, w, slow);
+    const auto rf = sched::run_batch(*s, w, fast);
     ASSERT_TRUE(rs.ok() && rf.ok());
-    EXPECT_LE(rf.batch_time, rs.batch_time + 1e-9)
-        << core::algorithm_name(a);
+    EXPECT_LE(rf.batch_time, rs.batch_time + 1e-9) << rs.scheduler;
   }
 }
 

@@ -1,13 +1,10 @@
-// Tests of the execution trace facility and the extra baseline schedulers
-// (Sufferage / MaxMin).
+// Tests of the execution trace facility.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <map>
 
-#include "core/batch_scheduler.h"
-#include "sched/alternatives.h"
 #include "sim/engine.h"
 #include "workload/synthetic.h"
 
@@ -126,51 +123,6 @@ TEST(Trace, CsvRendering) {
   EXPECT_EQ(static_cast<std::size_t>(
                 std::count(csv.begin(), csv.end(), '\n')),
             eng.trace().size() + 1);
-}
-
-TEST(ExtraBaselines, SufferageAndMaxMinCompleteBatches) {
-  wl::Workload w = trace_workload(19);
-  sim::ClusterConfig c = sim::xio_cluster(3, 2);
-  for (core::Algorithm a :
-       {core::Algorithm::kSufferage, core::Algorithm::kMaxMin}) {
-    SCOPED_TRACE(core::algorithm_name(a));
-    auto r = core::run_batch_scheduler(a, w, c);
-    EXPECT_EQ(r.stats.tasks_executed, w.num_tasks());
-    EXPECT_GT(r.batch_time, 0.0);
-  }
-}
-
-TEST(ExtraBaselines, ExtendedEnumerationIsConsistent) {
-  auto ext = core::extended_algorithms();
-  EXPECT_EQ(ext.size(), 6u);
-  for (core::Algorithm a : ext) {
-    auto s = core::make_scheduler(a);
-    EXPECT_EQ(s->name(), core::algorithm_name(a));
-  }
-}
-
-TEST(ExtraBaselines, MaxMinFavoursBigTasksFirst) {
-  // Two distinct task sizes; MaxMin must schedule a large task before any
-  // small one on the same node timeline.
-  std::vector<wl::FileInfo> files(4);
-  for (auto& f : files) {
-    f.size_bytes = 10.0 * sim::kMB;
-    f.home_storage_node = 0;
-  }
-  std::vector<wl::TaskInfo> tasks(4);
-  for (int k = 0; k < 4; ++k) tasks[k].files = {static_cast<wl::FileId>(k)};
-  tasks[0].compute_seconds = tasks[1].compute_seconds = 100.0;  // big
-  tasks[2].compute_seconds = tasks[3].compute_seconds = 1.0;    // small
-  wl::Workload w(std::move(tasks), std::move(files));
-
-  sim::ClusterConfig c = sim::xio_cluster(2, 1);
-  sched::MaxMinScheduler mm;
-  sim::ExecutionEngine eng(c, w);
-  sched::SchedulerContext ctx{w, c, eng};
-  auto plan = mm.plan_sub_batch({0, 1, 2, 3}, ctx);
-  // First two committed tasks are the big ones.
-  EXPECT_GE(w.task(plan.tasks[0]).compute_seconds, 100.0);
-  EXPECT_GE(w.task(plan.tasks[1]).compute_seconds, 100.0);
 }
 
 }  // namespace
