@@ -7,6 +7,7 @@
 
 #include <sys/resource.h>
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -23,6 +24,7 @@
 #include "sched/minmin.h"
 #include "util/table.h"
 #include "util/timer.h"
+#include "util/ws_runtime.h"
 #include "workload/image.h"
 #include "workload/sat.h"
 #include "workload/stats.h"
@@ -44,11 +46,11 @@ inline double peak_rss_mb() {
 }
 
 // Minimal argv scanner for the bench mains. Flags are queried, not
-// pre-registered: has("--smoke") consumes a bare flag, value/number
-// consume `--flag <operand>` pairs. After all queries, reject_unknown()
-// reports anything left unconsumed so typos fail loudly instead of
-// silently running the default grid. Every rejection prints `usage` and
-// exits 2.
+// pre-registered: has("--smoke") consumes a bare flag, value, number and
+// thread_list consume `--flag <operand>` pairs. After all queries,
+// reject_unknown() reports anything left unconsumed so typos fail loudly
+// instead of silently running the default grid. Every rejection prints
+// `usage` and exits 2.
 class ParseArgs {
  public:
   ParseArgs(int argc, char** argv, const char* usage)
@@ -88,6 +90,30 @@ class ParseArgs {
       fail(std::string("bad value '") + v + "' for " + name +
            " (want a finite number >= 0)");
     return x;
+  }
+
+  // `--flag <t1,t2,...>`: a comma list of thread counts, each an integer
+  // in 1..WsRuntime::kMaxThreads, or `def` when absent. Any other operand
+  // is rejected: `2x` must not run at 2 threads, nor a typo such as
+  // `40000` start that many OS threads.
+  std::vector<std::size_t> thread_list(const char* name,
+                                       std::vector<std::size_t> def) {
+    const char* v = value(name, nullptr);
+    if (v == nullptr) return def;
+    std::vector<std::size_t> out;
+    const char* const last = v + std::strlen(v);
+    for (const char* p = v;;) {
+      std::size_t t = 0;
+      const auto [end, ec] = std::from_chars(p, last, t);
+      if (ec != std::errc() || t < 1 || t > WsRuntime::kMaxThreads ||
+          (end != last && *end != ','))
+        fail(std::string("bad value '") + v + "' for " + name +
+             " (want a comma list of integers in 1.." +
+             std::to_string(WsRuntime::kMaxThreads) + ")");
+      out.push_back(t);
+      if (end == last) return out;
+      p = end + 1;  // past the comma
+    }
   }
 
   // Rejects any argument never consumed. Call after the last query.

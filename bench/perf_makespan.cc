@@ -25,7 +25,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -235,7 +234,12 @@ int main(int argc, char** argv) {
   // don't check). CI's multi-core smoke passes 1.2; single-core hosts
   // should leave it off — there is no parallelism to win.
   const double min_speedup = args.number("--min-speedup", 0.0);
-  const char* thread_arg = args.value("--threads", "");
+  const std::vector<std::size_t> default_threads =
+      smoke ? std::vector<std::size_t>{1, 2}
+            : std::vector<std::size_t>{1, 2, 4, 8};
+  // The first entry is the speedup baseline.
+  const std::vector<std::size_t> threads =
+      args.thread_list("--threads", default_threads);
   args.reject_unknown();
 
   const std::size_t compute_nodes = smoke ? 8 : 32;
@@ -243,32 +247,6 @@ int main(int argc, char** argv) {
   const std::vector<std::size_t> sizes =
       smoke ? std::vector<std::size_t>{32, 64}
             : std::vector<std::size_t>{64, 128, 256, 512};
-  std::vector<std::size_t> threads =
-      smoke ? std::vector<std::size_t>{1, 2}
-            : std::vector<std::size_t>{1, 2, 4, 8};
-  if (*thread_arg != '\0') {
-    // "--threads 1,4" -> {1, 4}; the first entry is the speedup baseline.
-    threads.clear();
-    std::string s = thread_arg;
-    std::size_t pos = 0;
-    while (pos <= s.size()) {
-      const std::size_t comma = s.find(',', pos);
-      const std::string tok =
-          s.substr(pos, comma == std::string::npos ? comma : comma - pos);
-      if (!tok.empty()) {
-        const long v = std::strtol(tok.c_str(), nullptr, 10);
-        if (v <= 0) {
-          std::fprintf(stderr, "perf_makespan: bad --threads entry '%s'\n",
-                       tok.c_str());
-          return 2;
-        }
-        threads.push_back(static_cast<std::size_t>(v));
-      }
-      if (comma == std::string::npos) break;
-      pos = comma + 1;
-    }
-    if (threads.empty()) threads.push_back(1);
-  }
 
   const std::vector<SchedulerSpec> specs = {
       {"MinMin-exact", static_cast<std::size_t>(-1), &make_minmin_exact},

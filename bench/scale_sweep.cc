@@ -20,12 +20,11 @@
 // --max-point-seconds / --max-rss-mb turn the sweep into an acceptance
 // gate: any point whose planning time or the process's peak RSS exceeds
 // the ceiling fails the run. --threads re-runs every point at each listed
-// work-stealing thread count and adds a speedup_vs_1t column per row (the
+// runtime thread count and adds a speedup_vs_1t column per row (the
 // first listed count is the baseline).
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
@@ -61,32 +60,6 @@ struct Row {
   double speedup_vs_1t = 1.0;  // vs the first --threads entry at this point
   double peak_rss_mb = 0.0;  // process high-water mark at row end
 };
-
-// "--threads 1,2,4" -> {1, 2, 4}; empty/absent -> {0} (the runtime default,
-// no speedup comparison).
-std::vector<std::size_t> parse_thread_grid(const char* arg) {
-  std::vector<std::size_t> grid;
-  std::string s = arg == nullptr ? "" : arg;
-  std::size_t pos = 0;
-  while (pos < s.size()) {
-    const std::size_t comma = s.find(',', pos);
-    const std::string tok =
-        s.substr(pos, comma == std::string::npos ? comma : comma - pos);
-    if (!tok.empty()) {
-      const long v = std::strtol(tok.c_str(), nullptr, 10);
-      if (v <= 0) {
-        std::fprintf(stderr, "scale_sweep: bad --threads entry '%s'\n",
-                     tok.c_str());
-        std::exit(2);
-      }
-      grid.push_back(static_cast<std::size_t>(v));
-    }
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
-  }
-  if (grid.empty()) grid.push_back(0);
-  return grid;
-}
 
 struct SchedulerSpec {
   std::string label;
@@ -149,8 +122,9 @@ int main(int argc, char** argv) {
   const char* out_path = args.value("--out", "BENCH_scale.json");
   const double max_point_seconds = args.number("--max-point-seconds", 0.0);
   const double max_rss_mb = args.number("--max-rss-mb", 0.0);
+  // Absent -> {0}: the runtime default, no speedup comparison.
   const std::vector<std::size_t> thread_grid =
-      parse_thread_grid(args.value("--threads", ""));
+      args.thread_list("--threads", {0});
   args.reject_unknown();
 
   const std::vector<std::size_t> node_grid =

@@ -11,8 +11,8 @@
 //   $ ./biomedical_imaging [num_tasks]    (default 120)
 
 #include <cstdio>
-#include <cstdlib>
 
+#include "args.h"
 #include "sched/bipartition.h"
 #include "sched/driver.h"
 #include "sched/job_data_present.h"
@@ -23,8 +23,10 @@
 int main(int argc, char** argv) {
   using namespace bsio;
 
-  std::size_t num_tasks = 120;
-  if (argc > 1) num_tasks = static_cast<std::size_t>(std::atoi(argv[1]));
+  const char* usage = "biomedical_imaging [num_tasks]";
+  if (argc > 2) examples::usage_exit(usage);
+  const std::size_t num_tasks =
+      argc > 1 ? examples::count_arg(argv[1], usage) : 120;
 
   wl::ImageConfig cfg;
   cfg.num_tasks = num_tasks;

@@ -10,8 +10,8 @@
 //   $ ./satellite_analysis [overlap%]     (default 85)
 
 #include <cstdio>
-#include <cstdlib>
 
+#include "args.h"
 #include "sched/bipartition.h"
 #include "sched/driver.h"
 #include "sched/minmin.h"
@@ -22,8 +22,10 @@
 int main(int argc, char** argv) {
   using namespace bsio;
 
-  double overlap = 0.85;
-  if (argc > 1) overlap = std::atof(argv[1]) / 100.0;
+  const char* usage = "satellite_analysis [overlap%]";
+  if (argc > 2) examples::usage_exit(usage);
+  const double overlap =
+      argc > 1 ? examples::overlap_arg(argv[1], usage) : 0.85;
 
   wl::SatConfig cfg;
   cfg.num_tasks = 100;

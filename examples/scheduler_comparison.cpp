@@ -7,20 +7,26 @@
 //   $ ./scheduler_comparison 85 xio 100
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
+#include "args.h"
 #include "bench_common.h"
 
 int main(int argc, char** argv) {
   using namespace bsio;
 
-  double overlap = 0.85;
+  const char* usage = "scheduler_comparison [overlap%] [xio|osumed] [tasks]";
+  if (argc > 4) examples::usage_exit(usage);
+  const double overlap =
+      argc > 1 ? examples::overlap_arg(argv[1], usage) : 0.85;
   bool osumed = false;
-  std::size_t tasks = 100;
-  if (argc > 1) overlap = std::atof(argv[1]) / 100.0;
-  if (argc > 2) osumed = std::strcmp(argv[2], "osumed") == 0;
-  if (argc > 3) tasks = static_cast<std::size_t>(std::atoi(argv[3]));
+  if (argc > 2) {
+    osumed = std::strcmp(argv[2], "osumed") == 0;
+    if (!osumed && std::strcmp(argv[2], "xio") != 0)
+      examples::usage_exit(usage);
+  }
+  const std::size_t tasks =
+      argc > 3 ? examples::count_arg(argv[3], usage) : 100;
 
   wl::ImageConfig cfg;
   cfg.num_tasks = tasks;

@@ -83,10 +83,10 @@ class FmPass {
     tie_.assign(nv, 0.0);
     heap_ = {};
     // Initial gains are pure functions of the (frozen) pin counts, so the
-    // per-vertex computation fans out on the work-stealing runtime; the rng draws and
+    // per-vertex computation fans out on the runtime; the rng draws and
     // heap pushes stay sequential in vertex order, keeping every pass
-    // bit-identical at any thread count. When this pass already runs inside
-    // a parallel recursive-bisection branch the runtime reuses the worker's own deque.
+    // bit-identical at any thread count. Inside one of several parallel
+    // recursive-bisection branches the loop runs inline on that thread.
     WsRuntime::global().parallel_for_each(
         nv, [this](std::size_t v) {
           gain_[v] = compute_gain(static_cast<VertexId>(v));

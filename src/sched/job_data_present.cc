@@ -59,9 +59,9 @@ sim::SubBatchPlan JobDataPresentScheduler::plan_sub_batch(
   // up front (the paper's replacement for [13]'s FIFO; JDP stays a cheap
   // one-pass dynamic scheme, unlike MinMin's quadratic re-evaluation). Each
   // task's candidate-node evaluation is independent and read-only against
-  // ps, so the sweep runs on the work-stealing runtime; the per-task min over nodes
-  // and the sort stay in the historical order, keeping plans bit-identical
-  // at any thread count. ---
+  // ps, so the sweep runs on the parallel runtime; the per-task min over
+  // nodes and the sort stay in the historical order, keeping plans
+  // bit-identical at any thread count. ---
   std::vector<double> ect(pending.size());
   WsRuntime::global().parallel_for_each(pending.size(), [&](std::size_t i) {
     double best = std::numeric_limits<double>::infinity();

@@ -1,6 +1,6 @@
 // Tests of the bench harness (bench/bench_common.h): the figure benches'
 // experiment runner and its tables, and the flag parser's rejection of
-// malformed numeric operands.
+// malformed numeric operands and thread lists.
 
 #include <gtest/gtest.h>
 
@@ -73,6 +73,17 @@ double parse_number(std::vector<const char*> args, const char* flag,
   return v;
 }
 
+// Parses `args` the way perf_makespan does: query `--threads` as a thread
+// list with default {1, 2}, then reject leftovers. No runtime is built.
+std::vector<std::size_t> parse_threads(std::vector<const char*> args) {
+  std::vector<char*> argv{const_cast<char*>("bench")};
+  for (const char* a : args) argv.push_back(const_cast<char*>(a));
+  ParseArgs p(static_cast<int>(argv.size()), argv.data(), "bench [flags]");
+  std::vector<std::size_t> v = p.thread_list("--threads", {1, 2});
+  p.reject_unknown();
+  return v;
+}
+
 TEST(BenchFlags, NumbersParseInFull) {
   EXPECT_EQ(parse_number({}, "--min-speedup", 0.0), 0.0);
   EXPECT_EQ(parse_number({"--min-speedup", "1.2"}, "--min-speedup", 0.0),
@@ -80,6 +91,22 @@ TEST(BenchFlags, NumbersParseInFull) {
   EXPECT_EQ(parse_number({"--min-slo", "0.75"}, "--min-slo", 0.5), 0.75);
   EXPECT_EQ(parse_number({"--max-rss-mb", "1e3"}, "--max-rss-mb", 0.0),
             1000.0);
+}
+
+TEST(BenchFlags, ThreadListsParseInFull) {
+  using V = std::vector<std::size_t>;
+  EXPECT_EQ(parse_threads({}), (V{1, 2}));
+  EXPECT_EQ(parse_threads({"--threads", "1,4"}), (V{1, 4}));
+  EXPECT_EQ(parse_threads({"--threads", "4096"}), (V{4096}));
+}
+
+// A malformed or over-cap entry used to run (`2x` as 2 threads) or to
+// start that many threads; it must print usage and exit 2 instead.
+TEST(BenchFlagsDeathTest, MalformedThreadListExitsWithUsage) {
+  for (const char* bad : {"2x", "0", "1,2x", "4097", "", "1,", ",1", "-1"})
+    EXPECT_EXIT(parse_threads({"--threads", bad}),
+                ::testing::ExitedWithCode(2), "usage: bench")
+        << "operand '" << bad << "'";
 }
 
 // A malformed operand used to read as 0, which every gate treats as "off";

@@ -1,11 +1,10 @@
-// Tests for the parallel scheduling core: the WsRuntime determinism
-// contract, the O(1) replica-presence index, the exec-time scratch, the
-// O(1)-removal exact MinMin loop (against a reimplementation of the
-// historical erase-based path), lazy-vs-exact MinMin equivalence, and
-// parallel-vs-sequential plan bit-identity across all four schedulers.
+// Tests for the parallel scheduling core: the O(1) replica-presence
+// index, the exec-time scratch, the O(1)-removal exact MinMin loop
+// (against a reimplementation of the historical erase-based path),
+// lazy-vs-exact MinMin equivalence, and parallel-vs-sequential plan
+// bit-identity across all four schedulers.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -66,51 +65,6 @@ bool plans_equal(const sim::SubBatchPlan& a, const sim::SubBatchPlan& b) {
     if (it == b.assignment.end() || it->second != n) return false;
   }
   return a.prefetches == b.prefetches;
-}
-
-// ---------------------------------------------------------------- WsRuntime
-
-TEST(WsRuntime, CoversEveryIndexExactlyOnce) {
-  WsRuntime pool(4);
-  EXPECT_EQ(pool.num_threads(), 4u);
-  for (std::size_t n : {0u, 1u, 3u, 7u, 64u, 1000u}) {
-    std::vector<std::atomic<int>> hits(n);
-    for (auto& h : hits) h = 0;
-    pool.parallel_for_each(n, [&](std::size_t i) { ++hits[i]; });
-    for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
-  }
-}
-
-TEST(WsRuntime, SingleWsRuntimeRunsInline) {
-  WsRuntime pool(1);
-  EXPECT_EQ(pool.num_threads(), 1u);
-  std::vector<int> out(100, 0);
-  pool.parallel_for_each(out.size(), [&](std::size_t i) {
-    out[i] = static_cast<int>(i) * 3;
-  });
-  for (std::size_t i = 0; i < out.size(); ++i)
-    EXPECT_EQ(out[i], static_cast<int>(i) * 3);
-}
-
-TEST(WsRuntime, NestedParallelForDegradesToInline) {
-  WsRuntime pool(4);
-  const std::size_t n = 32, m = 16;
-  std::vector<int> out(n * m, 0);
-  pool.parallel_for_each(n, [&](std::size_t i) {
-    pool.parallel_for_each(m, [&](std::size_t j) {
-      out[i * m + j] = static_cast<int>(i * m + j);
-    });
-  });
-  for (std::size_t k = 0; k < n * m; ++k)
-    EXPECT_EQ(out[k], static_cast<int>(k));
-}
-
-TEST(WsRuntime, ReusableAcrossManyLoops) {
-  WsRuntime pool(3);
-  std::vector<std::size_t> acc(64, 0);
-  for (int round = 0; round < 200; ++round)
-    pool.parallel_for_each(acc.size(), [&](std::size_t i) { ++acc[i]; });
-  for (std::size_t v : acc) EXPECT_EQ(v, 200u);
 }
 
 // ------------------------------------------------------------ PlannerState
