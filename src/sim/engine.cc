@@ -1,9 +1,11 @@
 #include "sim/engine.h"
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <limits>
 #include <queue>
+#include <span>
 #include <string>
 
 #include "util/check.h"
@@ -118,6 +120,20 @@ ExecutionEngine::ExecutionEngine(const ClusterConfig& cluster,
       storage_tl_[s].reserve(o.start, o.end - o.start);
 }
 
+double ExecutionEngine::earliest_transfer_start(Timeline& src,
+                                                const TransferPath& path,
+                                                Timeline& dst, double after,
+                                                double duration) {
+  // The source port, at most two shared links, the destination port.
+  std::array<Timeline*, 4> tls{&src};
+  std::size_t n = 1;
+  for (std::uint32_t l = 0; l < path.num_links; ++l)
+    tls[n++] = &link_tl_[path.links[l]];
+  tls[n++] = &dst;
+  return earliest_common_free(std::span<Timeline* const>(tls.data(), n),
+                              after, duration);
+}
+
 ExecutionEngine::TransferChoice ExecutionEngine::best_transfer(
     const SubBatchPlan& plan, wl::FileId file, wl::NodeId dst, double after) {
   const double size = workload_.file_size(file);
@@ -130,11 +146,8 @@ ExecutionEngine::TransferChoice ExecutionEngine::best_transfer(
                    "file home storage node out of range for this cluster");
     c.path = topo_.remote_path(c.src, dst);
     c.duration = size / c.path.bandwidth;
-    std::vector<Timeline*> tls{&storage_tl_[c.src]};
-    for (std::uint32_t l = 0; l < c.path.num_links; ++l)
-      tls.push_back(&link_tl_[c.path.links[l]]);
-    tls.push_back(&compute_tl_[dst]);
-    c.start = earliest_common_free(tls, after, c.duration);
+    c.start = earliest_transfer_start(storage_tl_[c.src], c.path,
+                                      compute_tl_[dst], after, c.duration);
     return c;
   };
 
@@ -145,11 +158,8 @@ ExecutionEngine::TransferChoice ExecutionEngine::best_transfer(
     c.path = topo_.replica_path(j, dst);
     c.duration = size / c.path.bandwidth;
     const double avail = state_.available_at(j, file);
-    std::vector<Timeline*> tls{&compute_tl_[j]};
-    for (std::uint32_t l = 0; l < c.path.num_links; ++l)
-      tls.push_back(&link_tl_[c.path.links[l]]);
-    tls.push_back(&compute_tl_[dst]);
-    c.start = earliest_common_free(tls, std::max(after, avail), c.duration);
+    c.start = earliest_transfer_start(compute_tl_[j], c.path, compute_tl_[dst],
+                                      std::max(after, avail), c.duration);
     return c;
   };
 
@@ -200,50 +210,96 @@ ExecutionEngine::TransferChoice ExecutionEngine::best_transfer(
   return best;
 }
 
-double ExecutionEngine::estimate_ect(wl::TaskId task, wl::NodeId node) const {
-  const auto& info = workload_.task(task);
-  double cursor = std::max(compute_tl_[node].horizon(), release_floor_);
+void ExecutionEngine::remote_ready(wl::NodeId node,
+                                   std::vector<double>& ready) const {
+  ready.resize(storage_tl_.size());
+  for (wl::NodeId s = 0; s < storage_tl_.size(); ++s) {
+    const TransferPath rp = topo_.remote_path(s, node);
+    double src_ready = storage_tl_[s].horizon();
+    for (std::uint32_t l = 0; l < rp.num_links; ++l)
+      src_ready = std::max(src_ready, link_tl_[rp.links[l]].horizon());
+    ready[s] = src_ready;
+  }
+}
+
+std::uint64_t ExecutionEngine::residency_version(const RankEntry& e) const {
+  std::uint64_t sum = 0;
+  for (const RankTerm& term : e.terms)
+    sum += state_.residency_version(term.file);
+  return sum;
+}
+
+void ExecutionEngine::compile_rank_entry(RankEntry& e, wl::NodeId node) const {
+  const auto& info = workload_.task(e.task);
+  e.terms.resize(info.files.size());
   double read_bytes = 0.0;
-  for (wl::FileId f : info.files) {
+  for (std::size_t i = 0; i < info.files.size(); ++i) {
+    const wl::FileId f = info.files[i];
+    RankTerm& term = e.terms[i];
     read_bytes += workload_.file_size(f);
-    if (state_.has(node, f)) continue;
+    term.file = f;
+    term.home = workload_.file(f).home_storage_node;
+    term.seconds =
+        workload_.file_size(f) / topo_.remote_path(term.home, node).bandwidth;
+    if (state_.has(node, f))
+      term.kind = RankTerm::Kind::kLocal;
+    else if (cluster_.allow_replication && state_.num_copies(f) > 0)
+      term.kind = RankTerm::Kind::kHolders;
+    else
+      term.kind = RankTerm::Kind::kHome;
+  }
+  e.version = residency_version(e);
+  e.read_seconds = read_bytes / cluster_.local_disk_bw;
+  e.compute_seconds = info.compute_seconds / topo_.cpu_speed(node);
+}
+
+double ExecutionEngine::evaluate_ect(const RankEntry& e, wl::NodeId node,
+                                     const std::vector<double>& ready) const {
+  // Horizon-based estimate: cheap, mutation-free, consistent across
+  // candidates (used only for ranking).
+  double cursor = std::max(compute_tl_[node].horizon(), release_floor_);
+  for (const RankTerm& term : e.terms) {
+    if (term.kind == RankTerm::Kind::kLocal) continue;
+    const double home_fetch = std::max(cursor, ready[term.home]) + term.seconds;
+    if (term.kind == RankTerm::Kind::kHome) {
+      cursor = home_fetch;
+      continue;
+    }
+    const wl::FileId f = term.file;
     const double size = workload_.file_size(f);
-    // Horizon-based estimate: cheap, mutation-free, consistent across
-    // candidates (used only for ranking).
     double best = kInfTime;
     bool replica_served = false;
-    if (cluster_.allow_replication) {
-      for (wl::NodeId j : state_.holders(f)) {
-        if (j == node) continue;
-        const TransferPath pp = topo_.replica_path(j, node);
-        double start = std::max({cursor, compute_tl_[j].horizon(),
-                                 state_.available_at(j, f)});
-        for (std::uint32_t l = 0; l < pp.num_links; ++l)
-          start = std::max(start, link_tl_[pp.links[l]].horizon());
-        best = std::min(best, start + size / pp.bandwidth);
-        replica_served = true;
-      }
+    for (wl::NodeId j : state_.holders(f)) {
+      if (j == node) continue;
+      const TransferPath pp = topo_.replica_path(j, node);
+      double start = std::max({cursor, compute_tl_[j].horizon(),
+                               state_.available_at(j, f)});
+      for (std::uint32_t l = 0; l < pp.num_links; ++l)
+        start = std::max(start, link_tl_[pp.links[l]].horizon());
+      best = std::min(best, start + size / pp.bandwidth);
+      replica_served = true;
     }
     // Mirror best_transfer's staleness gate: a stale home copy is only an
     // estimate candidate when no node holds the current version.
-    if (home_valid_[f] != 0 || !replica_served) {
-      const wl::NodeId home = workload_.file(f).home_storage_node;
-      const TransferPath rp = topo_.remote_path(home, node);
-      double src_ready = storage_tl_[home].horizon();
-      for (std::uint32_t l = 0; l < rp.num_links; ++l)
-        src_ready = std::max(src_ready, link_tl_[rp.links[l]].horizon());
-      best = std::min(best, std::max(cursor, src_ready) + size / rp.bandwidth);
-    }
+    if (home_valid_[f] != 0 || !replica_served)
+      best = std::min(best, home_fetch);
     cursor = best;
   }
   if (!faults_.has_slowdowns())
-    return cursor + read_bytes / cluster_.local_disk_bw +
-           info.compute_seconds / topo_.cpu_speed(node);
+    return cursor + e.read_seconds + e.compute_seconds;
   // Degraded-node awareness: stretch the exec block by the node's slowdown
   // windows so the speculation trigger sees stragglers the planners cannot.
-  const double nominal = read_bytes / cluster_.local_disk_bw +
-                         info.compute_seconds / topo_.cpu_speed(node);
+  const double nominal = e.read_seconds + e.compute_seconds;
   return cursor + faults_.stretched_exec_duration(node, cursor, nominal);
+}
+
+double ExecutionEngine::estimate_ect(wl::TaskId task, wl::NodeId node) const {
+  RankEntry e;
+  e.task = task;
+  compile_rank_entry(e, node);
+  std::vector<double> ready;
+  remote_ready(node, ready);
+  return evaluate_ect(e, node, ready);
 }
 
 void ExecutionEngine::evict_for(wl::NodeId node, double need,
@@ -724,8 +780,15 @@ Result<ExecutionStats> ExecutionEngine::execute(const SubBatchPlan& plan) {
     state_.add(dst, file, size, c.value().completion());
   }
 
-  std::vector<std::vector<wl::TaskId>> groups(cluster_.num_compute_nodes);
-  for (wl::TaskId t : plan.tasks) groups[plan.assignment.at(t)].push_back(t);
+  // Each node's group holds its tasks' compiled ECT terms (DESIGN.md §7),
+  // compiled group by group so that one group's terms sit together in
+  // memory.
+  std::vector<std::vector<RankEntry>> groups(cluster_.num_compute_nodes);
+  for (wl::TaskId t : plan.tasks)
+    groups[plan.assignment.at(t)].emplace_back().task = t;
+  for (wl::NodeId n = 0; n < groups.size(); ++n)
+    for (RankEntry& e : groups[n]) compile_rank_entry(e, n);
+  std::vector<double> storage_ready;  // remote_ready of the node ranked
 
   // Serve the group whose node frees up first (equivalently: whenever a
   // node finishes, it picks its next task by earliest completion time).
@@ -756,17 +819,24 @@ Result<ExecutionStats> ExecutionEngine::execute(const SubBatchPlan& plan) {
       continue;
     }
 
+    // Earliest completion time first; strict < keeps the lowest group
+    // position on ties. An entry whose inputs gained or lost a copy since
+    // it was compiled is recompiled first.
     auto& group = groups[node];
+    remote_ready(node, storage_ready);
     std::size_t best_i = 0;
     double best_ect = kInfTime;
     for (std::size_t i = 0; i < group.size(); ++i) {
-      double ect = estimate_ect(group[i], node);
+      RankEntry& e = group[i];
+      if (residency_version(e) != e.version) compile_rank_entry(e, node);
+      const double ect = evaluate_ect(e, node, storage_ready);
+      BSIO_DCHECK(ect == estimate_ect(e.task, node));
       if (ect < best_ect) {
         best_ect = ect;
         best_i = i;
       }
     }
-    wl::TaskId task = group[best_i];
+    const wl::TaskId task = group[best_i].task;
     group.erase(group.begin() + best_i);
     --left;
 
@@ -801,7 +871,7 @@ Result<ExecutionStats> ExecutionEngine::execute(const SubBatchPlan& plan) {
     // orphaned too.
     for (wl::NodeId n : {node, backup}) {
       if (n == wl::kInvalidNode || alive_[n]) continue;
-      for (wl::TaskId t : groups[n]) orphaned_.push_back(t);
+      for (const RankEntry& e : groups[n]) orphaned_.push_back(e.task);
       left -= groups[n].size();
       groups[n].clear();
     }
@@ -872,11 +942,9 @@ Result<double> ExecutionEngine::stage_replica(wl::FileId file, wl::NodeId dst,
     best.src = workload_.file(file).home_storage_node;
     best.path = topo_.remote_path(best.src, dst);
     best.duration = size / capped(best.path.bandwidth);
-    std::vector<Timeline*> tls{&storage_tl_[best.src]};
-    for (std::uint32_t l = 0; l < best.path.num_links; ++l)
-      tls.push_back(&link_tl_[best.path.links[l]]);
-    tls.push_back(&compute_tl_[dst]);
-    best.start = earliest_common_free(tls, after, best.duration);
+    best.start = earliest_transfer_start(storage_tl_[best.src], best.path,
+                                         compute_tl_[dst], after,
+                                         best.duration);
     found = true;
   }
   for (wl::NodeId j : state_.holders(file)) {
@@ -886,12 +954,9 @@ Result<double> ExecutionEngine::stage_replica(wl::FileId file, wl::NodeId dst,
     c.src = j;
     c.path = topo_.replica_path(j, dst);
     c.duration = size / capped(c.path.bandwidth);
-    std::vector<Timeline*> tls{&compute_tl_[j]};
-    for (std::uint32_t l = 0; l < c.path.num_links; ++l)
-      tls.push_back(&link_tl_[c.path.links[l]]);
-    tls.push_back(&compute_tl_[dst]);
-    c.start = earliest_common_free(
-        tls, std::max(after, state_.available_at(j, file)), c.duration);
+    c.start = earliest_transfer_start(
+        compute_tl_[j], c.path, compute_tl_[dst],
+        std::max(after, state_.available_at(j, file)), c.duration);
     if (c.completion() > faults_.crash_time(j)) continue;
     if (!found || c.completion() < best.completion() - 1e-12 ||
         (c.completion() < best.completion() + 1e-12 &&
@@ -952,12 +1017,9 @@ Result<double> ExecutionEngine::flush_to_home(wl::FileId file, double after,
     if (!alive_[j]) continue;
     const TransferPath p = topo_.remote_path(home, j);
     const double d = size / capped(p.bandwidth);
-    std::vector<Timeline*> tls{&compute_tl_[j]};
-    for (std::uint32_t l = 0; l < p.num_links; ++l)
-      tls.push_back(&link_tl_[p.links[l]]);
-    tls.push_back(&storage_tl_[home]);
-    const double s = earliest_common_free(
-        tls, std::max(after, state_.available_at(j, file)), d);
+    const double s = earliest_transfer_start(
+        compute_tl_[j], p, storage_tl_[home],
+        std::max(after, state_.available_at(j, file)), d);
     if (s + d > faults_.crash_time(j)) continue;
     if (src == wl::kInvalidNode || s + d < start + duration - 1e-12 ||
         (s + d < start + duration + 1e-12 && j < src)) {

@@ -307,14 +307,62 @@ class ExecutionEngine {
     std::size_t trace_end = 0;    // events in trace_
   };
 
+  // One input file of a rank entry, in the task's file order. kHome: no
+  // node holds the file, so it costs the fetch from storage node `home`,
+  // `seconds` = size / remote-path bandwidth. kHolders: priced against its
+  // holders at every evaluation, with that home fetch as one candidate.
+  // kLocal: the ranked node caches it.
+  struct RankTerm {
+    enum class Kind : std::uint8_t { kLocal, kHome, kHolders };
+    wl::FileId file = wl::kInvalidFile;
+    wl::NodeId home = wl::kInvalidNode;
+    double seconds = 0.0;
+    Kind kind = Kind::kLocal;
+  };
+
+  // A pending task of one node's group with its compiled ECT terms
+  // (DESIGN.md §7). The terms are current while `version` equals the sum
+  // of their files' residency versions. Each entry owns its terms, so a
+  // group frees them as it drains while the cache and the timelines grow.
+  struct RankEntry {
+    wl::TaskId task = wl::kInvalidTask;
+    std::vector<RankTerm> terms;
+    std::uint64_t version = 0;
+    double read_seconds = 0.0;     // local read of every input
+    double compute_seconds = 0.0;  // compute at the node's CPU speed
+  };
+
+  // Earliest common start, no earlier than `after`, of a `duration`-long
+  // transfer holding the `src` port, every shared link of `path` and the
+  // `dst` port.
+  double earliest_transfer_start(Timeline& src, const TransferPath& path,
+                                 Timeline& dst, double after, double duration);
+
   // Best transfer for staging `file` onto `dst` no earlier than `after`,
   // honouring a fixed staging directive if the plan carries one. Non-const
   // only to let its gap queries resume the timelines' monotone cursors.
   TransferChoice best_transfer(const SubBatchPlan& plan, wl::FileId file,
                                wl::NodeId dst, double after);
 
-  // Cheap ECT estimate used only to rank a node's pending tasks (and, with
-  // speculation on, to compare the assigned node against cached backups).
+  // ready[s]: the earliest instant the horizons let a fetch from storage
+  // node s onto `node` start (the storage port and every shared link of
+  // the remote path).
+  void remote_ready(wl::NodeId node, std::vector<double>& ready) const;
+
+  // Sum of the residency versions of e.terms' files.
+  std::uint64_t residency_version(const RankEntry& e) const;
+
+  // Compiles e.task's ECT terms for `node` against the current residency
+  // into e.terms, and stamps e.version.
+  void compile_rank_entry(RankEntry& e, wl::NodeId node) const;
+
+  // Cheap ECT estimate of a compiled entry on `node`, used only to rank a
+  // node's pending tasks; `ready` is remote_ready(node).
+  double evaluate_ect(const RankEntry& e, wl::NodeId node,
+                      const std::vector<double>& ready) const;
+
+  // The same estimate from freshly compiled terms (with speculation on,
+  // compares the assigned node against cached backups).
   double estimate_ect(wl::TaskId task, wl::NodeId node) const;
 
   // Reserves [start, start + duration) on `tl`, logging the interval into

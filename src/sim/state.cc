@@ -40,6 +40,8 @@ std::size_t ClusterState::num_copies(wl::FileId file) const {
 }
 
 void ClusterState::index_add(wl::NodeId node, wl::FileId file) {
+  if (file >= version_.size()) version_.resize(file + 1, 0);
+  ++version_[file];
   std::vector<wl::NodeId>& h = holder_index_[file];
   h.insert(std::upper_bound(h.begin(), h.end(), node), node);
 }
@@ -47,6 +49,7 @@ void ClusterState::index_add(wl::NodeId node, wl::FileId file) {
 void ClusterState::index_remove(wl::NodeId node, wl::FileId file) {
   auto it = holder_index_.find(file);
   BSIO_CHECK(it != holder_index_.end());
+  ++version_[file];
   auto pos = std::lower_bound(it->second.begin(), it->second.end(), node);
   BSIO_CHECK(pos != it->second.end() && *pos == node);
   it->second.erase(pos);

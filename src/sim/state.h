@@ -8,6 +8,7 @@
 // construction — see the engine's commit discipline.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <unordered_map>
 #include <vector>
@@ -42,6 +43,13 @@ class ClusterState {
   // cache mutation.
   const std::vector<wl::NodeId>& holders(wl::FileId file) const;
   std::size_t num_copies(wl::FileId file) const;
+
+  // Bumped each time any node gains or loses a copy of `file` (add,
+  // remove, clear_node); 0 for a file never cached. A view of which nodes
+  // hold the file is current while its version is unchanged.
+  std::uint32_t residency_version(wl::FileId file) const {
+    return file < version_.size() ? version_[file] : 0;
+  }
 
   double used_bytes(wl::NodeId node) const { return used_[node]; }
   double free_bytes(wl::NodeId node) const {
@@ -89,6 +97,8 @@ class ClusterState {
   // without the index each query scans all K per-node maps — the dominant
   // quadratic term at 1k nodes.
   std::unordered_map<wl::FileId, std::vector<wl::NodeId>> holder_index_;
+  // Per-file residency versions, grown to the largest file id cached.
+  std::vector<std::uint32_t> version_;
 };
 
 }  // namespace bsio::sim

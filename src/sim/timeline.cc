@@ -207,7 +207,7 @@ namespace {
 // max candidate never overshoots the least common fixed point: the result
 // is bit-identical to the sequential-advance iteration.
 template <typename TimelinePtr>
-double common_free_fixed_point(const std::vector<TimelinePtr>& timelines,
+double common_free_fixed_point(std::span<TimelinePtr const> timelines,
                                double after, double duration) {
   double t = after;
   for (;;) {
@@ -223,12 +223,12 @@ double common_free_fixed_point(const std::vector<TimelinePtr>& timelines,
 
 }  // namespace
 
-double earliest_common_free(const std::vector<const Timeline*>& timelines,
+double earliest_common_free(std::span<const Timeline* const> timelines,
                             double after, double duration) {
   return common_free_fixed_point(timelines, after, duration);
 }
 
-double earliest_common_free(const std::vector<Timeline*>& timelines,
+double earliest_common_free(std::span<Timeline* const> timelines,
                             double after, double duration) {
   // t is non-decreasing across rounds, so every probe here resumes the
   // timeline's monotone cursor.

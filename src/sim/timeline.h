@@ -17,6 +17,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "util/check.h"
@@ -117,13 +118,13 @@ class Timeline {
 
 // Earliest t >= after such that [t, t + duration) is simultaneously free on
 // every timeline. Pointers may repeat; null entries are ignored.
-double earliest_common_free(const std::vector<const Timeline*>& timelines,
+double earliest_common_free(std::span<const Timeline* const> timelines,
                             double after, double duration);
 
 // Mutable-timeline overload: the fixed-point rounds query each timeline
 // with non-decreasing t, so every probe resumes that timeline's monotone
 // cursor. Bit-identical to the const overload.
-double earliest_common_free(const std::vector<Timeline*>& timelines,
+double earliest_common_free(std::span<Timeline* const> timelines,
                             double after, double duration);
 
 }  // namespace bsio::sim

@@ -8,6 +8,8 @@
 // instant and releases not-yet-started ones outright.
 
 #include <algorithm>
+#include <array>
+#include <span>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -206,21 +208,38 @@ TEST(TimelineProperty, EarliestCommonFreeMatchesSequentialIteration) {
     tls[k].reserve(t, dur);
     refs[k].reserve(t, dur);
   }
-  std::vector<const Timeline*> tp;
+  // The engine's call shape: a stack array passed as a span of the prefix
+  // one transfer holds (two to four timelines).
+  std::array<const Timeline*, kTimelines> tp{};
+  std::array<Timeline*, kTimelines> mp{};
   std::vector<const RefTimeline*> rp;
   for (int k = 0; k < kTimelines; ++k) {
-    tp.push_back(&tls[k]);
+    tp[k] = &tls[k];
+    mp[k] = &tls[k];
     rp.push_back(&refs[k]);
   }
+  auto check = [&](std::size_t n, double after, double dur) {
+    const std::vector<const RefTimeline*> rn(rp.begin(), rp.begin() + n);
+    const double want = ref_earliest_common_free(rn, after, dur);
+    ASSERT_EQ(earliest_common_free(
+                  std::span<const Timeline* const>(tp.data(), n), after, dur),
+              want);
+    // The mutable overload resumes each timeline's monotone cursor.
+    ASSERT_EQ(earliest_common_free(std::span<Timeline* const>(mp.data(), n),
+                                   after, dur),
+              want);
+  };
   for (int q = 0; q < 300; ++q) {
-    const double after = rng.uniform_double(0.0, 60.0);
-    const double dur = rng.uniform_double(0.01, 3.0);
-    ASSERT_EQ(earliest_common_free(tp, after, dur),
-              ref_earliest_common_free(rp, after, dur));
+    const std::size_t n = 2 + rng.uniform(kTimelines - 1);
+    check(n, rng.uniform_double(0.0, 60.0), rng.uniform_double(0.01, 3.0));
   }
+  // Ascending queries keep every cursor valid between calls.
+  for (double after = 0.0; after < 60.0; after += 0.37)
+    check(kTimelines, after, 0.4);
   // Null entries are ignored.
-  tp.push_back(nullptr);
-  ASSERT_EQ(earliest_common_free(tp, 1.0, 0.5),
+  const std::array<const Timeline*, kTimelines + 1> with_null{
+      tp[0], tp[1], nullptr, tp[2], tp[3]};
+  ASSERT_EQ(earliest_common_free(with_null, 1.0, 0.5),
             ref_earliest_common_free(rp, 1.0, 0.5));
 }
 
