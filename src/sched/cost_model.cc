@@ -248,6 +248,98 @@ double estimate_completion_time(const wl::Workload& w,
   return estimate_core<false>(w, topo, ps, task, node, nullptr);
 }
 
+void estimate_completion_row(const wl::Workload& w, const sim::Topology& topo,
+                             const PlannerState& ps, wl::TaskId task,
+                             std::span<const wl::NodeId> nodes,
+                             std::span<double> out) {
+  BSIO_DCHECK(out.size() == nodes.size());
+  if (nodes.empty()) return;
+  if (!topo.uniform_remote() || !topo.uniform_replica()) {
+    for (std::size_t j = 0; j < nodes.size(); ++j)
+      out[j] = estimate_completion_time(w, topo, ps, task, nodes[j]);
+    return;
+  }
+
+  // Each input's node-independent source readiness and transfer seconds,
+  // with the same operands estimate_core uses (the replica readiness is
+  // +inf when no replica source exists, which the min below never picks),
+  // and a per-node flag for the nodes that hold some input, set from the
+  // holder lists and cleared again before returning.
+  struct Input {
+    wl::FileId file;
+    double remote_ready, remote_s, replica_ready, replica_s;
+  };
+  struct Scratch {
+    std::vector<Input> inputs;
+    std::vector<std::uint8_t> holds_input;
+  };
+  thread_local Scratch scratch;
+  std::vector<Input>& inputs = scratch.inputs;
+  std::vector<std::uint8_t>& holds_input = scratch.holds_input;
+  if (holds_input.size() < ps.node_ready.size())
+    holds_input.resize(ps.node_ready.size(), 0);
+  inputs.clear();
+
+  const sim::ClusterConfig& c = topo.config();
+  const auto& info = w.task(task);
+  double read_bytes = 0.0;
+  for (wl::FileId f : info.files) {
+    const double size = w.file_size(f);
+    read_bytes += size;
+    const wl::NodeId home = w.file(f).home_storage_node;
+    const sim::TransferPath rp = topo.remote_path(home, nodes.front());
+    double link_busy = 0.0;
+    for (std::uint32_t l = 0; l < rp.num_links; ++l)
+      link_busy = std::max(link_busy, ps.link_ready[rp.links[l]]);
+    Input in{f, std::max(ps.storage_ready[home], link_busy),
+             size / rp.bandwidth, std::numeric_limits<double>::infinity(),
+             size / topo.uniform_replica_bw()};
+    for (const auto& [holder, avail] : ps.planned[f]) {
+      holds_input[holder] = 1;
+      if (c.allow_replication)
+        in.replica_ready =
+            std::min(in.replica_ready, std::max(ps.node_ready[holder], avail));
+    }
+    inputs.push_back(in);
+  }
+  const double read_s = read_bytes / c.local_disk_bw;
+  const auto finish = [&](double cursor, wl::NodeId n) {
+    return cursor + read_s + info.compute_seconds / topo.cpu_speed(n);
+  };
+  const auto stage = [](double cursor, const Input& in) {
+    return std::min(std::max(cursor, in.remote_ready) + in.remote_s,
+                    std::max(cursor, in.replica_ready) + in.replica_s);
+  };
+
+  // Starting at or below the first input's readiness, the first stage
+  // lands at min(R + a, Q + b) whatever the start, so every node that
+  // holds no input from there on folds to the same cursor. (A task without
+  // inputs has no threshold: every node keeps its own ready time.)
+  const double threshold =
+      inputs.empty() ? -std::numeric_limits<double>::infinity()
+                     : std::min(inputs.front().remote_ready,
+                                inputs.front().replica_ready);
+  double shared = threshold;
+  for (const Input& in : inputs) shared = stage(shared, in);
+  // x / 1.0 == x, so on equal CPU speeds the shared nodes share the tail.
+  const double shared_done = finish(shared, nodes.front());
+
+  for (std::size_t j = 0; j < nodes.size(); ++j) {
+    const wl::NodeId n = nodes[j];
+    double cursor = ps.node_ready[n];
+    if (cursor <= threshold && !holds_input[n]) {
+      out[j] = topo.uniform_speed() ? shared_done : finish(shared, n);
+      continue;
+    }
+    for (const Input& in : inputs)
+      if (!ps.on_node(in.file, n)) cursor = stage(cursor, in);
+    out[j] = finish(cursor, n);
+  }
+  for (const Input& in : inputs)
+    for (const auto& [holder, avail] : ps.planned[in.file])
+      holds_input[holder] = 0;
+}
+
 void apply_assignment(const wl::Workload& w, const sim::Topology& topo,
                       PlannerState& ps, wl::TaskId /*task*/, wl::NodeId node,
                       const CompletionEstimate& est) {

@@ -4,18 +4,20 @@
 // time of each task assuming uniform placement probabilities, used as
 // hypergraph vertex weights by the BiPartition scheduler (and as an
 // ablation toggle). estimate_completion is the MCT-style estimate MinMin
-// and JobDataPresent plan against.
+// and JobDataPresent plan against; estimate_completion_row prices one task
+// against a whole node list in one pass, for the planners' sweeps.
 //
 // All transfer bandwidths resolve through sim::Topology, so the estimates
 // price heterogeneous storage disks, NIC caps, CPU speeds, and rack links
 // with the same model the engine simulates. On homogeneous topologies every
 // expression reduces bit-identically to the classic uniform arithmetic.
 //
-// Concurrency contract: estimate_completion / estimate_completion_time take
-// the PlannerState by const reference and perform no mutation, so any number
-// of threads may evaluate candidate (task, node) pairs against one shared
-// state concurrently. All mutation (apply_assignment, add_planned, reset)
-// must happen on a single thread between those read-only sweeps.
+// Concurrency contract: estimate_completion / estimate_completion_time /
+// estimate_completion_row take the PlannerState by const reference and
+// perform no mutation, so any number of threads may evaluate candidate
+// (task, node) pairs against one shared state concurrently. All mutation
+// (apply_assignment, add_planned, reset) must happen on a single thread
+// between those read-only sweeps.
 //
 // Cross-batch reuse needs no plumbing here: PlannerState::reset seeds its
 // replica holders from the engine's ClusterState, so on the streaming
@@ -24,6 +26,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "sim/state.h"
@@ -147,6 +150,28 @@ double estimate_completion_time(const wl::Workload& w,
                                 const sim::Topology& topo,
                                 const PlannerState& ps, wl::TaskId task,
                                 wl::NodeId node);
+
+// The completion time of `task` on every node of `nodes`: out[j] is
+// bit-identical to estimate_completion_time(w, topo, ps, task, nodes[j]),
+// and `out` must hold nodes.size() values.
+//
+// When every remote path shares one bandwidth and every replication shares
+// one bandwidth (topo.uniform_remote() && topo.uniform_replica()), how soon
+// an input's best source is ready does not depend on the destination: the
+// remote source is ready at R = max(storage_ready[home], link readiness),
+// and the best replica source at Q = min over holders h of
+// max(node_ready[h], avail). Each is folded once per row; per node the
+// input then costs cursor = min(max(cursor, R) + a, max(cursor, Q) + b),
+// with a and b its remote and replica transfer seconds. That equals the
+// per-node scan because max is exact and rounding x + c is monotone in x,
+// so min_h fl(max(c, q_h) + b) == fl(max(c, min_h q_h) + b). A node that
+// holds no input and whose node_ready is at or below the first input's
+// readiness min(R, Q) starts every fold at the same cursor, so all such
+// nodes share one folded value. Other topologies price node by node.
+void estimate_completion_row(const wl::Workload& w, const sim::Topology& topo,
+                             const PlannerState& ps, wl::TaskId task,
+                             std::span<const wl::NodeId> nodes,
+                             std::span<double> out);
 
 // Applies the estimate: bumps port readies and records new file locations.
 void apply_assignment(const wl::Workload& w, const sim::Topology& topo,

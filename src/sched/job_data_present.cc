@@ -1,8 +1,8 @@
 #include "sched/job_data_present.h"
 
 #include <algorithm>
-#include <limits>
 #include <unordered_map>
+#include <vector>
 
 #include "sched/cost_model.h"
 #include "util/check.h"
@@ -64,10 +64,9 @@ sim::SubBatchPlan JobDataPresentScheduler::plan_sub_batch(
   // bit-identical at any thread count. ---
   std::vector<double> ect(pending.size());
   WsRuntime::global().parallel_for_each(pending.size(), [&](std::size_t i) {
-    double best = std::numeric_limits<double>::infinity();
-    for (wl::NodeId n : nodes)
-      best = std::min(best, estimate_completion_time(w, topo, ps, pending[i], n));
-    ect[i] = best;
+    std::vector<double> row(nodes.size());
+    estimate_completion_row(w, topo, ps, pending[i], nodes, row);
+    ect[i] = *std::min_element(row.begin(), row.end());
   });
   std::vector<std::pair<double, wl::TaskId>> queue;
   queue.reserve(pending.size());

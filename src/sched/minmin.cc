@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <limits>
 #include <queue>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -47,7 +48,6 @@ void plan_lazy(const wl::Workload& w, const sim::Topology& topo,
                PlannerState& ps, const std::vector<wl::TaskId>& pending,
                const std::vector<wl::NodeId>& nodes,
                std::size_t stale_retry_budget, sim::SubBatchPlan& plan) {
-  WsRuntime& pool = WsRuntime::global();
   const std::size_t N = nodes.size();
   struct Entry {
     double ct;
@@ -55,16 +55,14 @@ void plan_lazy(const wl::Workload& w, const sim::Topology& topo,
     bool operator<(const Entry& o) const { return ct > o.ct; }  // min-heap
   };
 
-  // Initial sweep: every task's per-node estimates in parallel (read-only
-  // against ps), each row folded in place so only the per-task key is kept
-  // — materializing the full T x N matrix costs ~800 MB at 100k x 1k and
-  // the fold only ever reads one row. Heap built sequentially in pending
-  // order.
+  // Initial sweep: every task's row in parallel (read-only against ps),
+  // each row folded in place so only the per-task key is kept —
+  // materializing the full T x N matrix costs ~800 MB at 100k x 1k and the
+  // fold only ever reads one row. Heap built sequentially in pending order.
   std::vector<double> key(pending.size());
-  pool.parallel_for_each(pending.size(), [&](std::size_t i) {
+  WsRuntime::global().parallel_for_each(pending.size(), [&](std::size_t i) {
     std::vector<double> r(N);
-    for (std::size_t j = 0; j < N; ++j)
-      r[j] = estimate_completion_time(w, topo, ps, pending[i], nodes[j]);
+    estimate_completion_row(w, topo, ps, pending[i], nodes, r);
     key[i] = fold_best_node(ps, nodes, r.data()).second;
   });
   std::priority_queue<Entry> heap;
@@ -85,9 +83,9 @@ void plan_lazy(const wl::Workload& w, const sim::Topology& topo,
     Entry e = heap.top();
     heap.pop();
     if (done[e.task]) continue;
-    pool.parallel_for_each(N, [&](std::size_t j) {
-      row[j] = estimate_completion_time(w, topo, ps, e.task, nodes[j]);
-    });
+    // One row per pop: priced inline, as a fork-join over N nodes costs
+    // more than the row itself.
+    estimate_completion_row(w, topo, ps, e.task, nodes, row);
     auto [node, best_ct] = fold_best_node(ps, nodes, row.data());
     const bool stale =
         !heap.empty() && best_ct > heap.top().ct + 1e-9 * (1.0 + best_ct);
@@ -164,12 +162,11 @@ void minmin_plan_into(const wl::Workload& w, const sim::Topology& topo,
     const std::size_t A = alive.size();
     ct.resize(A * N);
 
-    // Parallel phase: all (task, node) MCTs against the frozen ps_. Each
-    // index writes only its own slot — bit-identical at any thread count.
+    // Parallel phase: every alive task's row against the frozen ps_. Each
+    // index writes only its own row — bit-identical at any thread count.
     pool.parallel_for_each(A, [&](std::size_t a) {
-      for (std::size_t j = 0; j < N; ++j)
-        ct[a * N + j] =
-            estimate_completion_time(w, topo, ps, pending[alive[a]], nodes[j]);
+      estimate_completion_row(w, topo, ps, pending[alive[a]], nodes,
+                              std::span<double>(ct).subspan(a * N, N));
     });
 
     // Sequential fold in the historical (task, node) order.

@@ -8,10 +8,12 @@
 // source for later decisions. The whole batch is planned in one sub-batch;
 // the engine's popularity eviction handles disk pressure.
 //
-// The per-round (task x node) MCT sweep runs on the global WsRuntime; the
-// argmin fold over the precomputed estimates stays sequential and visits
-// candidates in the historical order, so plans are bit-identical at any
-// thread count.
+// Every sweep prices a task against all nodes with one
+// estimate_completion_row call. The exact path's per-round rows and the
+// lazy heap's initial rows run on the global WsRuntime; the lazy heap's
+// one row per pop runs inline. The argmin fold over the rows stays
+// sequential and visits candidates in the historical order, so plans are
+// bit-identical at any thread count.
 #pragma once
 
 #include <limits>

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numeric>
 #include <utility>
+#include <vector>
 
 #include "sim/state.h"
 #include "sim/topology.h"
@@ -17,13 +19,13 @@ double estimate_batch_seconds(const wl::Workload& batch,
   // Cold, empty caches: capacity is irrelevant to the MCT arithmetic.
   const sim::ClusterState cold(cluster.num_compute_nodes, sim::kUnlimited);
   sched::PlannerState ps(batch, topo, cold);
+  std::vector<wl::NodeId> nodes(cluster.num_compute_nodes);
+  std::iota(nodes.begin(), nodes.end(), wl::NodeId{0});
+  std::vector<double> row(nodes.size());
   double total = 0.0;
   for (const auto& t : batch.tasks()) {
-    double best = std::numeric_limits<double>::infinity();
-    for (wl::NodeId n = 0; n < cluster.num_compute_nodes; ++n)
-      best = std::min(best,
-                      sched::estimate_completion_time(batch, topo, ps, t.id, n));
-    total += best;
+    sched::estimate_completion_row(batch, topo, ps, t.id, nodes, row);
+    total += *std::min_element(row.begin(), row.end());
   }
   return total / static_cast<double>(cluster.num_compute_nodes);
 }

@@ -1,6 +1,7 @@
 #include "service/catalog.h"
 
 #include <algorithm>
+#include <cmath>
 #include <unordered_set>
 
 #include "util/check.h"
@@ -33,7 +34,26 @@ wl::Workload make_service_batch(const std::vector<wl::FileInfo>& catalog,
   BSIO_CHECK(cfg.tasks_per_batch > 0);
   BSIO_CHECK(cfg.files_per_task > 0 && cfg.files_per_task <= catalog.size());
   BSIO_CHECK(cfg.write_fraction >= 0.0 && cfg.write_fraction <= 1.0);
+  // Zipf-like rank draw: rank r (1-based) weighs r^-s. The cumulative
+  // weights are summed once per batch, in rank order, and each draw takes
+  // the first rank whose cumulative weight reaches u * total.
+  std::vector<double> cum;
+  if (cfg.zipf_s != 0.0) {
+    cum.reserve(catalog.size());
+    double acc = 0.0;
+    for (std::size_t r = 1; r <= catalog.size(); ++r) {
+      acc += 1.0 / std::pow(static_cast<double>(r), cfg.zipf_s);
+      cum.push_back(acc);
+    }
+  }
   Rng rng(seed);
+  const auto draw_rank = [&]() -> std::size_t {
+    if (cum.empty()) return rng.uniform(catalog.size());
+    const double u = rng.uniform_double() * cum.back();
+    const auto rank = static_cast<std::size_t>(
+        std::lower_bound(cum.begin(), cum.end(), u) - cum.begin());
+    return std::min(rank, cum.size() - 1);
+  };
   std::vector<wl::TaskInfo> tasks(cfg.tasks_per_batch);
   for (std::size_t t = 0; t < cfg.tasks_per_batch; ++t) {
     wl::TaskInfo& task = tasks[t];
@@ -42,8 +62,7 @@ wl::Workload make_service_batch(const std::vector<wl::FileInfo>& catalog,
     // task's file set, so repeats are rare even under heavy skew.
     std::unordered_set<wl::FileId> chosen;
     while (chosen.size() < cfg.files_per_task)
-      chosen.insert(
-          static_cast<wl::FileId>(rng.zipf(catalog.size(), cfg.zipf_s)));
+      chosen.insert(static_cast<wl::FileId>(draw_rank()));
     task.files.assign(chosen.begin(), chosen.end());
     std::sort(task.files.begin(), task.files.end());
     double bytes = 0.0;

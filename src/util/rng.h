@@ -103,17 +103,12 @@ class Rng {
 
   bool bernoulli(double p) { return uniform_double() < p; }
 
-  // Zipf-like rank selection over n items with exponent s (s = 0 -> uniform).
-  // Used to model "hot spot" file popularity. O(n) setup avoided by caller
-  // precomputing weights; this is the direct (small-n) path.
-  std::size_t zipf(std::size_t n, double s);
-
-  // O(1)-per-draw Zipf-like rank selection for huge n (the streaming
-  // workload generators draw from multi-million-file universes, where
-  // zipf()'s O(n) weight accumulation per draw is unusable). Inverts the
-  // continuous power-law CDF over [1, n+1) instead of the discrete sum, so
-  // the distribution is a close approximation of zipf() — same exponent,
-  // same hot-head behaviour — but NOT the same draw sequence.
+  // O(1)-per-draw Zipf-like rank selection over n items with exponent s
+  // (s = 0 -> uniform), for the streaming workload generators' multi-
+  // million-file universes, where an O(n) discrete weight table per draw
+  // is unusable. Inverts the continuous power-law CDF over [1, n+1)
+  // instead of the discrete sum of rank weights r^-s, so the distribution
+  // approximates discrete Zipf — same exponent, same hot-head behaviour.
   std::size_t zipf_stream(std::size_t n, double s);
 
   // Fisher-Yates shuffle.
@@ -136,22 +131,6 @@ class Rng {
 
   std::array<std::uint64_t, 4> s_{};
 };
-
-inline std::size_t Rng::zipf(std::size_t n, double s) {
-  BSIO_DCHECK(n > 0);
-  if (s == 0.0) return uniform(n);
-  // Inverse-CDF over explicitly accumulated weights; fine for the modest n
-  // the emulators use. Weight of rank r (1-based) is r^-s.
-  double total = 0.0;
-  for (std::size_t r = 1; r <= n; ++r) total += 1.0 / std::pow(static_cast<double>(r), s);
-  double u = uniform_double() * total;
-  double acc = 0.0;
-  for (std::size_t r = 1; r <= n; ++r) {
-    acc += 1.0 / std::pow(static_cast<double>(r), s);
-    if (u <= acc) return r - 1;
-  }
-  return n - 1;
-}
 
 inline std::size_t Rng::zipf_stream(std::size_t n, double s) {
   BSIO_DCHECK(n > 0);

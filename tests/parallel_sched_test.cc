@@ -1,14 +1,16 @@
 // Tests for the parallel scheduling core: the O(1) replica-presence
-// index, the exec-time scratch, the O(1)-removal exact MinMin loop
-// (against a reimplementation of the historical erase-based path),
-// lazy-vs-exact MinMin equivalence, and parallel-vs-sequential plan
-// bit-identity across all four schedulers.
+// index, the exec-time scratch, row pricing against the per-node cost
+// model, the O(1)-removal exact MinMin loop (against a reimplementation of
+// the historical erase-based path), lazy-vs-exact MinMin equivalence, and
+// parallel-vs-sequential plan bit-identity across all four schedulers.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "sched/bipartition.h"
@@ -165,6 +167,61 @@ TEST(CostModel, CompletionTimeMatchesFullEstimateBitwise) {
     const double fast = estimate_completion_time(w, topo, ps, task, node);
     EXPECT_EQ(full.completion, fast) << "step " << step;
     if (step % 5 == 0) apply_assignment(w, topo, ps, task, node, full);
+  }
+}
+
+// estimate_completion_row against the per-node call, bit for bit, on
+// planner states grown by random apply_assignment sequences. The uniform,
+// shared-uplink and speed-only presets take the row path (the last with a
+// per-node compute tail); the skewed and racked presets fall back to the
+// per-node loop. Task 0 reads no file and task 1 one file.
+TEST(CostModel, RowMatchesPerNodeBitwise) {
+  const std::size_t C = 6;
+  sim::ClusterConfig speed_only = sim::xio_cluster(C, 2);
+  speed_only.compute_speed = {1.0, 1.5, 0.7, 1.0, 2.0, 1.3};
+  const std::vector<std::pair<const char*, sim::ClusterConfig>> presets = {
+      {"uniform", test_cluster(C)},
+      {"osumed", sim::osumed_cluster(C, 2)},
+      {"speed-only", speed_only},
+      {"skewed", sim::make_skewed_cluster(sim::xio_cluster(C, 2), 0.5, 3)},
+      {"racked", sim::racked_cluster(C, 2, 3)},
+  };
+  const wl::Workload base = test_workload(40, 31);
+  std::vector<wl::TaskInfo> tasks = base.tasks();
+  tasks[0].files.clear();
+  tasks[1].files.resize(1);
+  const wl::Workload w(std::move(tasks), base.files());
+
+  Rng rng(17);
+  for (const auto& [name, preset] : presets) {
+    for (bool replication : {true, false}) {
+      sim::ClusterConfig c = preset;
+      c.allow_replication = replication;
+      const sim::Topology topo(c);
+      PlannerState ps(w, topo, sim::ClusterState(C, sim::kUnlimited));
+      for (int step = 0; step < 60; ++step) {
+        // A random alive subset, ascending like SchedulerContext's.
+        std::vector<wl::NodeId> nodes;
+        for (wl::NodeId n = 0; n < C; ++n)
+          if (rng.bernoulli(0.75)) nodes.push_back(n);
+        if (nodes.empty())
+          nodes.push_back(static_cast<wl::NodeId>(rng.uniform(C)));
+        std::vector<double> row(nodes.size());
+        for (wl::TaskId t = 0; t < w.num_tasks(); ++t) {
+          estimate_completion_row(w, topo, ps, t, nodes, row);
+          for (std::size_t j = 0; j < nodes.size(); ++j)
+            ASSERT_EQ(std::bit_cast<std::uint64_t>(row[j]),
+                      std::bit_cast<std::uint64_t>(estimate_completion_time(
+                          w, topo, ps, t, nodes[j])))
+                << name << " replication " << replication << " step " << step
+                << " task " << t << " node " << nodes[j];
+        }
+        const auto task = static_cast<wl::TaskId>(rng.uniform(w.num_tasks()));
+        const wl::NodeId node = nodes[rng.uniform(nodes.size())];
+        apply_assignment(w, topo, ps, task, node,
+                         estimate_completion(w, topo, ps, task, node));
+      }
+    }
   }
 }
 

@@ -2,10 +2,10 @@
 //
 // Part 1 pins the control loop against a hand-driven loop: run_batch must
 // reproduce a manual plan/execute/recover/repair loop bit for bit, with and
-// without faults, speculation and replication. Part 2 covers arrivals,
-// admission, the one service loop's barrier behaviour (backpressure,
-// cross-batch reuse against a fresh engine per batch), and the scheduler
-// stats-reuse guard.
+// without faults, speculation and replication. Part 2 covers the batch
+// generator's Zipf draws, arrivals, admission, the one service loop's
+// barrier behaviour (backpressure, cross-batch reuse against a fresh engine
+// per batch), and the scheduler stats-reuse guard.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <fstream>
 #include <memory>
+#include <set>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -30,6 +31,7 @@
 #include "service/stream.h"
 #include "sim/cluster.h"
 #include "sim/engine.h"
+#include "util/rng.h"
 #include "util/ws_runtime.h"
 
 namespace bsio {
@@ -197,6 +199,50 @@ TEST(ControlLoopDifferential, RunBatchMatchesManualLoop) {
 }
 
 // --------------------------------------------------------------- arrivals
+
+// The per-draw discrete Zipf loop make_service_batch once called for every
+// file draw: both weight sums are recomputed on each draw.
+std::size_t per_draw_zipf(Rng& rng, std::size_t n, double s) {
+  if (s == 0.0) return rng.uniform(n);
+  double total = 0.0;
+  for (std::size_t r = 1; r <= n; ++r)
+    total += 1.0 / std::pow(static_cast<double>(r), s);
+  const double u = rng.uniform_double() * total;
+  double acc = 0.0;
+  for (std::size_t r = 1; r <= n; ++r) {
+    acc += 1.0 / std::pow(static_cast<double>(r), s);
+    if (u <= acc) return r - 1;
+  }
+  return n - 1;
+}
+
+TEST(ServiceBatch, CachedZipfDrawsMatchPerDrawWeightSums) {
+  for (std::size_t n : {1u, 2u, 37u, 1024u}) {
+    service::SharedCatalogConfig ccfg;
+    ccfg.num_files = n;
+    const std::vector<wl::FileInfo> catalog =
+        service::make_shared_catalog(ccfg);
+    for (double s : {0.0, 0.6, 1.0, 1.1, 2.5}) {
+      for (std::uint64_t seed : {1u, 7u, 99u}) {
+        service::ServiceBatchConfig cfg;
+        cfg.tasks_per_batch = 24;
+        cfg.files_per_task = std::min<std::size_t>(4, n);
+        cfg.zipf_s = s;
+        const wl::Workload got =
+            service::make_service_batch(catalog, cfg, seed);
+        Rng rng(seed);
+        for (std::size_t t = 0; t < cfg.tasks_per_batch; ++t) {
+          std::set<wl::FileId> want;
+          while (want.size() < cfg.files_per_task)
+            want.insert(static_cast<wl::FileId>(per_draw_zipf(rng, n, s)));
+          ASSERT_EQ(got.task(static_cast<wl::TaskId>(t)).files,
+                    std::vector<wl::FileId>(want.begin(), want.end()))
+              << "n " << n << " s " << s << " seed " << seed << " task " << t;
+        }
+      }
+    }
+  }
+}
 
 TEST(Arrivals, PoissonDeterministicAndContentStable) {
   const std::vector<wl::FileInfo> catalog = test_catalog();
