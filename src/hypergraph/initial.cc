@@ -1,6 +1,7 @@
 #include "hypergraph/initial.h"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 #include <numeric>
 
@@ -10,49 +11,101 @@ namespace bsio::hg {
 
 namespace {
 
-// Grow part 0 from a seed by repeatedly absorbing the unassigned vertex with
-// the highest attraction (sum of weights of nets already touching part 0)
-// until part 0 reaches its target weight.
-std::vector<int> grow_from_seed(const Hypergraph& h,
-                                const BisectionConstraint& c, VertexId seed,
-                                Rng& rng) {
-  const std::size_t nv = h.num_vertices();
-  std::vector<int> side(nv, 1);
-  std::vector<double> attraction(nv, 0.0);
-  std::vector<bool> in0(nv, false);
+// Grows part 0 from a seed by repeatedly absorbing the unassigned vertex
+// with the highest attraction (sum of weights of nets already touching part
+// 0; ties to the lowest index) until part 0 reaches its target weight. When
+// no unassigned vertex is attracted (a disconnected hypergraph), it jumps to
+// the rng.uniform(#unassigned)-th unassigned vertex in index order. The
+// scratch is reused by every try of one initial bisection.
+//
+// Attraction only grows (net weights are file sizes, never negative), so a
+// lazy max-heap on (attraction, lowest index) holds the frontier: a stale
+// entry is one whose vertex was absorbed or has gained since. A Fenwick tree
+// counts the unassigned vertices, so a jump selects by rank in O(log nv).
+class Grower {
+ public:
+  explicit Grower(const Hypergraph& h) : h_(h) {}
 
-  double w0 = 0.0;
-  VertexId next = seed;
-  while (next != static_cast<VertexId>(-1)) {
-    side[next] = 0;
-    in0[next] = true;
-    w0 += h.vertex_weight(next);
-    if (w0 >= c.target0) break;
-    for (NetId n : h.nets(next))
-      for (VertexId u : h.pins(n))
-        if (!in0[u]) attraction[u] += h.net_weight(n);
+  std::vector<int> grow(const BisectionConstraint& c, VertexId seed,
+                        Rng& rng) {
+    const std::size_t nv = h_.num_vertices();
+    std::vector<int> side(nv, 1);
+    attraction_.assign(nv, 0.0);
+    stamp_.assign(nv, 0);
+    std::uint32_t round = 0;
+    frontier_.clear();
+    free_.resize(nv + 1);
+    for (std::size_t i = 1; i <= nv; ++i)
+      free_[i] = static_cast<std::uint32_t>(i & (~i + 1));
+    std::size_t num_free = nv;
 
-    // Pick the most attracted unassigned vertex; random among untouched if
-    // the frontier is empty (disconnected hypergraph).
-    next = static_cast<VertexId>(-1);
-    double best = -1.0;
-    for (VertexId u = 0; u < nv; ++u) {
-      if (in0[u]) continue;
-      if (attraction[u] > best) {
-        best = attraction[u];
-        next = u;
+    double w0 = 0.0;
+    for (VertexId next = seed;;) {
+      side[next] = 0;
+      // Drop next from the Fenwick counts.
+      for (std::size_t i = next + 1; i <= nv; i += i & (~i + 1)) --free_[i];
+      --num_free;
+      w0 += h_.vertex_weight(next);
+      if (w0 >= c.target0 || num_free == 0) break;
+      // Push each vertex this absorption attracted once, at its new value.
+      ++round;
+      touched_.clear();
+      for (NetId n : h_.nets(next))
+        for (VertexId u : h_.pins(n))
+          if (side[u] != 0) {
+            attraction_[u] += h_.net_weight(n);
+            if (stamp_[u] != round) {
+              stamp_[u] = round;
+              touched_.push_back(u);
+            }
+          }
+      for (VertexId u : touched_) {
+        frontier_.push_back({attraction_[u], u});
+        std::push_heap(frontier_.begin(), frontier_.end(), lower);
       }
+      while (!frontier_.empty()) {
+        const auto [a, u] = frontier_.front();
+        if (side[u] != 0 && a == attraction_[u]) break;
+        std::pop_heap(frontier_.begin(), frontier_.end(), lower);
+        frontier_.pop_back();
+      }
+      next = !frontier_.empty() && frontier_.front().first > 0.0
+                 ? frontier_.front().second
+                 : select_free(rng.uniform(num_free));
     }
-    if (next != static_cast<VertexId>(-1) && best == 0.0) {
-      // No frontier: jump to a random unassigned vertex.
-      std::vector<VertexId> free;
-      for (VertexId u = 0; u < nv; ++u)
-        if (!in0[u]) free.push_back(u);
-      next = free[rng.uniform(free.size())];
-    }
+    return side;
   }
-  return side;
-}
+
+ private:
+  // (attraction, vertex): a ranks below b.
+  static bool lower(const std::pair<double, VertexId>& a,
+                    const std::pair<double, VertexId>& b) {
+    if (a.first != b.first) return a.first < b.first;
+    return a.second > b.second;
+  }
+
+  // The k-th (from 0) unassigned vertex in index order.
+  VertexId select_free(std::size_t k) const {
+    const std::size_t nv = free_.size() - 1;
+    std::size_t pos = 0;
+    for (std::size_t step = std::bit_floor(nv); step > 0; step >>= 1)
+      if (pos + step <= nv && free_[pos + step] <= k) {
+        pos += step;
+        k -= free_[pos];
+      }
+    return static_cast<VertexId>(pos);
+  }
+
+  const Hypergraph& h_;
+  std::vector<double> attraction_;
+  // stamp_[u] is the last absorption round that attracted u.
+  std::vector<std::uint32_t> stamp_;
+  std::vector<VertexId> touched_;
+  // Lazy max-heap of (attraction, vertex).
+  std::vector<std::pair<double, VertexId>> frontier_;
+  // Fenwick tree over the vertices: 1 while unassigned.
+  std::vector<std::uint32_t> free_;
+};
 
 std::vector<int> random_bisection(const Hypergraph& h,
                                   const BisectionConstraint& c, Rng& rng) {
@@ -100,10 +153,11 @@ std::vector<int> initial_bisection(const Hypergraph& h,
     return cand;
   };
 
+  Grower grower(h);
   Candidate best;
   for (int t = 0; t < tries; ++t) {
     VertexId seed = static_cast<VertexId>(rng.uniform(nv));
-    Candidate cand = evaluate(grow_from_seed(h, c, seed, rng));
+    Candidate cand = evaluate(grower.grow(c, seed, rng));
     if (better(cand, best)) best = std::move(cand);
   }
   Candidate rnd = evaluate(random_bisection(h, c, rng));
