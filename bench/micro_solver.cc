@@ -1,8 +1,7 @@
 // Microbenchmarks of the LP / 0-1 IP substrate (google-benchmark): dual
 // simplex solves and branch-and-bound on makespan-assignment models of
 // growing size — the cost driver behind the IP scheme's Fig 6(b) overhead
-// curve — plus a dense-vs-sparse kernel head-to-head on the paper's
-// Section-4 allocation IP.
+// curve — plus root-LP solves of the paper's Section-4 allocation IP.
 
 #include <benchmark/benchmark.h>
 
@@ -80,9 +79,7 @@ BENCHMARK(BM_BranchAndBound)
 
 // The Section-4 allocation IP (task mapping + staging + replication over a
 // 32-node cluster) at growing task counts — the model class the IP
-// scheduler actually solves. arg0 = tasks, arg1 = 1 for the legacy dense
-// basis inverse, 0 for the sparse LU kernel. The dense backend is O(m^2)
-// per pivot, so it is only benchmarked on the smallest instances.
+// scheduler actually solves. arg0 = tasks.
 void BM_AllocationRootLp(benchmark::State& state) {
   wl::SyntheticConfig cfg;
   cfg.num_tasks = static_cast<std::size_t>(state.range(0));
@@ -109,11 +106,7 @@ void BM_AllocationRootLp(benchmark::State& state) {
       {});
 
   lp::SimplexOptions so;
-  so.use_dense_basis = state.range(1) != 0;
-  // The dense backend gets a bounded budget: beyond ~4 tasks it cannot
-  // finish these degenerate models (it predates the perturbation machinery),
-  // and an honest truncated row beats a bench that runs for minutes.
-  so.time_limit_seconds = so.use_dense_basis ? 10.0 : 120.0;
+  so.time_limit_seconds = 120.0;
   lp::SolveResult last;
   for (auto _ : state) {
     lp::DualSimplex s(alloc.model(), so);
@@ -133,15 +126,12 @@ void BM_AllocationRootLp(benchmark::State& state) {
       last.status == lp::SolveStatus::kOptimal ? 1.0 : 0.0;
 }
 BENCHMARK(BM_AllocationRootLp)
-    ->ArgNames({"tasks", "dense"})
-    // Sparse kernel scales through the bench sub-batch sizes...
-    ->Args({4, 0})
-    ->Args({8, 0})
-    ->Args({16, 0})
-    ->Args({32, 0})
-    // ...the dense oracle is already struggling at 8 tasks.
-    ->Args({4, 1})
-    ->Args({8, 1})
+    ->ArgName("tasks")
+    // The bench sub-batch sizes.
+    ->Arg(4)
+    ->Arg(8)
+    ->Arg(16)
+    ->Arg(32)
     ->Unit(benchmark::kMillisecond);
 
 void BM_WarmRestartAfterBoundChange(benchmark::State& state) {

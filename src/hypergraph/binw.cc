@@ -64,7 +64,7 @@ void binw_recurse(const Hypergraph& h, double bound,
                  "(a task's files do not fit the aggregate disk space)");
 
   Hypergraph proxy = with_io_proxy_weights(h);
-  std::vector<int> side = multilevel_bisect(proxy, 0.5, opts, rng);
+  std::vector<int> side = multilevel_bisect(proxy, 0.5, opts.epsilon, rng);
 
   // Degenerate bisections (everything on one side) can only happen with
   // pathological weights; force a split so recursion terminates.

@@ -4,14 +4,13 @@
 
 #include "hypergraph/fm.h"
 #include "hypergraph/hypergraph.h"
-#include "hypergraph/partitioner.h"
 #include "util/rng.h"
 
 namespace bsio::hg {
 
 // Returns side[v] in {0, 1}; ratio0 = desired fraction of total vertex
-// weight on side 0.
+// weight on side 0, epsilon = allowed imbalance ratio of each side.
 std::vector<int> multilevel_bisect(const Hypergraph& h, double ratio0,
-                                   const PartitionerOptions& opts, Rng& rng);
+                                   double epsilon, Rng& rng);
 
 }  // namespace bsio::hg

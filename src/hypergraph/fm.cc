@@ -4,7 +4,6 @@
 #include <cmath>
 #include <limits>
 
-#include "hypergraph/metrics.h"
 #include "util/ws_runtime.h"
 
 namespace bsio::hg {
@@ -272,12 +271,11 @@ class FmRefiner {
 
 }  // namespace
 
-double fm_refine(const Hypergraph& h, std::vector<int>& side,
-                 const BisectionConstraint& c, Rng& rng, int passes) {
+void fm_refine(const Hypergraph& h, std::vector<int>& side,
+               const BisectionConstraint& c, Rng& rng, int passes) {
   FmRefiner fm(h, side, c, rng);
   for (int p = 0; p < passes; ++p)
     if (fm.pass() <= 1e-12) break;
-  return cut_net_weight(h, side, 2);
 }
 
 }  // namespace bsio::hg

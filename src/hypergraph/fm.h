@@ -22,8 +22,8 @@ struct BisectionConstraint {
 BisectionConstraint make_constraint(double total_weight, double ratio0,
                                     double epsilon);
 
-// Refines side[] (entries 0/1) in place; returns the resulting cut weight.
-double fm_refine(const Hypergraph& h, std::vector<int>& side,
-                 const BisectionConstraint& c, Rng& rng, int passes);
+// Refines side[] (entries 0/1) in place.
+void fm_refine(const Hypergraph& h, std::vector<int>& side,
+               const BisectionConstraint& c, Rng& rng, int passes);
 
 }  // namespace bsio::hg

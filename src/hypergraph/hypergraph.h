@@ -29,7 +29,6 @@ class Hypergraph {
 
   std::size_t num_vertices() const { return vertex_weight_.size(); }
   std::size_t num_nets() const { return net_weight_.size(); }
-  std::size_t num_pins() const { return pins_.size(); }
 
   double vertex_weight(VertexId v) const { return vertex_weight_[v]; }
   double net_weight(NetId n) const { return net_weight_[n]; }
@@ -50,9 +49,6 @@ class Hypergraph {
   const NetId* nets_begin(VertexId v) const { return nets_.data() + xnets_[v]; }
   const NetId* nets_end(VertexId v) const {
     return nets_.data() + xnets_[v + 1];
-  }
-  std::size_t vertex_degree(VertexId v) const {
-    return xnets_[v + 1] - xnets_[v];
   }
 
   // Range helpers for range-for loops.

@@ -23,18 +23,6 @@ struct PartitionerOptions {
   // Allowed imbalance ratio epsilon: part weight <= avg * (1 + epsilon).
   double epsilon = 0.10;
   std::uint64_t seed = 1;
-  // Stop coarsening when at most this many vertices remain.
-  std::size_t coarsen_until = 96;
-  // Coarsening stalls if a level shrinks by less than this factor.
-  double min_shrink_factor = 0.95;
-  // Independent greedy-growing tries for the initial bisection.
-  int initial_tries = 8;
-  // FM refinement passes per level.
-  int refine_passes = 6;
-  // Cap on a single cluster's weight during coarsening, as a multiple of the
-  // perfectly balanced part weight (prevents giant clusters that make
-  // balanced initial partitions impossible).
-  double max_cluster_weight_ratio = 0.25;
 };
 
 // Returns parts[v] in [0, k). k >= 1; k need not be a power of two.

@@ -72,11 +72,11 @@ void split(Job& job, const PartitionerOptions& opts, Job& child0,
 
   // Tighten epsilon with depth so accumulated imbalance stays within the
   // caller's bound (standard recursive-bisection practice).
-  PartitionerOptions sub = opts;
-  sub.epsilon = opts.epsilon / std::max(1.0, std::log2(static_cast<double>(k)));
+  const double epsilon =
+      opts.epsilon / std::max(1.0, std::log2(static_cast<double>(k)));
 
   Rng rng(bisect_seed);
-  std::vector<int> side = multilevel_bisect(job.h, ratio0, sub, rng);
+  std::vector<int> side = multilevel_bisect(job.h, ratio0, epsilon, rng);
 
   std::vector<VertexId> orig0, orig1;
   child0.h = extract_side(job.h, side, 0, orig0);

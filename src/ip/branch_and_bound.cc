@@ -11,6 +11,12 @@ namespace bsio::ip {
 
 namespace {
 
+// A value within this distance of an integer counts as integral.
+constexpr double kIntTol = 1e-6;
+// Prune when node bound >= incumbent - max(kGapAbs, |incumbent| * kGapRel).
+constexpr double kGapAbs = 1e-9;
+constexpr double kGapRel = 1e-6;
+
 struct Frame {
   int var = -1;
   double old_lo = 0.0, old_up = 0.0;
@@ -102,7 +108,7 @@ bool MipSolver::set_incumbent(const std::vector<double>& x) {
 MipResult MipSolver::solve(const MipOptions& opts) {
   WallTimer timer;
   MipResult res;
-  lp::DualSimplex lp(model_, opts.simplex);
+  lp::DualSimplex lp(model_);
   PseudoCosts pc(model_, integer_vars_);
 
   double root_bound = -std::numeric_limits<double>::infinity();
@@ -115,7 +121,7 @@ MipResult MipSolver::solve(const MipOptions& opts) {
     if (std::isinf(incumbent_obj_))
       return std::numeric_limits<double>::infinity();
     return incumbent_obj_ -
-           std::max(opts.gap_abs, std::abs(incumbent_obj_) * opts.gap_rel);
+           std::max(kGapAbs, std::abs(incumbent_obj_) * kGapRel);
   };
 
   auto improve_incumbent = [&](std::vector<double>&& x, double obj) {
@@ -136,13 +142,13 @@ MipResult MipSolver::solve(const MipOptions& opts) {
   };
 
   // Picks the branching variable for the fractional point `x`; -1 when the
-  // point is integral (within int_tol).
+  // point is integral (within kIntTol).
   auto select_branch = [&](const std::vector<double>& x) {
     int best = -1;
     double best_score = -1.0;
     for (int v : integer_vars_) {
       const double f = x[v] - std::floor(x[v]);
-      if (std::min(f, 1.0 - f) <= opts.int_tol) continue;
+      if (std::min(f, 1.0 - f) <= kIntTol) continue;
       const double s = pc.score(v, f);
       if (s > best_score) {
         best_score = s;

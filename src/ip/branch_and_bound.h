@@ -26,10 +26,6 @@ namespace bsio::ip {
 struct MipOptions {
   double time_limit_seconds = 30.0;
   long max_nodes = 1000000;
-  double int_tol = 1e-6;
-  // Prune when node bound >= incumbent - max(gap_abs, |incumbent|*gap_rel).
-  double gap_abs = 1e-9;
-  double gap_rel = 1e-6;
   // Run the rounding heuristic every k-th node (0 disables).
   int heuristic_every = 1;
   // Stop with kFeasible after this many consecutive nodes without an
@@ -37,7 +33,6 @@ struct MipOptions {
   // exists, so it can never cause kNoSolution; with a seeded incumbent it
   // bounds how long B&B polishes a heuristic plan.
   long stall_node_limit = 0;
-  lp::SimplexOptions simplex;
 };
 
 enum class MipStatus {

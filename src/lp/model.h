@@ -2,9 +2,9 @@
 //
 // min c^T x   s.t.   a_i^T x {<=, >=, =} b_i,   lo <= x <= up
 //
-// Rows are entered in natural (row) form; finalize() builds the sparse
-// column representation the simplex solver consumes (structural columns
-// followed by one slack column per row).
+// Rows are entered in natural (row) form; DualSimplex::build_columns builds
+// the sparse column representation the simplex solver consumes (structural
+// columns followed by one slack column per row).
 #pragma once
 
 #include <limits>

@@ -10,6 +10,16 @@
 namespace bsio::lp {
 
 namespace {
+// Iteration cap of one solve(); reaching it returns kIterLimit.
+constexpr int kMaxIterations = 50000;
+// Primal bound violation tolerance.
+constexpr double kFeasTol = 1e-7;
+// Reduced-cost tolerance.
+constexpr double kDualTol = 1e-9;
+// Minimum acceptable pivot magnitude.
+constexpr double kPivotTol = 1e-8;
+// Scale of the deterministic cost perturbation (see simplex.h).
+constexpr double kPerturbScale = 1e-7;
 // Devex weights above this trigger a reference-framework reset.
 constexpr double kDevexResetThreshold = 1e7;
 
@@ -27,29 +37,15 @@ DualSimplex::DualSimplex(const Model& model, const SimplexOptions& opts)
   n_ = model.num_vars();
   m_ = model.num_rows();
   total_ = n_ + m_;
-  if (opts_.refactor_every <= 0) {
-    if (opts_.use_dense_basis) {
-      // Refactorisation costs O(m^3), a pivot update O(m^2): amortise the
-      // refactorisation to at most ~one pivot's worth of work, with a floor
-      // that keeps small models numerically fresh.
-      opts_.refactor_every = std::max(64, m_);
-    } else {
-      // Bound the eta file: each eta lengthens every FTRAN/BTRAN, while a
-      // sparse refactorisation costs roughly a handful of solves.
-      opts_.refactor_every = 64;
-    }
-  }
-  perturb_active_ = !opts_.use_dense_basis && opts_.perturb_scale > 0.0;
+  BSIO_CHECK_MSG(opts_.refactor_every > 0, "refactor_every must be positive");
   build_columns(model);
-  if (!opts_.use_dense_basis) {
-    rho_s_.resize(m_);
-    alpha_s_.resize(total_);
-    w_s_.resize(m_);
-    rhs_s_.resize(m_);
-    pending_rhs_.resize(m_);
-    racc_.assign(m_, 0.0);
-    basis_cols_.resize(m_);
-  }
+  rho_.resize(m_);
+  alpha_.resize(total_);
+  w_.resize(m_);
+  rhs_.resize(m_);
+  pending_rhs_.resize(m_);
+  racc_.assign(m_, 0.0);
+  basis_cols_.resize(m_);
   reset_to_slack_basis();
 }
 
@@ -93,20 +89,17 @@ void DualSimplex::build_columns(const Model& model) {
     }
   }
 
+  // Deterministic per-variable offsets, pushed toward the variable's parking
+  // side so the all-slack basis stays dual feasible.
   pcost_ = cost_;
-  if (perturb_active_) {
-    // Deterministic per-variable offsets, pushed toward the variable's
-    // parking side so the all-slack basis stays dual feasible.
-    for (int v = 0; v < n_; ++v) {
-      const double u =
-          static_cast<double>(hash_mix(static_cast<std::uint64_t>(v) + 1) >>
-                              11) *
-          0x1.0p-53;  // [0, 1)
-      const double xi =
-          opts_.perturb_scale * (1.0 + std::abs(cost_[v])) * (0.5 + u);
-      pcost_[v] = cost_[v] +
-                  (park_prefers_lower(cost_[v], lo_[v], up_[v]) ? xi : -xi);
-    }
+  for (int v = 0; v < n_; ++v) {
+    const double u =
+        static_cast<double>(hash_mix(static_cast<std::uint64_t>(v) + 1) >>
+                            11) *
+        0x1.0p-53;  // [0, 1)
+    const double xi = kPerturbScale * (1.0 + std::abs(cost_[v])) * (0.5 + u);
+    pcost_[v] = cost_[v] +
+                (park_prefers_lower(cost_[v], lo_[v], up_[v]) ? xi : -xi);
   }
 }
 
@@ -124,23 +117,15 @@ void DualSimplex::reset_to_slack_basis() {
     state_[v] =
         park_prefers_lower(cost_[v], lo_[v], up_[v]) ? kAtLower : kAtUpper;
   }
-  if (opts_.use_dense_basis) {
-    binv_.assign(static_cast<std::size_t>(m_) * m_, 0.0);
-    for (int r = 0; r < m_; ++r)
-      binv_[static_cast<std::size_t>(r) * m_ + r] = 1.0;
-    rho_.assign(m_, 0.0);
-    w_.assign(m_, 0.0);
-  } else {
-    // The slack basis is the identity: its factorisation cannot fail.
-    const bool ok = factorize_current_basis();
-    BSIO_CHECK_MSG(ok, "identity basis failed to factorise");
-    gamma_.assign(m_, 1.0);
-    pending_rhs_.clear();
-    pending_ = false;
-  }
-  // Slack basis, slack costs zero: y = 0, d_j = c_j.
-  duals_perturbed_ = perturb_active_;
-  d_ = duals_perturbed_ ? pcost_ : cost_;
+  // The slack basis is the identity: its factorisation cannot fail.
+  const bool ok = factorize_current_basis();
+  BSIO_CHECK_MSG(ok, "identity basis failed to factorise");
+  gamma_.assign(m_, 1.0);
+  pending_rhs_.clear();
+  pending_ = false;
+  // Slack basis, slack costs zero: y = 0, d_j = c_j (perturbed).
+  duals_perturbed_ = true;
+  d_ = pcost_;
   xb_.assign(m_, 0.0);
   x_dirty_ = true;
   pivots_since_refactor_ = 0;
@@ -167,14 +152,6 @@ std::vector<double> DualSimplex::values() const {
 void DualSimplex::set_bounds(int var, double lo, double up) {
   BSIO_CHECK(var >= 0 && var < n_);
   BSIO_CHECK(lo <= up);
-  if (opts_.use_dense_basis) {
-    lo_[var] = lo;
-    up_[var] = up;
-    // A nonbasic variable keeps its side; its value snaps to the new bound,
-    // which leaves reduced costs (hence dual feasibility) untouched.
-    x_dirty_ = true;
-    return;
-  }
   if (state_[var] == kBasic || x_dirty_) {
     // Basic: x_B is untouched; any new violation surfaces at the next
     // pricing. Dirty: the next solve recomputes x_B from scratch anyway, so
@@ -207,27 +184,16 @@ void DualSimplex::restore_dual_feasible_sides() {
   // restores dual feasibility without touching the basis.
   for (int j = 0; j < total_; ++j) {
     if (state_[j] == kBasic || lo_[j] == up_[j]) continue;
-    if (state_[j] == kAtLower && d_[j] < -opts_.dual_tol &&
-        std::isfinite(up_[j])) {
+    if (state_[j] == kAtLower && d_[j] < -kDualTol && std::isfinite(up_[j])) {
       state_[j] = kAtUpper;
-      if (opts_.use_dense_basis)
-        x_dirty_ = true;
-      else
-        add_nonbasic_delta(j, up_[j] - lo_[j]);
-    } else if (state_[j] == kAtUpper && d_[j] > opts_.dual_tol &&
+      add_nonbasic_delta(j, up_[j] - lo_[j]);
+    } else if (state_[j] == kAtUpper && d_[j] > kDualTol &&
                std::isfinite(lo_[j])) {
       state_[j] = kAtLower;
-      if (opts_.use_dense_basis)
-        x_dirty_ = true;
-      else
-        add_nonbasic_delta(j, lo_[j] - up_[j]);
+      add_nonbasic_delta(j, lo_[j] - up_[j]);
     }
   }
 }
-
-// ---------------------------------------------------------------------------
-// Sparse revised simplex path.
-// ---------------------------------------------------------------------------
 
 bool DualSimplex::factorize_current_basis() {
   for (int i = 0; i < m_; ++i) {
@@ -247,27 +213,27 @@ bool DualSimplex::factorize_current_basis() {
   return true;
 }
 
-void DualSimplex::refactorize_sparse() {
+void DualSimplex::refactorize() {
   if (!factorize_current_basis()) {
     // Accumulated roundoff degraded the basis beyond repair. Recover by
     // restarting from the all-slack basis (always dual feasible here);
     // the caller's solve loop re-optimises from scratch.
     reset_to_slack_basis();
   }
-  recompute_duals_sparse(duals_perturbed_ ? pcost_ : cost_);
+  recompute_duals(duals_perturbed_ ? pcost_ : cost_);
   restore_dual_feasible_sides();
-  recompute_x_basic_sparse();
+  recompute_x_basic();
 }
 
-void DualSimplex::recompute_duals_sparse(const std::vector<double>& c) {
+void DualSimplex::recompute_duals(const std::vector<double>& c) {
   // y^T = c_B^T B^{-1} via one BTRAN; then d_j = c_j - y^T A_j.
-  rho_s_.clear();
+  rho_.clear();
   for (int i = 0; i < m_; ++i) {
     const double cb = c[basic_[i]];
-    if (cb != 0.0) rho_s_.set(i, cb);
+    if (cb != 0.0) rho_.set(i, cb);
   }
-  lu_.btran(rho_s_);
-  const std::vector<double>& y = rho_s_.val;
+  lu_.btran(rho_);
+  const std::vector<double>& y = rho_.val;
   for (int j = 0; j < total_; ++j) {
     if (state_[j] == kBasic) {
       d_[j] = 0.0;
@@ -279,10 +245,10 @@ void DualSimplex::recompute_duals_sparse(const std::vector<double>& c) {
     for (std::size_t k = 0; k < idx.size(); ++k) s += y[idx[k]] * val[k];
     d_[j] = c[j] - s;
   }
-  rho_s_.clear();
+  rho_.clear();
 }
 
-void DualSimplex::recompute_x_basic_sparse() {
+void DualSimplex::recompute_x_basic() {
   // r = b - sum over nonbasic of A_j x_j; x_B = B^{-1} r via FTRAN.
   for (int i = 0; i < m_; ++i) racc_[i] = b_[i];
   for (int j = 0; j < total_; ++j) {
@@ -294,13 +260,13 @@ void DualSimplex::recompute_x_basic_sparse() {
     const auto& val = col_val_[j];
     for (std::size_t k = 0; k < idx.size(); ++k) racc_[idx[k]] -= val[k] * xj;
   }
-  rhs_s_.clear();
+  rhs_.clear();
   for (int i = 0; i < m_; ++i)
-    if (racc_[i] != 0.0) rhs_s_.set(i, racc_[i]);
-  lu_.ftran(rhs_s_);
+    if (racc_[i] != 0.0) rhs_.set(i, racc_[i]);
+  lu_.ftran(rhs_);
   std::fill(xb_.begin(), xb_.end(), 0.0);
-  for (int i : rhs_s_.idx) xb_[i] = rhs_s_.val[i];
-  rhs_s_.clear();
+  for (int i : rhs_.idx) xb_[i] = rhs_.val[i];
+  rhs_.clear();
   pending_rhs_.clear();
   pending_ = false;
   x_dirty_ = false;
@@ -315,7 +281,7 @@ void DualSimplex::apply_pending_bound_deltas() {
   pending_ = false;
 }
 
-bool DualSimplex::pivot_step_sparse() {
+bool DualSimplex::pivot_step() {
   // 1. Leaving row by devex dual pricing: maximise violation^2 / gamma.
   int r = -1;
   bool above = false;  // true: x_B[r] > upper
@@ -324,10 +290,10 @@ bool DualSimplex::pivot_step_sparse() {
     const int v = basic_[i];
     double viol;
     bool ab;
-    if (xb_[i] < lo_[v] - opts_.feas_tol) {
+    if (xb_[i] < lo_[v] - kFeasTol) {
       viol = lo_[v] - xb_[i];
       ab = false;
-    } else if (xb_[i] > up_[v] + opts_.feas_tol) {
+    } else if (xb_[i] > up_[v] + kFeasTol) {
       viol = xb_[i] - up_[v];
       ab = true;
     } else {
@@ -349,16 +315,16 @@ bool DualSimplex::pivot_step_sparse() {
   // 2. Pricing row: rho = e_r^T B^{-1} (one BTRAN), then
   // alpha_j = rho . A_j accumulated row-wise over rho's nonzeros only.
   ++stats_.pricing_passes;
-  rho_s_.clear();
-  rho_s_.set(r, 1.0);
-  lu_.btran(rho_s_);
-  alpha_s_.clear();
-  for (int i : rho_s_.idx) {
-    const double ri = rho_s_.val[i];
+  rho_.clear();
+  rho_.set(r, 1.0);
+  lu_.btran(rho_);
+  alpha_.clear();
+  for (int i : rho_.idx) {
+    const double ri = rho_.val[i];
     if (ri == 0.0) continue;
-    alpha_s_.add(n_ + i, ri);  // slack column of row i is e_i
+    alpha_.add(n_ + i, ri);  // slack column of row i is e_i
     for (const auto& e : model_.row(i)) {
-      if (e.coef != 0.0) alpha_s_.add(e.var, ri * e.coef);
+      if (e.coef != 0.0) alpha_.add(e.var, ri * e.coef);
     }
   }
 
@@ -368,14 +334,15 @@ bool DualSimplex::pivot_step_sparse() {
   // pivot) and keep going; the first candidate that cannot be flipped
   // enters the basis.
   cands_.clear();
-  for (int j : alpha_s_.idx) {
+  for (int j : alpha_.idx) {
     if (state_[j] == kBasic) continue;
-    const double a = alpha_s_.val[j];
-    if (std::abs(a) < opts_.pivot_tol) continue;
+    const double a = alpha_.val[j];
+    if (std::abs(a) < kPivotTol) continue;
     if (lo_[j] == up_[j]) continue;  // fixed: cannot re-enter usefully
     const bool at_lower = state_[j] == kAtLower;
-    const bool eligible = above ? ((at_lower && a > 0.0) || (!at_lower && a < 0.0))
-                                : ((at_lower && a < 0.0) || (!at_lower && a > 0.0));
+    const bool eligible =
+        above ? ((at_lower && a > 0.0) || (!at_lower && a < 0.0))
+              : ((at_lower && a < 0.0) || (!at_lower && a > 0.0));
     if (!eligible) continue;
     cands_.push_back({std::abs(d_[j] / a), std::abs(a), j});
   }
@@ -409,7 +376,7 @@ bool DualSimplex::pivot_step_sparse() {
     const RatioCand first = cands_[best];
     const double range = up_[first.j] - lo_[first.j];
     if (cands_.size() == 1 || !std::isfinite(range) ||
-        delta - first.aabs * range <= opts_.feas_tol) {
+        delta - first.aabs * range <= kFeasTol) {
       enter = first;
     } else {
       // Slow path: the first breakpoint flips; heap-walk the rest.
@@ -428,7 +395,7 @@ bool DualSimplex::pivot_step_sparse() {
         const RatioCand c = cands_[--heap_end];
         const double crange = up_[c.j] - lo_[c.j];
         if (heap_end == 0 || !std::isfinite(crange) ||
-            delta - c.aabs * crange <= opts_.feas_tol) {
+            delta - c.aabs * crange <= kFeasTol) {
           enter = c;
           break;
         }
@@ -443,7 +410,7 @@ bool DualSimplex::pivot_step_sparse() {
   const double tie_band = enter.ratio - 1e-12;
   while (!flips_.empty()) {
     const int j = flips_.back();
-    if (std::abs(d_[j] / alpha_s_.val[j]) >= tie_band)
+    if (std::abs(d_[j] / alpha_.val[j]) >= tie_band)
       flips_.pop_back();
     else
       break;
@@ -451,7 +418,7 @@ bool DualSimplex::pivot_step_sparse() {
 
   // 4. Apply the flips: combined primal correction with a single FTRAN.
   if (!flips_.empty()) {
-    rhs_s_.clear();
+    rhs_.clear();
     for (int j : flips_) {
       const double dx = state_[j] == kAtLower ? up_[j] - lo_[j]
                                               : lo_[j] - up_[j];
@@ -459,38 +426,38 @@ bool DualSimplex::pivot_step_sparse() {
       const auto& idx = col_idx_[j];
       const auto& val = col_val_[j];
       for (std::size_t k = 0; k < idx.size(); ++k)
-        rhs_s_.add(idx[k], val[k] * dx);
+        rhs_.add(idx[k], val[k] * dx);
     }
-    lu_.ftran(rhs_s_);
-    for (int i : rhs_s_.idx)
-      if (rhs_s_.val[i] != 0.0) xb_[i] -= rhs_s_.val[i];
-    rhs_s_.clear();
+    lu_.ftran(rhs_);
+    for (int i : rhs_.idx)
+      if (rhs_.val[i] != 0.0) xb_[i] -= rhs_.val[i];
+    rhs_.clear();
     stats_.bound_flips += static_cast<long>(flips_.size());
   }
 
   // 5. FTRAN of the entering column; pivot element w[r] (== alpha_q up to
   // roundoff).
-  w_s_.clear();
+  w_.clear();
   {
     const auto& idx = col_idx_[q];
     const auto& val = col_val_[q];
-    for (std::size_t k = 0; k < idx.size(); ++k) w_s_.add(idx[k], val[k]);
+    for (std::size_t k = 0; k < idx.size(); ++k) w_.add(idx[k], val[k]);
   }
-  lu_.ftran(w_s_);
-  const double wr = w_s_.val[r];
-  if (std::abs(wr) < opts_.pivot_tol) {
+  lu_.ftran(w_);
+  const double wr = w_.val[r];
+  if (std::abs(wr) < kPivotTol) {
     // Numerical disagreement with the pricing row: refactorise and let the
     // caller retry this iteration.
-    refactorize_sparse();
+    refactorize();
     return true;
   }
 
   // 6. Dual step over the pricing pattern only.
   const double mu = d_[q] / wr;
-  if (std::abs(d_[q]) <= opts_.dual_tol) ++stats_.degenerate_pivots;
-  for (int j : alpha_s_.idx) {
+  if (std::abs(d_[q]) <= kDualTol) ++stats_.degenerate_pivots;
+  for (int j : alpha_.idx) {
     if (state_[j] == kBasic || j == q) continue;
-    const double a = alpha_s_.val[j];
+    const double a = alpha_.val[j];
     if (a != 0.0) d_[j] -= mu * a;
   }
 
@@ -498,8 +465,8 @@ bool DualSimplex::pivot_step_sparse() {
   const double target = above ? up_[leave] : lo_[leave];
   const double t = (xb_[r] - target) / wr;
   const double xq_old = nonbasic_value(q);
-  for (int i : w_s_.idx) {
-    if (i != r && w_s_.val[i] != 0.0) xb_[i] -= t * w_s_.val[i];
+  for (int i : w_.idx) {
+    if (i != r && w_.val[i] != 0.0) xb_[i] -= t * w_.val[i];
   }
   xb_[r] = xq_old + t;
 
@@ -508,9 +475,9 @@ bool DualSimplex::pivot_step_sparse() {
     const double gr = gamma_[r];
     const double wr2 = wr * wr;
     double gmax = 0.0;
-    for (int i : w_s_.idx) {
+    for (int i : w_.idx) {
       if (i == r) continue;
-      const double wi = w_s_.val[i];
+      const double wi = w_.val[i];
       if (wi == 0.0) continue;
       const double cand = (wi * wi / wr2) * gr;
       if (cand > gamma_[i]) gamma_[i] = cand;
@@ -522,7 +489,7 @@ bool DualSimplex::pivot_step_sparse() {
   }
 
   // 9. Basis change: product-form eta append + bookkeeping.
-  lu_.update(r, w_s_);
+  lu_.update(r, w_);
   basic_[r] = q;
   basic_pos_[q] = r;
   state_[q] = kBasic;
@@ -532,320 +499,40 @@ bool DualSimplex::pivot_step_sparse() {
   d_[leave] = -mu;
   ++stats_.pivots;
 
-  if (++pivots_since_refactor_ >= opts_.refactor_every) refactorize_sparse();
+  if (++pivots_since_refactor_ >= opts_.refactor_every) refactorize();
   return true;
 }
-
-// ---------------------------------------------------------------------------
-// Dense oracle path (the original implementation, kept for differential
-// testing against the sparse kernel).
-// ---------------------------------------------------------------------------
-
-void DualSimplex::recompute_x_basic() {
-  // r = b - sum over nonbasic of A_j x_j; xb = binv * r.
-  std::vector<double> r = b_;
-  for (int j = 0; j < total_; ++j) {
-    if (state_[j] == kBasic) continue;
-    const double xj = nonbasic_value(j);
-    BSIO_CHECK_MSG(std::isfinite(xj), "nonbasic variable at infinite bound");
-    if (xj == 0.0) continue;
-    const auto& idx = col_idx_[j];
-    const auto& val = col_val_[j];
-    for (std::size_t k = 0; k < idx.size(); ++k) r[idx[k]] -= val[k] * xj;
-  }
-  for (int i = 0; i < m_; ++i) {
-    const double* row = binv_.data() + static_cast<std::size_t>(i) * m_;
-    double s = 0.0;
-    for (int k = 0; k < m_; ++k) s += row[k] * r[k];
-    xb_[i] = s;
-  }
-  x_dirty_ = false;
-}
-
-void DualSimplex::recompute_duals() {
-  // y^T = c_B^T B^{-1}; d_j = c_j - y^T A_j.
-  std::vector<double> y(m_, 0.0);
-  for (int i = 0; i < m_; ++i) {
-    const double cb = cost_[basic_[i]];
-    if (cb == 0.0) continue;
-    const double* row = binv_.data() + static_cast<std::size_t>(i) * m_;
-    for (int k = 0; k < m_; ++k) y[k] += cb * row[k];
-  }
-  for (int j = 0; j < total_; ++j) {
-    if (state_[j] == kBasic) {
-      d_[j] = 0.0;
-      continue;
-    }
-    double s = 0.0;
-    const auto& idx = col_idx_[j];
-    const auto& val = col_val_[j];
-    for (std::size_t k = 0; k < idx.size(); ++k) s += y[idx[k]] * val[k];
-    d_[j] = cost_[j] - s;
-  }
-}
-
-void DualSimplex::refactorize_dense() {
-  // Gauss-Jordan inversion of the basis matrix with partial pivoting.
-  const std::size_t mm = static_cast<std::size_t>(m_);
-  std::vector<double> a(mm * mm, 0.0);  // basis matrix, row-major
-  for (int c = 0; c < m_; ++c) {
-    const int j = basic_[c];
-    const auto& idx = col_idx_[j];
-    const auto& val = col_val_[j];
-    for (std::size_t k = 0; k < idx.size(); ++k)
-      a[static_cast<std::size_t>(idx[k]) * mm + c] = val[k];
-  }
-  std::vector<double>& inv = binv_;
-  std::fill(inv.begin(), inv.end(), 0.0);
-  for (int i = 0; i < m_; ++i) inv[static_cast<std::size_t>(i) * mm + i] = 1.0;
-
-  for (int col = 0; col < m_; ++col) {
-    int piv = col;
-    double best = std::abs(a[static_cast<std::size_t>(col) * mm + col]);
-    for (int i = col + 1; i < m_; ++i) {
-      double v = std::abs(a[static_cast<std::size_t>(i) * mm + col]);
-      if (v > best) {
-        best = v;
-        piv = i;
-      }
-    }
-    if (best < 1e-12) {
-      // Accumulated roundoff degraded the basis beyond repair. Recover by
-      // restarting from the all-slack basis (always dual feasible here);
-      // the caller's solve loop re-optimises from scratch.
-      reset_to_slack_basis();
-      return;
-    }
-    if (piv != col) {
-      for (int k = 0; k < m_; ++k) {
-        std::swap(a[static_cast<std::size_t>(piv) * mm + k],
-                  a[static_cast<std::size_t>(col) * mm + k]);
-        std::swap(inv[static_cast<std::size_t>(piv) * mm + k],
-                  inv[static_cast<std::size_t>(col) * mm + k]);
-      }
-    }
-    const double p = a[static_cast<std::size_t>(col) * mm + col];
-    const double ip = 1.0 / p;
-    for (int k = 0; k < m_; ++k) {
-      a[static_cast<std::size_t>(col) * mm + k] *= ip;
-      inv[static_cast<std::size_t>(col) * mm + k] *= ip;
-    }
-    for (int i = 0; i < m_; ++i) {
-      if (i == col) continue;
-      const double f = a[static_cast<std::size_t>(i) * mm + col];
-      if (f == 0.0) continue;
-      for (int k = 0; k < m_; ++k) {
-        a[static_cast<std::size_t>(i) * mm + k] -=
-            f * a[static_cast<std::size_t>(col) * mm + k];
-        inv[static_cast<std::size_t>(i) * mm + k] -=
-            f * inv[static_cast<std::size_t>(col) * mm + k];
-      }
-    }
-  }
-  ++stats_.factorizations;
-  pivots_since_refactor_ = 0;
-  recompute_duals();
-  restore_dual_feasible_sides();
-  recompute_x_basic();
-}
-
-double DualSimplex::col_dot_row(int col, const std::vector<double>& row) const {
-  const auto& idx = col_idx_[col];
-  const auto& val = col_val_[col];
-  double s = 0.0;
-  for (std::size_t k = 0; k < idx.size(); ++k) s += row[idx[k]] * val[k];
-  return s;
-}
-
-void DualSimplex::ftran_dense(int col, std::vector<double>& out) const {
-  out.assign(m_, 0.0);
-  const auto& idx = col_idx_[col];
-  const auto& val = col_val_[col];
-  for (int i = 0; i < m_; ++i) {
-    const double* row = binv_.data() + static_cast<std::size_t>(i) * m_;
-    double s = 0.0;
-    for (std::size_t k = 0; k < idx.size(); ++k) s += row[idx[k]] * val[k];
-    out[i] = s;
-  }
-}
-
-bool DualSimplex::pivot_step_dense() {
-  if (x_dirty_) recompute_x_basic();
-
-  // 1. Leaving row: most violated basic bound.
-  int r = -1;
-  double worst = opts_.feas_tol;
-  bool above = false;  // true: x_B[r] > upper
-  for (int i = 0; i < m_; ++i) {
-    const int v = basic_[i];
-    if (xb_[i] < lo_[v] - opts_.feas_tol) {
-      double viol = lo_[v] - xb_[i];
-      if (viol > worst) {
-        worst = viol;
-        r = i;
-        above = false;
-      }
-    } else if (xb_[i] > up_[v] + opts_.feas_tol) {
-      double viol = xb_[i] - up_[v];
-      if (viol > worst) {
-        worst = viol;
-        r = i;
-        above = true;
-      }
-    }
-  }
-  if (r < 0) {
-    result_status_ = SolveStatus::kOptimal;
-    return false;
-  }
-
-  // 2. rho = e_r^T B^{-1}; alpha_j = rho . A_j.
-  const double* brow = binv_.data() + static_cast<std::size_t>(r) * m_;
-  rho_.assign(brow, brow + m_);
-  ++stats_.pricing_passes;
-
-  // 3. Dual ratio test. mu = d_q / alpha_q; leaving-above wants mu >= 0,
-  // leaving-below wants mu <= 0; pick smallest |mu|, then (Harris-style)
-  // the largest |alpha| within a relative band of the minimum.
-  std::vector<double> alpha(total_, 0.0);
-  double best_abs_mu = kInf;
-  for (int j = 0; j < total_; ++j) {
-    if (state_[j] == kBasic) continue;
-    const double a = col_dot_row(j, rho_);
-    alpha[j] = a;
-    if (std::abs(a) < opts_.pivot_tol) continue;
-    const bool at_lower = state_[j] == kAtLower;
-    bool eligible;
-    if (above)
-      eligible = (at_lower && a > 0.0) || (!at_lower && a < 0.0);
-    else
-      eligible = (at_lower && a < 0.0) || (!at_lower && a > 0.0);
-    if (!eligible) continue;
-    // Fixed variables (lo == up) cannot re-enter usefully.
-    if (lo_[j] == up_[j]) continue;
-    const double abs_mu = std::abs(d_[j] / a);
-    best_abs_mu = std::min(best_abs_mu, abs_mu);
-  }
-  if (best_abs_mu == kInf) {
-    result_status_ = SolveStatus::kInfeasible;
-    return false;
-  }
-  int q = -1;
-  double best_pivot = 0.0;
-  const double band = best_abs_mu * (1.0 + 1e-7) + 1e-10;
-  for (int j = 0; j < total_; ++j) {
-    if (state_[j] == kBasic) continue;
-    const double a = alpha[j];
-    if (std::abs(a) < opts_.pivot_tol) continue;
-    if (lo_[j] == up_[j]) continue;
-    const bool at_lower = state_[j] == kAtLower;
-    bool eligible;
-    if (above)
-      eligible = (at_lower && a > 0.0) || (!at_lower && a < 0.0);
-    else
-      eligible = (at_lower && a < 0.0) || (!at_lower && a > 0.0);
-    if (!eligible) continue;
-    if (std::abs(d_[j] / a) <= band && std::abs(a) > best_pivot) {
-      best_pivot = std::abs(a);
-      q = j;
-    }
-  }
-  BSIO_CHECK(q >= 0);
-
-  // 4. w = B^{-1} A_q; pivot element is w[r] (== alpha[q] up to roundoff).
-  ftran_dense(q, w_);
-  if (std::abs(w_[r]) < opts_.pivot_tol) {
-    // Numerical disagreement with the row computation: refactorise and let
-    // the caller retry this iteration.
-    refactorize_dense();
-    return true;
-  }
-
-  // 5. Primal step: drive x_B[r] exactly to its violated bound.
-  const int leave = basic_[r];
-  const double target = above ? up_[leave] : lo_[leave];
-  const double t = (xb_[r] - target) / w_[r];
-  const double xq_old = state_[q] == kAtLower ? lo_[q] : up_[q];
-
-  // 6. Dual step.
-  const double mu = d_[q] / w_[r];
-  if (std::abs(d_[q]) <= opts_.dual_tol) ++stats_.degenerate_pivots;
-  for (int j = 0; j < total_; ++j) {
-    if (state_[j] == kBasic || j == q) continue;
-    if (alpha[j] != 0.0) d_[j] -= mu * alpha[j];
-  }
-  d_[leave] = -mu;
-  d_[q] = 0.0;
-
-  // 7. Primal update.
-  for (int i = 0; i < m_; ++i)
-    if (i != r) xb_[i] -= t * w_[i];
-  xb_[r] = xq_old + t;
-
-  // 8. Basis inverse product-form update.
-  {
-    double* prow = binv_.data() + static_cast<std::size_t>(r) * m_;
-    const double ip = 1.0 / w_[r];
-    for (int k = 0; k < m_; ++k) prow[k] *= ip;
-    for (int i = 0; i < m_; ++i) {
-      if (i == r || w_[i] == 0.0) continue;
-      double* irow = binv_.data() + static_cast<std::size_t>(i) * m_;
-      const double f = w_[i];
-      for (int k = 0; k < m_; ++k) irow[k] -= f * prow[k];
-    }
-  }
-
-  // 9. Bookkeeping.
-  basic_[r] = q;
-  basic_pos_[q] = r;
-  state_[q] = kBasic;
-  basic_pos_[leave] = -1;
-  state_[leave] = above ? kAtUpper : kAtLower;
-  ++stats_.pivots;
-
-  if (++pivots_since_refactor_ >= opts_.refactor_every) refactorize_dense();
-  return true;
-}
-
-// ---------------------------------------------------------------------------
 
 SolveResult DualSimplex::solve() {
   stats_ = SolverStats{};
   // The basis carried into this solve (factorised at construction or by a
   // previous call) counts toward this solve's peak fill-in.
-  if (!opts_.use_dense_basis && lu_.valid())
-    stats_.factor_fill_nnz = lu_.fill_nnz();
+  if (lu_.valid()) stats_.factor_fill_nnz = lu_.fill_nnz();
   SolveResult res;
-  if (perturb_active_ && !duals_perturbed_) {
+  if (!duals_perturbed_) {
     // Re-arm the perturbation the previous solve's cleanup pass removed.
     duals_perturbed_ = true;
-    recompute_duals_sparse(pcost_);
+    recompute_duals(pcost_);
   }
   restore_dual_feasible_sides();
-  if (opts_.use_dense_basis) {
-    if (x_dirty_) recompute_x_basic();
-  } else {
-    if (x_dirty_)
-      recompute_x_basic_sparse();
-    else if (pending_)
-      apply_pending_bound_deltas();
-  }
+  if (x_dirty_)
+    recompute_x_basic();
+  else if (pending_)
+    apply_pending_bound_deltas();
   int iter = 0;
   bool finished = false;
   WallTimer timer;
-  while (iter < opts_.max_iterations) {
+  while (iter < kMaxIterations) {
     ++iter;
     if (opts_.time_limit_seconds > 0.0 && (iter & 7) == 0 &&
         timer.elapsed_seconds() > opts_.time_limit_seconds)
       break;
-    const bool more =
-        opts_.use_dense_basis ? pivot_step_dense() : pivot_step_sparse();
-    if (!more) {
+    if (!pivot_step()) {
       if (result_status_ == SolveStatus::kOptimal && duals_perturbed_) {
         // Perturbed problem solved: drop the perturbation and re-optimise
         // against the true costs so the reported optimum is exact.
         duals_perturbed_ = false;
-        recompute_duals_sparse(cost_);
+        recompute_duals(cost_);
         restore_dual_feasible_sides();
         if (pending_) apply_pending_bound_deltas();
         continue;

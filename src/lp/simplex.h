@@ -8,21 +8,27 @@
 // the depth-first MIP search warm-starts every node from the basis the
 // previous node left behind.
 //
-// Default path (sparse revised simplex): the basis is held as a sparse LU
-// factorisation (see basis_lu.h) with product-form eta updates between
-// periodic refactorisations; FTRAN/BTRAN are hypersparse; the leaving row is
-// picked by devex dual pricing (violation^2 / devex weight) instead of a
-// plain most-violated scan; and the dual ratio test is a bound-flip
-// ("long-step") test — boxed nonbasics whose ratio is passed are flipped to
-// their opposite bound in bulk (one combined FTRAN) instead of each costing
-// a full pivot. Nonbasic bound changes between solves accumulate into a
-// pending right-hand side, so a B&B node re-optimisation starts with one
-// hypersparse FTRAN rather than a full primal recompute.
+// The basis is held as a sparse LU factorisation (see basis_lu.h) with
+// product-form eta updates between periodic refactorisations; FTRAN/BTRAN
+// are hypersparse; the leaving row is picked by devex dual pricing
+// (violation^2 / devex weight) instead of a plain most-violated scan; and
+// the dual ratio test is a bound-flip ("long-step") test — boxed nonbasics
+// whose ratio is passed are flipped to their opposite bound in bulk (one
+// combined FTRAN) instead of each costing a full pivot. Nonbasic bound
+// changes between solves accumulate into a pending right-hand side, so a
+// B&B node re-optimisation starts with one hypersparse FTRAN rather than a
+// full primal recompute.
 //
-// Legacy path (SimplexOptions::use_dense_basis): the original dense m x m
-// basis inverse with product-form pivot updates, Gauss-Jordan
-// refactorisation and a Harris-flavoured ratio test. Kept verbatim as the
-// differential-test oracle; do not use it on large models (O(m^2) memory).
+// The paper's models minimise a single makespan variable z, so almost all
+// reduced costs are exactly zero and the dual simplex stalls on massive
+// degeneracy; tiny per-variable cost offsets (hash-derived, so runs stay
+// bit-reproducible) break the ties. Optimality is always proven against the
+// TRUE costs: once the perturbed problem is optimal the solver removes the
+// perturbation and re-optimises the (near-optimal) basis cleanly, so
+// reported objectives are exact LP optima usable as B&B bounds.
+//
+// tests/lp_oracle.h is an independent dense primal simplex that the tests
+// check this kernel against.
 #pragma once
 
 #include <cstdint>
@@ -41,30 +47,14 @@ enum class SolveStatus {
 };
 
 struct SimplexOptions {
-  int max_iterations = 50000;
-  // Periodic full refactorisation interval; <= 0 picks an automatic value
-  // per backend (sparse: bound the eta file; dense: amortise the O(m^3)
-  // refactorisation against O(m^2) pivot updates).
-  int refactor_every = 0;
-  double feas_tol = 1e-7;   // primal bound violation tolerance
-  double dual_tol = 1e-9;   // reduced-cost tolerance
-  double pivot_tol = 1e-8;  // minimum acceptable pivot magnitude
+  // Pivots between full refactorisations: bounds the eta file, since each
+  // eta lengthens every FTRAN/BTRAN while a sparse refactorisation costs
+  // roughly a handful of solves. Must be positive.
+  int refactor_every = 64;
   // Wall-clock deadline for a single solve() in seconds (0 = none); an
   // expired deadline returns kIterLimit. Checked every few pivots so large
   // models cannot blow a caller's (e.g. B&B) time budget.
   double time_limit_seconds = 0.0;
-  // Use the legacy dense basis inverse instead of the sparse LU kernel.
-  // Differential-test oracle only: memory is O(m^2).
-  bool use_dense_basis = false;
-  // Deterministic cost perturbation scale for the sparse path (0 disables).
-  // The paper's models minimise a single makespan variable z, so almost all
-  // reduced costs are exactly zero and the dual simplex stalls on massive
-  // degeneracy; tiny per-variable cost offsets (hash-derived, so runs stay
-  // bit-reproducible) break the ties. Optimality is always proven against
-  // the TRUE costs: once the perturbed problem is optimal the solver removes
-  // the perturbation and re-optimises the (near-optimal) basis cleanly, so
-  // reported objectives are exact LP optima usable as B&B bounds.
-  double perturb_scale = 1e-7;
 };
 
 // Per-solve observability counters; aggregated up through MipResult and
@@ -120,8 +110,6 @@ class DualSimplex {
   // All structural values.
   std::vector<double> values() const;
 
-  int num_structural() const { return n_; }
-
  private:
   static constexpr std::uint8_t kAtLower = 0;
   static constexpr std::uint8_t kAtUpper = 1;
@@ -131,28 +119,21 @@ class DualSimplex {
   void reset_to_slack_basis();
   void restore_dual_feasible_sides();
 
-  // --- shared helpers ---
   double nonbasic_value(int j) const {
     return state_[j] == kAtLower ? lo_[j] : up_[j];
   }
 
-  // --- sparse (default) path ---
-  bool pivot_step_sparse();
-  void refactorize_sparse();        // refactor current basis (LU)
-  bool factorize_current_basis();   // lu_ <- LU(B); false when singular
+  bool pivot_step();
+  // Refactorises the current basis, then recomputes duals and x_B.
+  void refactorize();
+  // lu_ <- LU(B); false when singular.
+  bool factorize_current_basis();
   // d = c - (c_B B^{-1}) A via BTRAN, against the given cost vector.
-  void recompute_duals_sparse(const std::vector<double>& c);
-  void recompute_x_basic_sparse();  // x_B = B^{-1}(b - N x_N) via FTRAN
+  void recompute_duals(const std::vector<double>& c);
+  // x_B = B^{-1}(b - N x_N) via FTRAN.
+  void recompute_x_basic();
   void apply_pending_bound_deltas();
   void add_nonbasic_delta(int var, double dx);
-
-  // --- dense (oracle) path ---
-  bool pivot_step_dense();
-  void refactorize_dense();      // rebuild binv_ from basis columns
-  void recompute_x_basic();      // x_B = B^{-1} (b - N x_N)
-  void recompute_duals();        // d = c - (c_B B^{-1}) A
-  double col_dot_row(int col, const std::vector<double>& row) const;
-  void ftran_dense(int col, std::vector<double>& out) const;
 
   const Model& model_;
   SimplexOptions opts_;
@@ -166,7 +147,7 @@ class DualSimplex {
   std::vector<std::vector<double>> col_val_;
 
   std::vector<double> cost_, lo_, up_;
-  std::vector<double> pcost_;  // perturbed costs (== cost_ when disabled)
+  std::vector<double> pcost_;  // perturbed costs
   std::vector<double> b_;
 
   std::vector<int> basic_;           // basis position -> var
@@ -180,16 +161,14 @@ class DualSimplex {
   SolveStatus result_status_ = SolveStatus::kNumericalFailure;
   SolverStats stats_;
 
-  // Sparse-path state.
   BasisLu lu_;
   std::vector<double> gamma_;  // devex weights by basis position
-  IndexedVector rho_s_;        // pricing row / BTRAN scratch (m)
-  IndexedVector alpha_s_;      // pivot row alpha_j over all vars (n + m)
-  IndexedVector w_s_;          // FTRAN of the entering column (m)
-  IndexedVector rhs_s_;        // general FTRAN scratch (m)
+  IndexedVector rho_;          // pricing row / BTRAN scratch (m)
+  IndexedVector alpha_;        // pivot row alpha_j over all vars (n + m)
+  IndexedVector w_;            // FTRAN of the entering column (m)
+  IndexedVector rhs_;          // general FTRAN scratch (m)
   IndexedVector pending_rhs_;  // accumulated nonbasic bound deltas (m)
   bool pending_ = false;
-  bool perturb_active_ = false;   // sparse path with perturb_scale > 0
   bool duals_perturbed_ = false;  // d_ currently tracks pcost_ (not cost_)
   struct RatioCand {
     double ratio;
@@ -200,10 +179,6 @@ class DualSimplex {
   std::vector<int> flips_;
   std::vector<double> racc_;  // dense accumulator for full x recompute
   std::vector<std::vector<std::pair<int, double>>> basis_cols_;
-
-  // Dense-path state.
-  std::vector<double> binv_;  // dense m x m, row-major
-  std::vector<double> rho_, w_;
 };
 
 }  // namespace bsio::lp

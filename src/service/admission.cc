@@ -13,6 +13,12 @@
 
 namespace bsio::service {
 
+namespace {
+// Effective relative deadline of a best-effort (infinite-deadline) batch for
+// ordering and shed-value purposes.
+constexpr double kBestEffortDeadline = 1e9;
+}  // namespace
+
 double estimate_batch_seconds(const wl::Workload& batch,
                               const sim::ClusterConfig& cluster) {
   const sim::Topology topo(cluster);
@@ -37,8 +43,8 @@ AdmissionQueue::AdmissionQueue(const sim::ClusterConfig& cluster,
 double AdmissionQueue::effective_due(const QueuedBatch& q) const {
   const double rel = std::isfinite(q.effective_slo.deadline_seconds)
                          ? std::min(q.effective_slo.deadline_seconds,
-                                    options_.best_effort_deadline)
-                         : options_.best_effort_deadline;
+                                    kBestEffortDeadline)
+                         : kBestEffortDeadline;
   return q.arrival.time + rel;
 }
 

@@ -28,10 +28,9 @@ enum class AdmissionPolicy {
   kFifo,
   kShortestBatchFirst,  // min estimate_batch_seconds, arrival order on ties
   // Earliest effective deadline first: key = due - aging * wait, where due
-  // clamps a best-effort (infinite-deadline) batch to arrival +
-  // best_effort_deadline so deadline-less traffic cannot starve. Aging
-  // (aging_weight seconds of key credit per waiting second) pulls old
-  // batches forward across SLO classes.
+  // clamps a best-effort (infinite-deadline) batch to arrival + 1e9 s so
+  // deadline-less traffic cannot starve. Aging (aging_weight seconds of key
+  // credit per waiting second) pulls old batches forward across SLO classes.
   kDeadlineAware,
 };
 
@@ -43,7 +42,7 @@ enum class OverloadPolicy {
   // take_shed() so the service can count their SLOs as missed.
   kShedLowestValue,
   // Admit past the bound, demoting the offer to best-effort (its ordering
-  // deadline clamps to best_effort_deadline, weight drops to the floor);
+  // deadline clamps to the best-effort 1e9 s, weight drops to the floor);
   // the batch still reports against its original SLO.
   kDegrade,
 };
@@ -56,9 +55,6 @@ struct AdmissionOptions {
   OverloadPolicy overload = OverloadPolicy::kReject;
   // kDeadlineAware: key credit per waiting second (0 = pure EDF).
   double aging_weight = 0.0;
-  // Effective relative deadline assigned to best-effort batches for
-  // ordering and shed-value purposes.
-  double best_effort_deadline = 1e9;
 };
 
 struct QueuedBatch {

@@ -107,9 +107,6 @@ class Topology {
   double link_bw(std::size_t link) const { return link_bw_[link]; }
 
   // --- Node-local costs. ---
-  double local_read_bw(wl::NodeId /*compute*/) const {
-    return config_.local_disk_bw;
-  }
   double cpu_speed(wl::NodeId compute) const {
     return speed_.empty() ? 1.0 : speed_[compute];
   }

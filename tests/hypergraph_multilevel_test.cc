@@ -343,10 +343,10 @@ TEST_P(PartitionerDifferential, FmMatchesReference) {
         const BisectionConstraint c =
             make_constraint(h.total_vertex_weight(), ratio0, eps);
         Rng rng(seed), ref_rng(seed);
-        const double cut = fm_refine(h, side, c, rng, 6);
+        fm_refine(h, side, c, rng, 6);
         const double want_cut = ref::fm_refine(h, want, c, ref_rng, 6);
         ASSERT_EQ(side, want);
-        ASSERT_EQ(bits(cut), bits(want_cut));
+        ASSERT_EQ(bits(cut_net_weight(h, side, 2)), bits(want_cut));
         ASSERT_EQ(rng(), ref_rng());
       }
 }
@@ -427,9 +427,8 @@ TEST_P(FmSweep, NeverWorsensTheCut) {
   const double before = cut_net_weight(h, side, 2);
   BisectionConstraint c =
       make_constraint(h.total_vertex_weight(), 0.5, 0.15);
-  const double after = fm_refine(h, side, c, rng, 4);
-  EXPECT_LE(after, before + 1e-9);
-  EXPECT_NEAR(after, cut_net_weight(h, side, 2), 1e-9);
+  fm_refine(h, side, c, rng, 4);
+  EXPECT_LE(cut_net_weight(h, side, 2), before + 1e-9);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FmSweep, ::testing::Range(1, 11));
@@ -458,11 +457,9 @@ TEST(ExtractSide, ConservesWeightAndFoldsCutNets) {
 
 TEST(MultilevelBisect, RespectsUnevenTargetRatios) {
   Hypergraph h = random_hg(200, 400, 9);
-  PartitionerOptions opts;
-  opts.seed = 5;
-  Rng rng(opts.seed);
+  Rng rng(5);
   for (double ratio : {0.25, 0.5, 0.75}) {
-    auto side = multilevel_bisect(h, ratio, opts, rng);
+    auto side = multilevel_bisect(h, ratio, PartitionerOptions().epsilon, rng);
     double w0 = 0.0;
     for (VertexId v = 0; v < h.num_vertices(); ++v)
       if (side[v] == 0) w0 += h.vertex_weight(v);

@@ -1,6 +1,7 @@
 // Property tests of the dual simplex beyond the hand-checked examples in
 // lp_test.cc: optimality against random feasible points, invariance under
-// redundant rows and objective scaling, and warm-restart consistency.
+// redundant rows and objective scaling, warm-restart consistency, and a
+// differential against the independent dense oracle in lp_oracle.h.
 
 #include <gtest/gtest.h>
 
@@ -8,6 +9,7 @@
 
 #include "lp/model.h"
 #include "lp/simplex.h"
+#include "lp_oracle.h"
 #include "util/rng.h"
 
 namespace bsio::lp {
@@ -137,9 +139,18 @@ TEST(LpProperties, TimeLimitReturnsIterLimitNotGarbage) {
               r.status == SolveStatus::kIterLimit);
 }
 
-// ---- Sparse-vs-dense differential: the legacy dense basis inverse is the
-// oracle for the sparse LU kernel. Both backends must agree on status and
-// (when optimal) objective on general bounded-variable models. ----
+// ---- Sparse-vs-dense differential: the sparse LU kernel of DualSimplex
+// against the dense primal simplex of lp_oracle.h, which shares no code
+// with it. Both must agree on status and (when optimal) objective on
+// general bounded-variable models. ----
+
+// The status DualSimplex must report for a model the oracle solved. The
+// differential models bound every variable, so none is unbounded.
+SolveStatus oracle_status(const lp_oracle::Result& o) {
+  EXPECT_NE(o.status, lp_oracle::Status::kUnbounded);
+  return o.status == lp_oracle::Status::kOptimal ? SolveStatus::kOptimal
+                                                 : SolveStatus::kInfeasible;
+}
 
 // Random bounded-variable LP with negative lower bounds, mixed row senses
 // and a fraction of zero costs (degeneracy). Feasibility is guaranteed by
@@ -187,15 +198,13 @@ class SparseVsDense : public ::testing::TestWithParam<int> {};
 TEST_P(SparseVsDense, RandomBoundedLpsAgree) {
   const auto seed = static_cast<std::uint64_t>(GetParam());
   Model m = random_bounded_lp(14, 10, seed);
-  SimplexOptions dense_opts;
-  dense_opts.use_dense_basis = true;
-  DualSimplex dense(m, dense_opts);
+  const lp_oracle::Result oracle = lp_oracle::solve(m);
   DualSimplex sparse(m);
-  auto rd = dense.solve();
   auto rs = sparse.solve();
-  ASSERT_EQ(rd.status, rs.status) << "seed " << seed;
-  if (rd.status == SolveStatus::kOptimal) {
-    EXPECT_NEAR(rd.objective, rs.objective, 1e-6) << "seed " << seed;
+  ASSERT_EQ(rs.status, oracle_status(oracle)) << "seed " << seed;
+  if (rs.status == SolveStatus::kOptimal) {
+    EXPECT_NEAR(oracle.objective, rs.objective, 1e-6) << "seed " << seed;
+    EXPECT_TRUE(m.is_feasible(oracle.x, 1e-6)) << "seed " << seed;
     auto x = sparse.values();
     EXPECT_TRUE(m.is_feasible(x, 1e-6)) << "seed " << seed;
     EXPECT_NEAR(m.objective_value(x), rs.objective, 1e-6) << "seed " << seed;
@@ -208,11 +217,8 @@ TEST(SparseVsDenseEdge, InfeasibleModelAgreedInfeasible) {
   Model m = random_bounded_lp(8, 5, 17);
   // Contradictory pair on var 0: x0 >= upper + 1 is unreachable.
   m.add_row(Sense::kGe, m.upper(0) + 1.0, {{0, 1.0}});
-  SimplexOptions dense_opts;
-  dense_opts.use_dense_basis = true;
-  DualSimplex dense(m, dense_opts);
   DualSimplex sparse(m);
-  EXPECT_EQ(dense.solve().status, SolveStatus::kInfeasible);
+  EXPECT_EQ(lp_oracle::solve(m).status, lp_oracle::Status::kInfeasible);
   EXPECT_EQ(sparse.solve().status, SolveStatus::kInfeasible);
 }
 
@@ -236,23 +242,20 @@ TEST(SparseVsDenseEdge, DegenerateMakespanModelAgrees) {
     for (int k = 0; k < tasks; ++k) row.push_back({t[k][i], 1.0});
     m.add_row(Sense::kLe, 0.0, std::move(row));
   }
-  SimplexOptions dense_opts;
-  dense_opts.use_dense_basis = true;
-  DualSimplex dense(m, dense_opts);
+  const lp_oracle::Result oracle = lp_oracle::solve(m);
   DualSimplex sparse(m);
-  auto rd = dense.solve();
   auto rs = sparse.solve();
-  ASSERT_EQ(rd.status, SolveStatus::kOptimal);
+  ASSERT_EQ(oracle.status, lp_oracle::Status::kOptimal);
   ASSERT_EQ(rs.status, SolveStatus::kOptimal);
   // LP relaxation spreads the unit loads perfectly: z* = 8/3.
-  EXPECT_NEAR(rd.objective, 8.0 / 3.0, 1e-7);
-  EXPECT_NEAR(rs.objective, rd.objective, 1e-6);
+  EXPECT_NEAR(oracle.objective, 8.0 / 3.0, 1e-7);
+  EXPECT_NEAR(rs.objective, oracle.objective, 1e-6);
 }
 
 TEST(SparseVsDenseEdge, BoundChangeWarmRestartAgrees) {
   // Warm-restart differential: after bound changes that park nonbasic
   // variables on a dual-infeasible side (forcing restore/bound-flip logic),
-  // the warm-started sparse solve must match a cold dense solve of the
+  // the warm-started sparse solve must match the oracle's solve of the
   // modified model.
   Model m = random_bounded_lp(12, 8, 123);
   DualSimplex sparse(m);
@@ -280,13 +283,11 @@ TEST(SparseVsDenseEdge, BoundChangeWarmRestartAgrees) {
   Model m2;
   for (int v = 0; v < m.num_vars(); ++v)
     m2.add_var(m.cost(v), new_bounds[v].first, new_bounds[v].second);
-  for (int r = 0; r < m.num_rows(); ++r) m2.add_row(m.sense(r), m.rhs(r), m.row(r));
-  SimplexOptions dense_opts;
-  dense_opts.use_dense_basis = true;
-  DualSimplex dense(m2, dense_opts);
-  auto cold = dense.solve();
+  for (int r = 0; r < m.num_rows(); ++r)
+    m2.add_row(m.sense(r), m.rhs(r), m.row(r));
+  const lp_oracle::Result cold = lp_oracle::solve(m2);
 
-  ASSERT_EQ(warm.status, cold.status);
+  ASSERT_EQ(warm.status, oracle_status(cold));
   if (warm.status == SolveStatus::kOptimal) {
     EXPECT_NEAR(warm.objective, cold.objective, 1e-6);
   }
@@ -303,6 +304,10 @@ TEST(SparseVsDenseEdge, SolverStatsPopulated) {
   EXPECT_GT(r.stats.factor_fill_nnz, 0);
   EXPECT_GT(r.stats.pivots, 0);
   EXPECT_GE(r.stats.pricing_passes, r.stats.pivots);
+  // The refactorisations must not move the optimum.
+  const lp_oracle::Result oracle = lp_oracle::solve(m);
+  ASSERT_EQ(oracle.status, lp_oracle::Status::kOptimal);
+  EXPECT_NEAR(r.objective, oracle.objective, 1e-6);
 }
 
 TEST(LpProperties, EqualityRowsSatisfiedExactly) {

@@ -1,12 +1,36 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include "lp/model.h"
 #include "lp/simplex.h"
+#include "lp_oracle.h"
 
 namespace bsio::lp {
 namespace {
+
+// The independent dense oracle (lp_oracle.h) must reach each hand-solved
+// optimum too: `values` lists (variable, value) pairs it must match.
+void expect_oracle_optimum(const Model& m, double objective,
+                           std::vector<std::pair<int, double>> values = {}) {
+  const lp_oracle::Result o = lp_oracle::solve(m);
+  ASSERT_EQ(o.status, lp_oracle::Status::kOptimal);
+  EXPECT_NEAR(o.objective, objective, 1e-8);
+  for (const auto& [v, want] : values) EXPECT_NEAR(o.x[v], want, 1e-8);
+}
+
+// A copy of m with variable var's bounds replaced.
+Model with_bounds(const Model& m, int var, double lo, double up) {
+  Model out;
+  for (int v = 0; v < m.num_vars(); ++v)
+    out.add_var(m.cost(v), v == var ? lo : m.lower(v),
+                v == var ? up : m.upper(v));
+  for (int r = 0; r < m.num_rows(); ++r)
+    out.add_row(m.sense(r), m.rhs(r), m.row(r));
+  return out;
+}
 
 TEST(Model, RowActivityAndFeasibility) {
   Model m;
@@ -33,6 +57,7 @@ TEST(Simplex, TrivialBoundsOnlyProblem) {
   EXPECT_DOUBLE_EQ(r.objective, -3.0);
   EXPECT_DOUBLE_EQ(s.value(0), 0.0);
   EXPECT_DOUBLE_EQ(s.value(1), 3.0);
+  expect_oracle_optimum(m, -3.0, {{0, 0.0}, {1, 3.0}});
 }
 
 TEST(Simplex, ClassicTwoVariableLp) {
@@ -50,6 +75,7 @@ TEST(Simplex, ClassicTwoVariableLp) {
   EXPECT_NEAR(r.objective, -36.0, 1e-8);
   EXPECT_NEAR(s.value(x), 2.0, 1e-8);
   EXPECT_NEAR(s.value(y), 6.0, 1e-8);
+  expect_oracle_optimum(m, -36.0, {{x, 2.0}, {y, 6.0}});
 }
 
 TEST(Simplex, EqualityConstraints) {
@@ -69,6 +95,7 @@ TEST(Simplex, EqualityConstraints) {
   EXPECT_NEAR(s.value(x), 3.0, 1e-8);
   EXPECT_NEAR(s.value(y), 3.0, 1e-8);
   EXPECT_NEAR(s.value(z), 0.0, 1e-8);
+  expect_oracle_optimum(m, 9.0, {{x, 3.0}, {y, 3.0}, {z, 0.0}});
 }
 
 TEST(Simplex, DetectsInfeasibility) {
@@ -77,6 +104,7 @@ TEST(Simplex, DetectsInfeasibility) {
   m.add_row(Sense::kGe, 2.0, {{x, 1.0}});  // x >= 2 impossible with x <= 1
   DualSimplex s(m);
   EXPECT_EQ(s.solve().status, SolveStatus::kInfeasible);
+  EXPECT_EQ(lp_oracle::solve(m).status, lp_oracle::Status::kInfeasible);
 }
 
 TEST(Simplex, InfeasibleSystemOfRows) {
@@ -87,6 +115,7 @@ TEST(Simplex, InfeasibleSystemOfRows) {
   m.add_row(Sense::kGe, 5.0, {{x, 1.0}, {y, 1.0}});
   DualSimplex s(m);
   EXPECT_EQ(s.solve().status, SolveStatus::kInfeasible);
+  EXPECT_EQ(lp_oracle::solve(m).status, lp_oracle::Status::kInfeasible);
 }
 
 TEST(Simplex, WarmRestartAfterBoundChange) {
@@ -99,6 +128,7 @@ TEST(Simplex, WarmRestartAfterBoundChange) {
   auto r1 = s.solve();
   ASSERT_EQ(r1.status, SolveStatus::kOptimal);
   EXPECT_NEAR(r1.objective, -10.0, 1e-8);
+  expect_oracle_optimum(m, -10.0);
 
   // Branch-style fixing: x = 0 -> optimum y = 8, objective -8.
   s.set_bounds(x, 0.0, 0.0);
@@ -106,6 +136,8 @@ TEST(Simplex, WarmRestartAfterBoundChange) {
   ASSERT_EQ(r2.status, SolveStatus::kOptimal);
   EXPECT_NEAR(r2.objective, -8.0, 1e-8);
   EXPECT_NEAR(s.value(x), 0.0, 1e-10);
+  expect_oracle_optimum(with_bounds(m, x, 0.0, 0.0), -8.0,
+                        {{x, 0.0}, {y, 8.0}});
 
   // Relax back -> original optimum returns.
   s.set_bounds(x, 0.0, 8.0);
@@ -126,6 +158,7 @@ TEST(Simplex, DegenerateRhsStillSolves) {
   auto r = s.solve();
   ASSERT_EQ(r.status, SolveStatus::kOptimal);
   EXPECT_NEAR(r.objective, -4.0, 1e-8);
+  expect_oracle_optimum(m, -4.0);
 }
 
 TEST(Simplex, MinMaxLinearisationShape) {
@@ -149,6 +182,7 @@ TEST(Simplex, MinMaxLinearisationShape) {
   auto r = s.solve();
   ASSERT_EQ(r.status, SolveStatus::kOptimal);
   EXPECT_NEAR(r.objective, 3.0, 1e-8);
+  expect_oracle_optimum(m, 3.0);
 }
 
 TEST(Simplex, LargerRandomLpAgainstActivityCheck) {
@@ -171,6 +205,7 @@ TEST(Simplex, LargerRandomLpAgainstActivityCheck) {
   auto x = s.values();
   EXPECT_TRUE(m.is_feasible(x, 1e-6));
   EXPECT_LE(r.objective, m.objective_value(std::vector<double>(n, 0.0)) + 1e-9);
+  expect_oracle_optimum(m, r.objective);
 }
 
 }  // namespace

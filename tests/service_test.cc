@@ -493,7 +493,7 @@ TEST(Admission, DeadlineAwarePopsEarliestEffectiveDeadline) {
   service::AdmissionQueue q(test_cluster(), opt);
   ASSERT_TRUE(q.offer(arrival_with_slo(catalog, 0, 0.0, 100.0, 1.0)).ok());
   ASSERT_TRUE(q.offer(arrival_with_slo(catalog, 1, 1.0, 20.0, 1.0)).ok());
-  // Best-effort (infinite deadline) clamps to best_effort_deadline: never
+  // Best-effort (infinite deadline) clamps to a 1e9 s deadline: never
   // ahead of a real deadline, never starved out of the ordering.
   service::BatchArrival be = arrival_of(catalog, 4, 2, 0.5);
   ASSERT_TRUE(q.offer(std::move(be)).ok());
