@@ -265,6 +265,23 @@ SchedulerFactory factory_of(Args... args) {
   return [=] { return std::make_unique<S>(args...); };
 }
 
+// The IP scheduler of the planning-cost benches (perf_makespan,
+// scale_sweep, service_throughput): default_options() slices one 32-task
+// wave per IP solve, and each round gets a tight budget. Measured on the
+// bench workloads, branch-and-bound polish past the warm-started incumbent
+// never changes the plan (a 10 s budget and a 40 ms budget produce
+// bit-identical makespans), so the budget only sets how much planning time
+// the bench pays per sub-batch — and the sliced plans beat the old
+// single-shot 2 s configuration on simulated makespan.
+inline std::unique_ptr<sched::Scheduler> make_ip() {
+  sched::IpSchedulerOptions o = sched::IpScheduler::default_options();
+  o.selection_mip.time_limit_seconds = 0.04;
+  o.allocation_mip.time_limit_seconds = 0.04;
+  o.selection_mip.stall_node_limit = 64;
+  o.allocation_mip.stall_node_limit = 64;
+  return std::make_unique<sched::IpScheduler>(o);
+}
+
 // The paper's four schemes in the figures' column order.
 inline std::vector<SchedulerFactory> paper_schedulers(
     const sched::IpSchedulerOptions& ip) {

@@ -94,21 +94,6 @@ std::unique_ptr<sched::Scheduler> make_jdp() {
 std::unique_ptr<sched::Scheduler> make_bipartition() {
   return std::make_unique<sched::BiPartitionScheduler>();
 }
-std::unique_ptr<sched::Scheduler> make_ip() {
-  sched::IpSchedulerOptions o = sched::IpScheduler::default_options();
-  // One 32-task wave per IP solve, with a tight per-round budget. Measured
-  // on the bench workloads, branch-and-bound polish past the warm-started
-  // incumbent never changes the plan (a 10 s budget and a 40 ms budget
-  // produce bit-identical makespans), so the budget only sets how much
-  // planning time the bench pays per sub-batch — and the sliced plans beat
-  // the old single-shot 2 s configuration on simulated makespan.
-  o.max_subbatch_tasks = 32;
-  o.selection_mip.time_limit_seconds = 0.04;
-  o.allocation_mip.time_limit_seconds = 0.04;
-  o.selection_mip.stall_node_limit = 64;
-  o.allocation_mip.stall_node_limit = 64;
-  return std::make_unique<sched::IpScheduler>(o);
-}
 
 // FNV-1a fingerprint of the simulated outcome: the makespan's bit pattern,
 // every task completion instant's bit pattern, and the transfer counters.
@@ -253,7 +238,7 @@ int main(int argc, char** argv) {
       {"MinMin-lazy", static_cast<std::size_t>(-1), &make_minmin_lazy},
       {"JobDataPresent", static_cast<std::size_t>(-1), &make_jdp},
       {"BiPartition", static_cast<std::size_t>(-1), &make_bipartition},
-      {"IP", 256, &make_ip},
+      {"IP", 256, &bench::make_ip},
   };
 
   const sim::ClusterConfig cluster =
@@ -332,7 +317,7 @@ int main(int argc, char** argv) {
       {"MinMin", static_cast<std::size_t>(-1), &make_minmin_exact},
       {"JobDataPresent", static_cast<std::size_t>(-1), &make_jdp},
       {"BiPartition", static_cast<std::size_t>(-1), &make_bipartition},
-      {"IP", static_cast<std::size_t>(-1), &make_ip},
+      {"IP", static_cast<std::size_t>(-1), &bench::make_ip},
   };
 
   std::printf("\nheterogeneity sweep: %zu tasks, skews {", hetero_tasks);

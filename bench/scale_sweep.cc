@@ -97,15 +97,6 @@ std::unique_ptr<sched::Scheduler> make_jdp() {
 std::unique_ptr<sched::Scheduler> make_bipartition() {
   return std::make_unique<sched::BiPartitionScheduler>();
 }
-std::unique_ptr<sched::Scheduler> make_ip() {
-  sched::IpSchedulerOptions o = sched::IpScheduler::default_options();
-  o.max_subbatch_tasks = 32;
-  o.selection_mip.time_limit_seconds = 0.04;
-  o.allocation_mip.time_limit_seconds = 0.04;
-  o.selection_mip.stall_node_limit = 64;
-  o.allocation_mip.stall_node_limit = 64;
-  return std::make_unique<sched::IpScheduler>(o);
-}
 
 sim::ClusterConfig scale_cluster(std::size_t compute_nodes,
                                  std::size_t storage_nodes) {
@@ -255,7 +246,7 @@ int main(int argc, char** argv) {
       {"BiPartition", static_cast<std::size_t>(-1),
        static_cast<std::size_t>(-1), &make_bipartition},
       // Node-capped: IP's MIPs do not survive past small instances.
-      {"IP", 8, 1000, &make_ip},
+      {"IP", 8, 1000, &bench::make_ip},
   };
 
   std::vector<Point> points;

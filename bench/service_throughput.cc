@@ -70,16 +70,6 @@ std::unique_ptr<sched::Scheduler> make_jdp() {
 std::unique_ptr<sched::Scheduler> make_bipartition() {
   return std::make_unique<sched::BiPartitionScheduler>();
 }
-std::unique_ptr<sched::Scheduler> make_ip() {
-  sched::IpSchedulerOptions o = sched::IpScheduler::default_options();
-  // The perf_makespan budget rationale applies: warm-started incumbents
-  // make long polish a no-op, so tight budgets keep the sweep affordable.
-  o.selection_mip.time_limit_seconds = 0.04;
-  o.allocation_mip.time_limit_seconds = 0.04;
-  o.selection_mip.stall_node_limit = 64;
-  o.allocation_mip.stall_node_limit = 64;
-  return std::make_unique<sched::IpScheduler>(o);
-}
 
 // Limited disks on a slow-storage cluster: re-staging is expensive and
 // copies from earlier batches fit, so cross-batch reuse has room to pay
@@ -400,7 +390,7 @@ int main(int argc, char** argv) {
       {"MinMin", &make_minmin},
       {"JobDataPresent", &make_jdp},
       {"BiPartition", &make_bipartition},
-      {"IP", &make_ip},
+      {"IP", &bench::make_ip},
   };
 
   std::printf("service_throughput: %zu compute nodes, %zu batches/run%s\n\n",

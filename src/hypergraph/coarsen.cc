@@ -75,10 +75,12 @@ CoarseLevel coarsen_once(const Hypergraph& h, Rng& rng,
   const std::size_t nc = cluster_weight.size();
 
   std::vector<double> folded(nc, 0.0);
-  for (VertexId v = 0; v < nv; ++v) folded[cluster[v]] += h.folded_net_weight(v);
+  for (VertexId v = 0; v < nv; ++v)
+    folded[cluster[v]] += h.folded_net_weight(v);
 
   // Contract nets; merge nets with identical coarse pin sets.
-  std::unordered_map<std::uint64_t, std::vector<std::pair<std::vector<VertexId>, double>>>
+  std::unordered_map<std::uint64_t,
+                     std::vector<std::pair<std::vector<VertexId>, double>>>
       merged;
   std::vector<VertexId> cpins;
   for (NetId n = 0; n < h.num_nets(); ++n) {

@@ -241,7 +241,7 @@ void BasisLu::ftran(IndexedVector& x) const {
   out_.clear();   // wipe the leftover L-phase values for the next call
 
   // Eta file, oldest first: x := E_k^{-1} x.
-  const int ne = eta_count();
+  const int ne = static_cast<int>(eta_r_.size());
   for (int k = 0; k < ne; ++k) {
     const int r = eta_r_[k];
     const double xr = x.val[r];
@@ -256,7 +256,7 @@ void BasisLu::ftran(IndexedVector& x) const {
 void BasisLu::btran(IndexedVector& x) const {
   BSIO_DCHECK(valid_);
   // Eta transposes, newest first: x := E_k^{-T} x.
-  for (int k = eta_count() - 1; k >= 0; --k) {
+  for (int k = static_cast<int>(eta_r_.size()) - 1; k >= 0; --k) {
     const int r = eta_r_[k];
     double s = x.val[r];
     bool touched = s != 0.0;

@@ -86,7 +86,6 @@ class BasisLu {
   // the pivot element).
   void update(int r, const IndexedVector& w);
 
-  int eta_count() const { return static_cast<int>(eta_r_.size()); }
   // nnz(L) + nnz(U) of the current factorisation (diagonal included).
   long fill_nnz() const {
     return static_cast<long>(li_.size() + ui_.size()) + m_;

@@ -45,8 +45,8 @@ std::vector<wl::NodeId> bipartition_map_tasks(
   hg::Hypergraph h = build_hypergraph(w, tasks, weights);
   const std::size_t k =
       nodes.empty() ? topo.config().num_compute_nodes : nodes.size();
-  auto parts =
-      hg::partition_kway(h, static_cast<int>(k), options.partitioner);
+  auto parts = hg::partition_kway(h, static_cast<int>(k),
+                                  hg::PartitionerOptions{});
   std::vector<wl::NodeId> map(tasks.size());
   for (std::size_t i = 0; i < tasks.size(); ++i)
     map[i] = nodes.empty() ? static_cast<wl::NodeId>(parts[i])
@@ -76,7 +76,8 @@ sim::SubBatchPlan BiPartitionScheduler::plan_sub_batch(
             ? probabilistic_exec_times(w, pending, topo, &exec_scratch_)
             : plain_exec_times(w, pending, topo);
     hg::Hypergraph h = build_hypergraph(w, pending, weights);
-    hg::BinwResult binw = hg::partition_binw(h, bound, options_.partitioner);
+    hg::BinwResult binw =
+        hg::partition_binw(h, bound, hg::PartitionerOptions{});
 
     std::vector<std::size_t> count(binw.num_parts, 0);
     for (int p : binw.parts) ++count[p];

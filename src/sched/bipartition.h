@@ -19,8 +19,8 @@
 
 namespace bsio::sched {
 
+// Both levels partition with the default hg::PartitionerOptions.
 struct BiPartitionOptions {
-  hg::PartitionerOptions partitioner;
   // Use Eq. 25-26 probabilistic vertex weights (true) or plain compute
   // weights (false; ablation).
   bool probabilistic_weights = true;

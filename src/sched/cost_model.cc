@@ -59,8 +59,8 @@ std::vector<double> probabilistic_exec_times(
     const std::size_t S = c.num_storage_nodes;
     // Worst replica bandwidth into each node (the Eq. 25 pessimistic
     // source when the file exists but not locally).
-    std::vector<double> worst_repl_into(C,
-                                        std::numeric_limits<double>::infinity());
+    std::vector<double> worst_repl_into(
+        C, std::numeric_limits<double>::infinity());
     for (std::size_t i = 0; i < C; ++i)
       for (std::size_t j = 0; j < C; ++j)
         if (j != i)
@@ -79,7 +79,8 @@ std::vector<double> probabilistic_exec_times(
       mean_slow_inv[h] /= K;
     }
     double mean_speed_inv = 0.0;
-    for (std::size_t i = 0; i < C; ++i) mean_speed_inv += 1.0 / topo.cpu_speed(i);
+    for (std::size_t i = 0; i < C; ++i)
+      mean_speed_inv += 1.0 / topo.cpu_speed(i);
     mean_speed_inv /= K;
 
     for (wl::TaskId t : tasks) {

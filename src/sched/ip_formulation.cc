@@ -14,7 +14,8 @@ namespace {
 
 // Group index lists per task, computed once per model.
 std::vector<std::vector<std::size_t>> groups_of_tasks(
-    const std::vector<wl::TaskId>& tasks, const std::vector<FileGroup>& groups) {
+    const std::vector<wl::TaskId>& tasks,
+    const std::vector<FileGroup>& groups) {
   std::unordered_map<wl::TaskId, std::size_t> pos;
   for (std::size_t k = 0; k < tasks.size(); ++k) pos[tasks[k]] = k;
   std::vector<std::vector<std::size_t>> out(tasks.size());

@@ -136,7 +136,7 @@ sim::SubBatchPlan IpScheduler::plan_sub_batch(
     SelectionModel sel(
         w, capped,
         compact_groups(coalesce_files(w, capped, ctx.engine.state())),
-        topo, options_.formulation);
+        topo, IpFormulationOptions{});
     ip::MipSolver solver(sel.model(), sel.integer_vars());
     auto seed = sel.greedy_incumbent();
     if (!seed.empty()) solver.set_incumbent(seed);
@@ -170,12 +170,12 @@ sim::SubBatchPlan IpScheduler::plan_sub_batch(
   AllocationModel alloc(
       w, sub_batch,
       compact_groups(coalesce_files(w, sub_batch, ctx.engine.state())),
-      topo, options_.formulation);
+      topo, IpFormulationOptions{});
   ip::MipSolver solver(alloc.model(), alloc.integer_vars());
 
   // Warm start from the BiPartition level-2 mapping (star staging).
   std::vector<wl::NodeId> warm =
-      bipartition_map_tasks(w, sub_batch, topo, options_.warm_start);
+      bipartition_map_tasks(w, sub_batch, topo, BiPartitionOptions{});
   std::vector<double> incumbent = alloc.incumbent_from_mapping(warm);
   const bool seeded = solver.set_incumbent(incumbent);
   if (!seeded) {

@@ -23,11 +23,11 @@
 
 namespace bsio::sched {
 
+// Both models use the default IpFormulationOptions, and the allocation
+// warm start is the default BiPartition level-2 mapping.
 struct IpSchedulerOptions {
-  IpFormulationOptions formulation;
-  ip::MipOptions selection_mip;   // defaults tightened in the constructor
+  ip::MipOptions selection_mip;  // defaults tightened in default_options()
   ip::MipOptions allocation_mip;
-  BiPartitionOptions warm_start;  // level-2 mapping used as incumbent
 
   // Engineering cap on the number of tasks fed to one IP solve (0 = no
   // cap). When pending exceeds the cap, an affinity-ordered slice is

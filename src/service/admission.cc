@@ -3,12 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <numeric>
+#include <string>
 #include <utility>
 #include <vector>
 
-#include "sim/state.h"
-#include "sim/topology.h"
 #include "util/check.h"
 
 namespace bsio::service {
@@ -19,26 +17,8 @@ namespace {
 constexpr double kBestEffortDeadline = 1e9;
 }  // namespace
 
-double estimate_batch_seconds(const wl::Workload& batch,
-                              const sim::ClusterConfig& cluster) {
-  const sim::Topology topo(cluster);
-  // Cold, empty caches: capacity is irrelevant to the MCT arithmetic.
-  const sim::ClusterState cold(cluster.num_compute_nodes, sim::kUnlimited);
-  sched::PlannerState ps(batch, topo, cold);
-  std::vector<wl::NodeId> nodes(cluster.num_compute_nodes);
-  std::iota(nodes.begin(), nodes.end(), wl::NodeId{0});
-  std::vector<double> row(nodes.size());
-  double total = 0.0;
-  for (const auto& t : batch.tasks()) {
-    sched::estimate_completion_row(batch, topo, ps, t.id, nodes, row);
-    total += *std::min_element(row.begin(), row.end());
-  }
-  return total / static_cast<double>(cluster.num_compute_nodes);
-}
-
-AdmissionQueue::AdmissionQueue(const sim::ClusterConfig& cluster,
-                               AdmissionOptions options)
-    : cluster_(cluster), options_(options) {}
+AdmissionQueue::AdmissionQueue(AdmissionOptions options)
+    : options_(options) {}
 
 double AdmissionQueue::effective_due(const QueuedBatch& q) const {
   const double rel = std::isfinite(q.effective_slo.deadline_seconds)
@@ -56,13 +36,6 @@ double AdmissionQueue::deadline_key(const QueuedBatch& q, double now) const {
 Status AdmissionQueue::offer(BatchArrival arrival) {
   QueuedBatch q;
   q.effective_slo = arrival.slo;
-  if (options_.policy == AdmissionPolicy::kShortestBatchFirst) {
-    // Memoized at offer time, the only pricing this batch ever gets: pop()
-    // reads the stored estimate instead of re-running the planner sweep on
-    // every dequeue poll.
-    q.estimated_seconds = estimate_batch_seconds(arrival.batch, cluster_);
-    ++pricing_calls_;
-  }
   q.arrival = std::move(arrival);
 
   const bool full = options_.max_queue_depth > 0 &&
@@ -123,14 +96,10 @@ Status AdmissionQueue::offer(BatchArrival arrival) {
 QueuedBatch AdmissionQueue::pop(double now) {
   BSIO_CHECK_MSG(!queue_.empty(), "pop() on an empty admission queue");
   auto it = queue_.begin();
-  if (options_.policy == AdmissionPolicy::kShortestBatchFirst) {
-    for (auto cand = queue_.begin(); cand != queue_.end(); ++cand)
-      if (cand->estimated_seconds < it->estimated_seconds) it = cand;
-    // Ties keep arrival order: strict < never moves off the earliest.
-  } else if (options_.policy == AdmissionPolicy::kDeadlineAware) {
+  if (options_.policy == AdmissionPolicy::kDeadlineAware) {
     for (auto cand = queue_.begin(); cand != queue_.end(); ++cand)
       if (deadline_key(*cand, now) < deadline_key(*it, now)) it = cand;
-    // Same tie rule: the earliest arrival among equal keys stays first.
+    // Ties keep arrival order: strict < never moves off the earliest.
   }
   QueuedBatch q = std::move(*it);
   queue_.erase(it);

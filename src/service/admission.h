@@ -2,31 +2,27 @@
 // loop (service/stream.h).
 //
 // Batches that arrive while a window executes are offered together once
-// the loop's clock reaches them and leave the queue in policy order. Three
-// dequeue disciplines: FIFO, shortest-estimated-batch-first (SJF on the
-// planner-side completion estimate, a classic mean-response-time lever),
-// and deadline-aware (earliest effective deadline first with priority
-// aging, the streaming service's SLO ordering). A bounded queue applies
-// backpressure; what happens to offers beyond max_queue_depth is the
-// overload policy's choice: reject the newcomer (historical behaviour),
-// shed the lowest-value queued batch to make room, or degrade the newcomer
-// to best-effort and admit it past the bound.
+// the loop's clock reaches them and leave the queue in policy order. Two
+// dequeue disciplines: FIFO, and deadline-aware (earliest effective
+// deadline first with priority aging, the streaming service's SLO
+// ordering). A bounded queue applies backpressure; what happens to offers
+// beyond max_queue_depth is the overload policy's choice: reject the
+// newcomer (historical behaviour), shed the lowest-value queued batch to
+// make room, or degrade the newcomer to best-effort and admit it past the
+// bound.
 #pragma once
 
 #include <cstddef>
 #include <deque>
 #include <vector>
 
-#include "sched/cost_model.h"
 #include "service/arrival.h"
-#include "sim/cluster.h"
 #include "util/error.h"
 
 namespace bsio::service {
 
 enum class AdmissionPolicy {
   kFifo,
-  kShortestBatchFirst,  // min estimate_batch_seconds, arrival order on ties
   // Earliest effective deadline first: key = due - aging * wait, where due
   // clamps a best-effort (infinite-deadline) batch to arrival + 1e9 s so
   // deadline-less traffic cannot starve. Aging (aging_weight seconds of key
@@ -59,30 +55,19 @@ struct AdmissionOptions {
 
 struct QueuedBatch {
   BatchArrival arrival;
-  double estimated_seconds = 0.0;  // cold-cache planner estimate (SJF only)
   // Effective SLO class used for ordering / shedding — the arrival's own
   // class unless the overload policy degraded it.
   SloClass effective_slo;
   bool degraded = false;
 };
 
-// The planner-side estimate SJF orders by: sum over tasks of the best
-// cold-cache MCT over all compute nodes, divided by the node count — an
-// idealised perfectly-parallel lower bound. Cheap (one PlannerState, no
-// engine), deterministic, and monotone in batch size, which is all the
-// dequeue order needs.
-double estimate_batch_seconds(const wl::Workload& batch,
-                              const sim::ClusterConfig& cluster);
-
 class AdmissionQueue {
  public:
-  AdmissionQueue(const sim::ClusterConfig& cluster, AdmissionOptions options);
+  explicit AdmissionQueue(AdmissionOptions options);
 
-  // Enqueues an arrived batch. Under SJF the completion estimate is priced
-  // ONCE here and memoized on the entry — dequeues never re-price (see
-  // pricing_calls()); the other policies skip pricing entirely. A typed
-  // error means the batch was NOT admitted (bounded queue + kReject, or
-  // kShedLowestValue choosing the offer itself as the victim).
+  // Enqueues an arrived batch. A typed error means the batch was NOT
+  // admitted (bounded queue + kReject, or kShedLowestValue choosing the
+  // offer itself as the victim).
   Status offer(BatchArrival arrival);
 
   // Dequeues per policy. `now` is the service clock, consumed only by the
@@ -96,10 +81,6 @@ class AdmissionQueue {
   bool empty() const { return queue_.empty(); }
   std::size_t size() const { return queue_.size(); }
 
-  // Times estimate_batch_seconds ran — the memoization contract: exactly
-  // one per admitted batch under SJF, zero under FIFO / deadline-aware,
-  // never incremented by pop().
-  std::size_t pricing_calls() const { return pricing_calls_; }
   std::size_t degraded_count() const { return degraded_count_; }
 
  private:
@@ -107,11 +88,9 @@ class AdmissionQueue {
   double deadline_key(const QueuedBatch& q, double now) const;
   double effective_due(const QueuedBatch& q) const;
 
-  sim::ClusterConfig cluster_;
   AdmissionOptions options_;
   std::deque<QueuedBatch> queue_;
   std::vector<QueuedBatch> shed_;
-  std::size_t pricing_calls_ = 0;
   std::size_t degraded_count_ = 0;
 };
 

@@ -1,15 +1,12 @@
 // Batch arrival process for the online service.
 //
-// Two deterministic sources feed the admission queue: a seeded Poisson
-// process (exponential interarrival gaps at a configured rate) and a trace
-// file of explicit arrival times. Both yield the same BatchArrival records,
-// each carrying a ready-built Workload over the service's shared catalogue,
-// so the service loop is agnostic of where batches come from.
+// A seeded Poisson process (exponential interarrival gaps at a configured
+// rate) feeds the admission queue. Each BatchArrival carries a ready-built
+// Workload over the service's shared catalogue.
 #pragma once
 
 #include <cstdint>
 #include <limits>
-#include <string>
 #include <vector>
 
 #include "service/catalog.h"
@@ -27,22 +24,13 @@ struct SloClass {
 };
 
 struct ArrivalConfig {
-  // Mean batch arrival rate, batches per simulated second (Poisson mode).
+  // Mean batch arrival rate, batches per simulated second.
   double rate = 0.01;
   std::size_t num_batches = 8;
   std::uint64_t seed = 1;
-  // Non-empty: read arrivals from this trace instead of sampling. Each
-  // non-comment line is `<arrival_seconds> [num_tasks [deadline_seconds]]`,
-  // times finite and non-decreasing; '#' starts a comment. num_tasks
-  // (optional, a positive integer — a zero raises a typed error instead of
-  // generating an empty batch) overrides ServiceBatchConfig::tasks_per_batch
-  // for that batch; deadline_seconds (optional, positive and finite)
-  // overrides the drawn SLO class. Every field must parse in full; a
-  // malformed row is a typed error naming the file and line.
-  std::string trace_path;
   // Non-empty: every batch draws one of these SLO classes, deterministic in
-  // (seed, index) — swapping Poisson for trace arrivals never re-deals the
-  // classes. Empty = every batch is best-effort.
+  // (seed, index) — a different rate never re-deals the classes. Empty =
+  // every batch is best-effort.
   std::vector<SloClass> slo_classes;
 };
 
@@ -59,20 +47,12 @@ class BatchArrivalProcess {
                       ServiceBatchConfig batch_cfg, ArrivalConfig cfg);
 
   // The full arrival sequence, sorted by time. Deterministic in the seed;
-  // batch i's content depends only on (seed, i), not on the arrival times,
-  // so Poisson and trace runs over the same seed see the same batches.
-  // Errors are typed: unreadable or malformed trace files, non-monotone
-  // times, a non-positive rate.
+  // batch i's content and SLO class depend only on (seed, i), not on the
+  // arrival times, so runs at different rates see the same batches. Typed
+  // errors: a non-positive rate, a batch size of zero.
   Result<std::vector<BatchArrival>> generate() const;
 
  private:
-  struct ArrivalRow {
-    double time = 0.0;
-    std::size_t tasks = 0;  // 0 = configured batch size
-    double deadline = std::numeric_limits<double>::quiet_NaN();  // NaN = drawn
-  };
-  Result<std::vector<ArrivalRow>> arrival_times() const;
-
   std::vector<wl::FileInfo> catalog_;
   ServiceBatchConfig batch_cfg_;
   ArrivalConfig cfg_;

@@ -76,7 +76,7 @@ Result<StreamResult> StreamServiceLoop::run(
   // The one loop of the whole run, over the growable merged workload.
   wl::Workload stream({}, catalog_);
   sched::ControlLoop loop(scheduler_, stream, cluster_, run_options);
-  AdmissionQueue queue(cluster_, options_.admission);
+  AdmissionQueue queue(options_.admission);
   std::vector<wl::TaskId> first_task(arrivals.size(), wl::kInvalidTask);
   double clock = 0.0;
   std::size_t next = 0;

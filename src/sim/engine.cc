@@ -134,33 +134,37 @@ double ExecutionEngine::earliest_transfer_start(Timeline& src,
                               after, duration);
 }
 
+ExecutionEngine::TransferChoice ExecutionEngine::price_transfer(
+    bool remote, wl::NodeId src, const TransferPath& path, Timeline& dst,
+    double size, double after, double cap) {
+  TransferChoice c;
+  c.remote = remote;
+  c.src = src;
+  c.path = path;
+  c.duration = size / (cap > 0.0 ? std::min(path.bandwidth, cap)
+                                 : path.bandwidth);
+  c.start = earliest_transfer_start(
+      remote ? storage_tl_[src] : compute_tl_[src], path, dst, after,
+      c.duration);
+  return c;
+}
+
 ExecutionEngine::TransferChoice ExecutionEngine::best_transfer(
-    const SubBatchPlan& plan, wl::FileId file, wl::NodeId dst, double after) {
+    const SubBatchPlan* plan, wl::FileId file, wl::NodeId dst, double after,
+    double cap) {
   const double size = workload_.file_size(file);
+  const wl::NodeId home = workload_.file(file).home_storage_node;
+  BSIO_CHECK_MSG(home < cluster_.num_storage_nodes,
+                 "file home storage node out of range for this cluster");
 
   auto remote_choice = [&]() {
-    TransferChoice c;
-    c.remote = true;
-    c.src = workload_.file(file).home_storage_node;
-    BSIO_CHECK_MSG(c.src < cluster_.num_storage_nodes,
-                   "file home storage node out of range for this cluster");
-    c.path = topo_.remote_path(c.src, dst);
-    c.duration = size / c.path.bandwidth;
-    c.start = earliest_transfer_start(storage_tl_[c.src], c.path,
-                                      compute_tl_[dst], after, c.duration);
-    return c;
+    return price_transfer(true, home, topo_.remote_path(home, dst),
+                          compute_tl_[dst], size, after, cap);
   };
-
   auto replica_choice = [&](wl::NodeId j) {
-    TransferChoice c;
-    c.remote = false;
-    c.src = j;
-    c.path = topo_.replica_path(j, dst);
-    c.duration = size / c.path.bandwidth;
-    const double avail = state_.available_at(j, file);
-    c.start = earliest_transfer_start(compute_tl_[j], c.path, compute_tl_[dst],
-                                      std::max(after, avail), c.duration);
-    return c;
+    return price_transfer(false, j, topo_.replica_path(j, dst),
+                          compute_tl_[dst], size,
+                          std::max(after, state_.available_at(j, file)), cap);
   };
 
   // A write leaves the home storage copy stale until the replica manager
@@ -174,20 +178,22 @@ ExecutionEngine::TransferChoice ExecutionEngine::best_transfer(
   // unless it has gone stale (replica source no longer holds the file, has
   // crashed, or would crash before the copy completes — or the directive
   // points at a home copy a write has since invalidated).
-  auto it = plan.staging.find({file, dst});
-  if (it != plan.staging.end()) {
-    const StagingSource& s = it->second;
-    if (s.kind == SourceKind::kRemote && !stale_home) return remote_choice();
-    if (s.kind != SourceKind::kRemote && cluster_.allow_replication &&
-        s.src_node != dst && s.src_node < cluster_.num_compute_nodes &&
-        alive_[s.src_node] && state_.has(s.src_node, file)) {
-      TransferChoice c = replica_choice(s.src_node);
-      if (c.completion() <= faults_.crash_time(s.src_node)) return c;
+  if (plan != nullptr) {
+    auto it = plan->staging.find({file, dst});
+    if (it != plan->staging.end()) {
+      const StagingSource& s = it->second;
+      if (s.kind == SourceKind::kRemote && !stale_home) return remote_choice();
+      if (s.kind != SourceKind::kRemote && cluster_.allow_replication &&
+          s.src_node != dst && s.src_node < cluster_.num_compute_nodes &&
+          alive_[s.src_node] && state_.has(s.src_node, file)) {
+        TransferChoice c = replica_choice(s.src_node);
+        if (c.completion() <= faults_.crash_time(s.src_node)) return c;
+      }
     }
   }
 
   TransferChoice best = remote_choice();
-  bool best_is_stale = stale_home;
+  best.stale_home = stale_home;
   if (cluster_.allow_replication) {
     for (wl::NodeId j : state_.holders(file)) {
       if (j == dst || !alive_[j]) continue;
@@ -195,19 +201,19 @@ ExecutionEngine::TransferChoice ExecutionEngine::best_transfer(
       // A source scheduled to crash before the copy completes cannot serve
       // it.
       if (c.completion() > faults_.crash_time(j)) continue;
-      // Any current copy beats a stale home read outright; otherwise a
-      // strictly-better completion wins and ties keep the replica with the
-      // lowest source id, preferring replicas over remote (less storage
-      // contention) on exact ties.
-      if (best_is_stale || c.completion() < best.completion() - 1e-12 ||
-          (c.completion() < best.completion() + 1e-12 &&
-           (best.remote || c.src < best.src))) {
-        best = c;
-        best_is_stale = false;
-      }
+      // Any current copy beats a stale home read outright.
+      if (best.stale_home || c.beats(best)) best = c;
     }
   }
   return best;
+}
+
+void ExecutionEngine::reserve_transfer(const TransferChoice& c, Timeline& dst) {
+  reserve_tl(c.remote ? storage_tl_[c.src] : compute_tl_[c.src], c.start,
+             c.duration);
+  for (std::uint32_t l = 0; l < c.path.num_links; ++l)
+    reserve_tl(link_tl_[c.path.links[l]], c.start, c.duration);
+  reserve_tl(dst, c.start, c.duration);
 }
 
 void ExecutionEngine::remote_ready(wl::NodeId node,
@@ -328,20 +334,19 @@ void ExecutionEngine::reserve_tl(Timeline& tl, double start, double duration) {
     record_->reservations.push_back({&tl, {start, start + duration}});
 }
 
-Result<ExecutionEngine::TransferChoice> ExecutionEngine::commit_transfer(
+Result<double> ExecutionEngine::commit_transfer(
     const SubBatchPlan& plan, wl::TaskId task, wl::FileId file, wl::NodeId dst,
-    double after, bool touch_replica_source, ExecutionStats& stats) {
+    double after, const std::vector<wl::FileId>& pinned,
+    ExecutionStats& stats) {
   const double size = workload_.file_size(file);
+  // Disk admission on the destination (temporally safe: the reservation
+  // starts at or after the node horizon, and every resident file's last
+  // reference ends at or before the horizon).
+  evict_for(dst, size - state_.free_bytes(dst), pinned, stats);
   const std::uint64_t seq = transfer_seq_++;
   for (std::size_t attempt = 0;; ++attempt) {
-    TransferChoice c = best_transfer(plan, file, dst, after);
-    if (c.remote)
-      reserve_tl(storage_tl_[c.src], c.start, c.duration);
-    else
-      reserve_tl(compute_tl_[c.src], c.start, c.duration);
-    for (std::uint32_t l = 0; l < c.path.num_links; ++l)
-      reserve_tl(link_tl_[c.path.links[l]], c.start, c.duration);
-    reserve_tl(compute_tl_[dst], c.start, c.duration);
+    const TransferChoice c = best_transfer(&plan, file, dst, after, 0.0);
+    reserve_transfer(c, compute_tl_[dst]);
 
     if (!faults_.transfer_attempt_fails(seq, attempt)) {
       if (c.remote) {
@@ -350,9 +355,9 @@ Result<ExecutionEngine::TransferChoice> ExecutionEngine::commit_transfer(
         // A remote fetch from a stale home only happens when every current
         // copy is gone (writer crashed before a flush): the newest version
         // is unrecoverable and this read rolls back to the old one.
-        if (home_valid_[file] == 0) ++stats.lost_versions;
+        if (c.stale_home) ++stats.lost_versions;
       } else {
-        if (touch_replica_source)
+        if (task != wl::kInvalidTask)
           state_.touch(c.src, file, c.completion());
         ++stats.replications;
         stats.replica_bytes += size;
@@ -362,7 +367,12 @@ Result<ExecutionEngine::TransferChoice> ExecutionEngine::commit_transfer(
         trace_.push_back({c.remote ? TraceEvent::Kind::kRemoteTransfer
                                    : TraceEvent::Kind::kReplication,
                           task, file, c.src, dst, c.start, c.completion()});
-      return c;
+      state_.add(dst, file, size, c.completion());
+      if (record_ != nullptr)
+        record_->staged.push_back({file, size, c.start, c.completion(),
+                                   c.remote,
+                                   static_cast<bool>(was_evicted_[file])});
+      return c.completion();
     }
 
     // Transient failure: the attempt held its links for the full window;
@@ -396,9 +406,8 @@ Result<bool> ExecutionEngine::commit_task(const SubBatchPlan& plan,
                                           wl::TaskId task, wl::NodeId node,
                                           ExecutionStats& stats) {
   const auto& info = workload_.task(task);
-  const std::vector<wl::FileId>& pinned = info.files;
 
-  std::vector<wl::FileId> missing;
+  std::vector<wl::FileId> remaining;
   double read_bytes = 0.0;
   for (wl::FileId f : info.files) {
     read_bytes += workload_.file_size(f);
@@ -406,12 +415,11 @@ Result<bool> ExecutionEngine::commit_task(const SubBatchPlan& plan,
       ++stats.cache_hits;
       stats.cache_hit_bytes += workload_.file_size(f);
     } else {
-      missing.push_back(f);
+      remaining.push_back(f);
     }
   }
 
   double last_end = std::max(compute_tl_[node].horizon(), release_floor_);
-  std::vector<wl::FileId> remaining = missing;
   while (!remaining.empty()) {
     // Greedy minimum-TCT-first staging (paper Section 6): evaluate every
     // remaining file against the current Gantt state, commit the earliest.
@@ -419,30 +427,17 @@ Result<bool> ExecutionEngine::commit_task(const SubBatchPlan& plan,
     double best_tct = kInfTime;
     const double after = std::max(compute_tl_[node].horizon(), release_floor_);
     for (std::size_t i = 0; i < remaining.size(); ++i) {
-      TransferChoice c = best_transfer(plan, remaining[i], node, after);
-      if (c.completion() < best_tct) {
-        best_tct = c.completion();
+      const double tct =
+          best_transfer(&plan, remaining[i], node, after, 0.0).completion();
+      if (tct < best_tct) {
+        best_tct = tct;
         best_i = i;
       }
     }
-    const wl::FileId file = remaining[best_i];
-    const double size = workload_.file_size(file);
-
-    // Disk admission on the destination (temporally safe: the reservation
-    // starts at or after the node horizon, and every resident file's last
-    // reference ends at or before the horizon).
-    evict_for(node, size - state_.free_bytes(node), pinned, stats);
-
-    Result<TransferChoice> staged = commit_transfer(
-        plan, task, file, node, after, /*touch_replica_source=*/true, stats);
+    Result<double> staged = commit_transfer(plan, task, remaining[best_i],
+                                            node, after, info.files, stats);
     if (!staged.ok()) return staged.error();
-    const TransferChoice& done = staged.value();
-    state_.add(node, file, size, done.completion());
-    if (record_ != nullptr)
-      record_->staged.push_back({file, size, done.start, done.completion(),
-                                 done.remote,
-                                 static_cast<bool>(was_evicted_[file])});
-    last_end = std::max(last_end, done.completion());
+    last_end = std::max(last_end, staged.value());
     remaining.erase(remaining.begin() + best_i);
   }
 
@@ -767,17 +762,13 @@ Result<ExecutionStats> ExecutionEngine::execute(const SubBatchPlan& plan) {
   // Proactive replications (Data Least Loaded) before task scheduling.
   for (const auto& [file, dst] : plan.prefetches) {
     if (state_.has(dst, file)) continue;
-    const double size = workload_.file_size(file);
     const double after = std::max(compute_tl_[dst].horizon(), release_floor_);
-    evict_for(dst, size - state_.free_bytes(dst), {file}, stats);
-    Result<TransferChoice> c = commit_transfer(
-        plan, wl::kInvalidTask, file, dst, after,
-        /*touch_replica_source=*/false, stats);
+    Result<double> c = commit_transfer(plan, wl::kInvalidTask, file, dst,
+                                       after, {file}, stats);
     if (!c.ok()) {
       totals_.accumulate(stats);
       return c.error();
     }
-    state_.add(dst, file, size, c.value().completion());
   }
 
   // Each node's group holds its tasks' compiled ECT terms (DESIGN.md §7),
@@ -927,59 +918,25 @@ Result<double> ExecutionEngine::stage_replica(wl::FileId file, wl::NodeId dst,
     return Err("stage_replica: no free space on node " + std::to_string(dst) +
                " (background repair never evicts)");
 
-  const auto capped = [&](double path_bw) {
-    return bandwidth_cap > 0.0 ? std::min(path_bw, bandwidth_cap) : path_bw;
-  };
-
-  // Candidate sources: the home storage copy while valid, plus every alive
-  // current holder. Same rule as foreground staging: earliest completion
-  // wins, ties keep the lowest replica source id, replica over remote on
-  // exact ties.
-  TransferChoice best;
-  bool found = false;
-  if (home_valid_[file] != 0) {
-    best.remote = true;
-    best.src = workload_.file(file).home_storage_node;
-    best.path = topo_.remote_path(best.src, dst);
-    best.duration = size / capped(best.path.bandwidth);
-    best.start = earliest_transfer_start(storage_tl_[best.src], best.path,
-                                         compute_tl_[dst], after,
-                                         best.duration);
-    found = true;
-  }
-  for (wl::NodeId j : state_.holders(file)) {
-    if (j == dst || !alive_[j]) continue;
-    TransferChoice c;
-    c.remote = false;
-    c.src = j;
-    c.path = topo_.replica_path(j, dst);
-    c.duration = size / capped(c.path.bandwidth);
-    c.start = earliest_transfer_start(
-        compute_tl_[j], c.path, compute_tl_[dst],
-        std::max(after, state_.available_at(j, file)), c.duration);
-    if (c.completion() > faults_.crash_time(j)) continue;
-    if (!found || c.completion() < best.completion() - 1e-12 ||
-        (c.completion() < best.completion() + 1e-12 &&
-         (best.remote || c.src < best.src))) {
-      best = c;
-      found = true;
-    }
-  }
-  if (!found)
+  // The foreground rule without plan directives; a stale home is no
+  // source for a repair copy. A file no node holds fails before any
+  // pricing: the replica manager offers each lost version to every
+  // destination in every round.
+  const auto no_source = [&] {
     return Err("stage_replica: no valid source for file " +
                std::to_string(file) +
-               " (home copy stale and no current holder)");
+               " (home copy stale and no holder may serve it)");
+  };
+  if (home_valid_[file] == 0 && state_.num_copies(file) == 0)
+    return no_source();
+  const TransferChoice best =
+      best_transfer(nullptr, file, dst, after, bandwidth_cap);
+  if (best.stale_home) return no_source();
   if (best.completion() > faults_.crash_time(dst))
     return Err("stage_replica: destination node " + std::to_string(dst) +
                " crashes before the copy completes");
 
-  if (best.remote)
-    storage_tl_[best.src].reserve(best.start, best.duration);
-  else
-    compute_tl_[best.src].reserve(best.start, best.duration);
-  for (std::uint32_t l = 0; l < best.path.num_links; ++l)
-    link_tl_[best.path.links[l]].reserve(best.start, best.duration);
-  compute_tl_[dst].reserve(best.start, best.duration);
+  reserve_transfer(best, compute_tl_[dst]);
   state_.add(dst, file, size, best.completion());
 
   ++totals_.replicas_created;
@@ -1003,50 +960,34 @@ Result<double> ExecutionEngine::flush_to_home(wl::FileId file, double after,
 
   const double size = workload_.file_size(file);
   const wl::NodeId home = workload_.file(file).home_storage_node;
-  const auto capped = [&](double path_bw) {
-    return bandwidth_cap > 0.0 ? std::min(path_bw, bandwidth_cap) : path_bw;
-  };
 
   // Best alive holder of the current version; the write-back reuses the
-  // remote path's pricing in reverse (link bandwidths are symmetric).
-  wl::NodeId src = wl::kInvalidNode;
-  TransferPath path;
-  double start = 0.0;
-  double duration = 0.0;
+  // remote path's pricing in reverse (link bandwidths are symmetric) and
+  // ends on the home storage port, not a compute node.
+  TransferChoice best;  // src stays kInvalidNode until a holder qualifies
   for (wl::NodeId j : state_.holders(file)) {
     if (!alive_[j]) continue;
-    const TransferPath p = topo_.remote_path(home, j);
-    const double d = size / capped(p.bandwidth);
-    const double s = earliest_transfer_start(
-        compute_tl_[j], p, storage_tl_[home],
-        std::max(after, state_.available_at(j, file)), d);
-    if (s + d > faults_.crash_time(j)) continue;
-    if (src == wl::kInvalidNode || s + d < start + duration - 1e-12 ||
-        (s + d < start + duration + 1e-12 && j < src)) {
-      src = j;
-      path = p;
-      start = s;
-      duration = d;
-    }
+    const TransferChoice c = price_transfer(
+        false, j, topo_.remote_path(home, j), storage_tl_[home], size,
+        std::max(after, state_.available_at(j, file)), bandwidth_cap);
+    if (c.completion() > faults_.crash_time(j)) continue;
+    if (best.src == wl::kInvalidNode || c.beats(best)) best = c;
   }
-  if (src == wl::kInvalidNode)
+  if (best.src == wl::kInvalidNode)
     return Err("flush_to_home: no alive node holds the current version of "
                "file " +
                std::to_string(file) + " (the newest write is lost)");
 
-  compute_tl_[src].reserve(start, duration);
-  for (std::uint32_t l = 0; l < path.num_links; ++l)
-    link_tl_[path.links[l]].reserve(start, duration);
-  storage_tl_[home].reserve(start, duration);
+  reserve_transfer(best, storage_tl_[home]);
   home_valid_[file] = 1;
 
   ++totals_.home_flushes;
   totals_.repair_bytes += size;
-  totals_.repair_seconds += duration;
+  totals_.repair_seconds += best.duration;
   if (options_.trace)
     trace_.push_back({TraceEvent::Kind::kReplicaCreate, wl::kInvalidTask, file,
-                      src, home, start, start + duration});
-  return start + duration;
+                      best.src, home, best.start, best.completion()});
+  return best.completion();
 }
 
 std::vector<wl::TaskId> ExecutionEngine::take_orphaned() {

@@ -241,8 +241,8 @@ class ExecutionEngine {
   bool home_valid(wl::FileId f) const { return home_valid_[f] != 0; }
 
   // Schedules one background repair copy of `file` onto alive compute node
-  // `dst`, sourced from the best current holder (or the home storage node
-  // when its copy is valid), starting no earlier than `after`. The transfer
+  // `dst`, starting no earlier than `after`, from the source foreground
+  // staging would pick (a stale home never serves it). The transfer
   // reserves the same port/link Timelines as foreground traffic, with its
   // duration floored by `bandwidth_cap` bytes/s (<= 0 = path bandwidth
   // only) so repair competes honestly without monopolising links. Repair
@@ -254,7 +254,8 @@ class ExecutionEngine {
                                double bandwidth_cap);
 
   // Writes the current (dirty) version of `file` back to its home storage
-  // node from the best alive holder, reserving source port, path links and
+  // node from the alive holder that completes first (the foreground tie
+  // rule, TransferChoice::beats), reserving source port, path links and
   // the home storage port (the remote path priced in reverse — link
   // bandwidths are symmetric in the topology model). On success the home
   // copy is valid again. Errors when the home is already valid or no alive
@@ -275,12 +276,24 @@ class ExecutionEngine {
 
  private:
   struct TransferChoice {
-    bool remote = true;
+    bool remote = true;  // the source is a storage node
+    // A remote read of a home copy that a write has made stale: only
+    // chosen when no alive node may serve the current version.
+    bool stale_home = false;
     wl::NodeId src = wl::kInvalidNode;  // storage node or compute node
     double start = 0.0;
     double duration = 0.0;
     TransferPath path;  // shared links the transfer reserves
     double completion() const { return start + duration; }
+    // The one tie rule of every source choice: an earlier completion by
+    // more than 1e-12 wins; within that, a replica beats a remote read,
+    // then the lower source id wins.
+    bool beats(const TransferChoice& o) const {
+      if (completion() < o.completion() - 1e-12) return true;
+      if (!(completion() < o.completion() + 1e-12)) return false;
+      if (remote != o.remote) return o.remote;
+      return src < o.src;
+    }
   };
 
   // Transactional log of one task attempt, kept only while speculation
@@ -338,11 +351,26 @@ class ExecutionEngine {
   double earliest_transfer_start(Timeline& src, const TransferPath& path,
                                  Timeline& dst, double after, double duration);
 
-  // Best transfer for staging `file` onto `dst` no earlier than `after`,
-  // honouring a fixed staging directive if the plan carries one. Non-const
-  // only to let its gap queries resume the timelines' monotone cursors.
-  TransferChoice best_transfer(const SubBatchPlan& plan, wl::FileId file,
-                               wl::NodeId dst, double after);
+  // A `size`-byte copy from `src` (a storage node when `remote`, else a
+  // compute node) over `path` onto the `dst` timeline: it lasts size over
+  // the path bandwidth, capped at `cap` bytes/s when cap > 0, and starts at
+  // the earliest common gap no earlier than `after`.
+  TransferChoice price_transfer(bool remote, wl::NodeId src,
+                                const TransferPath& path, Timeline& dst,
+                                double size, double after, double cap);
+
+  // The one transfer-source rule (paper Section 6) for copying `file` onto
+  // compute node `dst` no earlier than `after`: the earliest completion
+  // over the home and, under allow_replication, every alive holder that
+  // outlives the copy. A flagged stale home wins only when no holder
+  // qualifies. A non-null `plan` may fix the source by a staging directive;
+  // `cap` > 0 caps every candidate's bandwidth. Non-const only to let its
+  // gap queries resume the timelines' monotone cursors.
+  TransferChoice best_transfer(const SubBatchPlan* plan, wl::FileId file,
+                               wl::NodeId dst, double after, double cap);
+
+  // Reserves `c` on its source port, its shared links and `dst`.
+  void reserve_transfer(const TransferChoice& c, Timeline& dst);
 
   // ready[s]: the earliest instant the horizons let a fetch from storage
   // node s onto `node` start (the storage port and every shared link of
@@ -369,16 +397,18 @@ class ExecutionEngine {
   // the active AttemptRecord when one is recording.
   void reserve_tl(Timeline& tl, double start, double duration);
 
-  // Commits the staging of `file` onto `dst` starting no earlier than
-  // `after`, injecting transient failures: each failed attempt reserves its
-  // links for the full window, and the retry waits an exponential backoff
-  // before re-picking the then-best source. Returns the successful choice,
-  // or a typed error when give_up_after_max_attempts exhausts the budget.
-  Result<TransferChoice> commit_transfer(const SubBatchPlan& plan,
-                                         wl::TaskId task, wl::FileId file,
-                                         wl::NodeId dst, double after,
-                                         bool touch_replica_source,
-                                         ExecutionStats& stats);
+  // Commits the staging of `file` onto `dst` for `task` (kInvalidTask for
+  // a prefetch, which leaves its replica source's recency alone), starting
+  // no earlier than `after`. Evicts unpinned files to make room, then
+  // injects transient failures: each failed attempt reserves its links for
+  // the full window, and the retry waits an exponential backoff before
+  // re-picking the then-best source. The successful copy joins dst's cache
+  // and the active AttemptRecord. Returns its completion instant, or a
+  // typed error when give_up_after_max_attempts exhausts the budget.
+  Result<double> commit_transfer(const SubBatchPlan& plan, wl::TaskId task,
+                                 wl::FileId file, wl::NodeId dst, double after,
+                                 const std::vector<wl::FileId>& pinned,
+                                 ExecutionStats& stats);
 
   // Commits `task` on `node`: stages missing files (minimum-TCT-first),
   // evicting on demand, then reserves the local-read + compute block.

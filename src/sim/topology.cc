@@ -12,8 +12,8 @@ namespace {
 // must hand every consumer the bit-identical double the pre-topology
 // ClusterConfig::remote_bw() produced.
 double uniform_remote_chain(const ClusterConfig& c) {
-  double bw =
-      c.storage_disk_bw < c.storage_net_bw ? c.storage_disk_bw : c.storage_net_bw;
+  double bw = c.storage_disk_bw < c.storage_net_bw ? c.storage_disk_bw
+                                                   : c.storage_net_bw;
   if (c.shared_uplink_bw > 0.0 && c.shared_uplink_bw < bw)
     bw = c.shared_uplink_bw;
   return bw;
@@ -84,20 +84,14 @@ Topology::Topology(const ClusterConfig& c) : config_(c) {
     }
   }
 
-  min_remote_bw_ = remote_bw_.empty()
-                       ? uniform_remote_bw_
-                       : *std::min_element(remote_bw_.begin(), remote_bw_.end());
+  min_remote_bw_ =
+      remote_bw_.empty()
+          ? uniform_remote_bw_
+          : *std::min_element(remote_bw_.begin(), remote_bw_.end());
   min_replica_bw_ =
       replica_bw_.empty()
           ? config_.compute_net_bw
           : *std::min_element(replica_bw_.begin(), replica_bw_.end());
-}
-
-TransferPath Topology::resolve(Endpoint src, Endpoint dst) const {
-  BSIO_CHECK_MSG(dst.kind == Endpoint::Kind::kCompute,
-                 "transfers only terminate at compute nodes");
-  if (src.kind == Endpoint::Kind::kStorage) return remote_path(src.id, dst.id);
-  return replica_path(src.id, dst.id);
 }
 
 }  // namespace bsio::sim

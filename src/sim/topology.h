@@ -7,7 +7,8 @@
 // instead of re-deriving min(disk, net, uplink) locally. That makes link-
 // model changes a one-place edit and opens heterogeneous clusters:
 //
-//  - per-storage-node disk bandwidths (ClusterConfig::storage_disk_bw_per_node),
+//  - per-storage-node disk bandwidths
+//    (ClusterConfig::storage_disk_bw_per_node),
 //  - per-compute-node NIC bandwidth caps (compute_nic_bw) applied to every
 //    transfer that terminates at the node (staging and replication alike),
 //  - per-compute-node CPU speed factors (compute_speed) dividing task
@@ -46,16 +47,6 @@ struct TransferPath {
   std::array<std::uint16_t, 2> links{};  // valid entries: [0, num_links)
 };
 
-// A transfer endpoint: a storage-node port or a compute-node port.
-struct Endpoint {
-  enum class Kind : std::uint8_t { kStorage, kCompute };
-  Kind kind = Kind::kCompute;
-  wl::NodeId id = 0;
-
-  static Endpoint storage(wl::NodeId s) { return {Kind::kStorage, s}; }
-  static Endpoint compute(wl::NodeId c) { return {Kind::kCompute, c}; }
-};
-
 class Topology {
  public:
   // The config must satisfy ClusterConfig::validate(); the topology keeps
@@ -65,13 +56,10 @@ class Topology {
   const ClusterConfig& config() const { return config_; }
 
   // --- Path resolution. ---
-  // resolve() is the one API: effective bandwidth of src -> dst plus the
-  // shared links the transfer must reserve. storage -> compute is a remote
-  // stage, compute -> compute a replication; the remaining combinations are
-  // not part of the model (storage nodes never receive files).
-  TransferPath resolve(Endpoint src, Endpoint dst) const;
-
-  // Convenience forms of resolve() for the two legal transfer kinds.
+  // Effective bandwidth plus the shared links a transfer must reserve, for
+  // the two kinds of route: storage node <-> compute node (a remote stage,
+  // or a write-back priced in reverse; link bandwidths are symmetric) and
+  // compute -> compute (a replication).
   TransferPath remote_path(wl::NodeId storage, wl::NodeId compute) const {
     TransferPath p;
     p.bandwidth = remote_bw_[storage * C_ + compute];

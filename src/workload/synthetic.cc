@@ -27,12 +27,9 @@ Workload make_synthetic(const SyntheticConfig& cfg) {
             ? 1.0 + cfg.file_size_jitter * (rng.uniform_double() * 2.0 - 1.0)
             : 1.0;
     files[f].size_bytes = cfg.file_size_bytes * jitter;
-    files[f].home_storage_node =
-        static_cast<NodeId>(f % std::max<std::size_t>(1, cfg.num_storage_nodes));
+    files[f].home_storage_node = static_cast<NodeId>(
+        f % std::max<std::size_t>(1, cfg.num_storage_nodes));
   }
-
-  const auto hot_count = static_cast<std::size_t>(
-      std::floor(static_cast<double>(pool) * cfg.hot_fraction));
 
   // First deal every pool file out once (in random order) so the distinct
   // file count — and hence the measured overlap — matches the target
@@ -49,14 +46,8 @@ Workload make_synthetic(const SyntheticConfig& cfg) {
     std::unordered_set<FileId> chosen;
     while (chosen.size() < cfg.files_per_task && deal_cursor < deal_end)
       chosen.insert(undealt[deal_cursor++]);
-    while (chosen.size() < cfg.files_per_task) {
-      std::size_t f;
-      if (hot_count > 0 && rng.bernoulli(cfg.hot_probability))
-        f = rng.uniform(hot_count);
-      else
-        f = rng.uniform(pool);
-      chosen.insert(static_cast<FileId>(f));
-    }
+    while (chosen.size() < cfg.files_per_task)
+      chosen.insert(static_cast<FileId>(rng.uniform(pool)));
     tasks[t].files.assign(chosen.begin(), chosen.end());
     std::sort(tasks[t].files.begin(), tasks[t].files.end());
     double bytes = 0.0;
@@ -71,6 +62,10 @@ Workload make_synthetic(const SyntheticConfig& cfg) {
   return Workload(std::move(tasks), std::move(files));
 }
 
+namespace {
+
+// Metadata of universe file `uid`, derived by hashing — no catalogue lookup
+// involved, so nothing is materialized before the draws.
 FileInfo stream_file_info(const StreamingSyntheticConfig& cfg,
                           std::uint64_t uid) {
   FileInfo f;
@@ -87,6 +82,8 @@ FileInfo stream_file_info(const StreamingSyntheticConfig& cfg,
       uid % std::max<std::size_t>(1, cfg.num_storage_nodes));
   return f;
 }
+
+}  // namespace
 
 Workload make_synthetic_streaming(const StreamingSyntheticConfig& cfg) {
   BSIO_CHECK(cfg.num_tasks > 0);

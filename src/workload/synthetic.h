@@ -27,10 +27,6 @@ struct SyntheticConfig {
   // heterogeneous demand on heterogeneous hardware.
   double compute_jitter = 0.0;
   std::size_t num_storage_nodes = 4;
-  // Hot-set skew: probability mass concentrated on a small hot subset of the
-  // pool (0 = uniform). Models "hot spot" access patterns.
-  double hot_fraction = 0.0;   // fraction of pool that is hot
-  double hot_probability = 0.0;  // probability a request goes to the hot set
   std::uint64_t seed = 1;
 };
 
@@ -66,11 +62,6 @@ struct StreamingSyntheticConfig {
   std::size_t num_storage_nodes = 4;
   std::uint64_t seed = 1;
 };
-
-// Metadata of universe file `uid`, derived by hashing — no catalogue lookup
-// involved, so callers can price files without materializing anything.
-FileInfo stream_file_info(const StreamingSyntheticConfig& cfg,
-                          std::uint64_t uid);
 
 Workload make_synthetic_streaming(const StreamingSyntheticConfig& cfg);
 

@@ -163,7 +163,8 @@ TEST(CostModel, CompletionTimeMatchesFullEstimateBitwise) {
   for (int step = 0; step < 50; ++step) {
     const auto task = static_cast<wl::TaskId>(rng.uniform(w.num_tasks()));
     const auto node = static_cast<wl::NodeId>(rng.uniform(c.num_compute_nodes));
-    const CompletionEstimate full = estimate_completion(w, topo, ps, task, node);
+    const CompletionEstimate full =
+        estimate_completion(w, topo, ps, task, node);
     const double fast = estimate_completion_time(w, topo, ps, task, node);
     EXPECT_EQ(full.completion, fast) << "step " << step;
     if (step % 5 == 0) apply_assignment(w, topo, ps, task, node, full);

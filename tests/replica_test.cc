@@ -335,6 +335,25 @@ TEST(ReplicaEpochs, BandwidthCapLengthensRepairTransfers) {
   EXPECT_DOUBLE_EQ(eng.totals().repair_seconds, 3.0);
 }
 
+// Repair picks its source by the foreground rule, so a cluster that
+// disallows compute-to-compute replication stages every repair copy from
+// home too. The completion time tells the sources apart: the trace's `src`
+// cannot tell storage node 0 from compute node 0.
+TEST(ReplicaEpochs, RepairHonoursDisallowedReplication) {
+  const wl::Workload w = one_file_workload(/*writes=*/false);
+  for (const bool allow : {true, false}) {
+    SCOPED_TRACE(allow);
+    sim::ClusterConfig c = replica_cluster(2, 2);
+    c.allow_replication = allow;
+    sim::ExecutionEngine eng(c, w);
+    ASSERT_TRUE(eng.stage_replica(0, 0, 0.0, 0.0).ok());  // node 0 at 1 s
+    auto copy = eng.stage_replica(0, 1, 5.0, 0.0);
+    ASSERT_TRUE(copy.ok());
+    // Node 0's copy takes 0.25 s; the home fetch takes 1 s.
+    EXPECT_DOUBLE_EQ(copy.value(), allow ? 5.25 : 6.0);
+  }
+}
+
 // ---------------------------------------------------- end-to-end pipelines
 
 TEST(ReplicaEndToEnd, RepairRestoresTargetRfAfterFailStopCrash) {

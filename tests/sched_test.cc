@@ -66,7 +66,8 @@ TEST(CostModel, ProbabilisticWeightsMatchEq25) {
 
   sim::Topology topo(c);
   auto exec = probabilistic_exec_times(w, {0, 1}, topo);
-  const double bw_s = topo.uniform_remote_bw(), bw_c = topo.uniform_replica_bw();
+  const double bw_s = topo.uniform_remote_bw(),
+               bw_c = topo.uniform_replica_bw();
   const double slow = std::min(bw_s, bw_c);
   const double s_j = 2.0, T = 2.0, K = 2.0;
   const double p_fne = 1.0 / s_j, p_fe = (s_j / T) / K;

@@ -12,7 +12,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <fstream>
 #include <memory>
 #include <set>
 #include <string>
@@ -279,65 +278,15 @@ TEST(Arrivals, PoissonDeterministicAndContentStable) {
   }
 }
 
-TEST(Arrivals, TraceFileParsesOverridesAndComments) {
-  const std::string path = testing::TempDir() + "service_trace.txt";
-  {
-    std::ofstream out(path);
-    out << "# batch arrival trace\n"
-        << "0.5\n"
-        << "\n"
-        << "2.0 4   # four tasks\n"
-        << "2.0\n";
-  }
-  const std::vector<wl::FileInfo> catalog = test_catalog();
-  service::ArrivalConfig cfg;
-  cfg.trace_path = path;
-  cfg.seed = 9;
-  service::BatchArrivalProcess p(catalog, test_batch_cfg(6), cfg);
-  auto a = p.generate();
-  ASSERT_TRUE(a.ok()) << a.error().message;
-  ASSERT_EQ(a.value().size(), 3u);
-  EXPECT_EQ(a.value()[0].time, 0.5);
-  EXPECT_EQ(a.value()[1].time, 2.0);
-  EXPECT_EQ(a.value()[0].batch.num_tasks(), 6u);  // configured size
-  EXPECT_EQ(a.value()[1].batch.num_tasks(), 4u);  // per-line override
-  EXPECT_EQ(a.value()[2].batch.num_tasks(), 6u);
-}
-
 TEST(Arrivals, TraceErrorsAreTyped) {
   const std::vector<wl::FileInfo> catalog = test_catalog();
-  auto generate = [&](const std::string& content) {
-    const std::string path = testing::TempDir() + "bad_trace.txt";
-    std::ofstream(path) << content;
-    service::ArrivalConfig cfg;
-    cfg.trace_path = path;
-    service::BatchArrivalProcess p(catalog, test_batch_cfg(4), cfg);
-    return p.generate();
-  };
-  EXPECT_FALSE(generate("5.0\n1.0\n").ok());   // non-monotone
-  EXPECT_FALSE(generate("banana\n").ok());     // not a number
-  EXPECT_FALSE(generate("1.0 -3\n").ok());     // non-positive size
-  EXPECT_FALSE(generate("1.0 4 -2\n").ok());   // non-positive deadline
-  EXPECT_FALSE(generate("# only comments\n").ok());
-
-  // A zero-task arrival is its own typed error: an empty batch is not a
-  // parse accident worth conflating with a negative size.
-  const auto zero = generate("1.0 0\n");
-  ASSERT_FALSE(zero.ok());
-  EXPECT_NE(zero.error().message.find("num_tasks == 0"), std::string::npos);
-
-  service::ArrivalConfig missing;
-  missing.trace_path = testing::TempDir() + "does_not_exist_xyz.txt";
-  service::BatchArrivalProcess p(catalog, test_batch_cfg(4), missing);
-  EXPECT_FALSE(p.generate().ok());
-
-  service::ArrivalConfig bad_rate;  // Poisson path: rate must be positive
+  service::ArrivalConfig bad_rate;  // the rate must be positive
   bad_rate.rate = 0.0;
   service::BatchArrivalProcess q(catalog, test_batch_cfg(4), bad_rate);
   EXPECT_FALSE(q.generate().ok());
 
-  // Generator path: a configured batch size of zero is the same typed
-  // error, caught before any batch is built.
+  // A configured batch size of zero is a typed error, caught before any
+  // batch is built.
   service::ArrivalConfig poisson;
   poisson.rate = 1.0;
   poisson.num_batches = 2;
@@ -345,28 +294,6 @@ TEST(Arrivals, TraceErrorsAreTyped) {
   const auto zr = z.generate();
   ASSERT_FALSE(zr.ok());
   EXPECT_NE(zr.error().message.find("num_tasks == 0"), std::string::npos);
-}
-
-// Each field of a trace row must parse in full: a fractional or garbled
-// num_tasks, or a fourth field, is a typed error naming the file and line,
-// never a silent reinterpretation (5.5 tasks read as 5 tasks due in 0.5 s,
-// 'abc' as the default batch size, '3x' as 3).
-TEST(ArrivalTrace, MalformedRowsAreTypedErrors) {
-  const std::vector<wl::FileInfo> catalog = test_catalog();
-  const std::string path = testing::TempDir() + "malformed_trace.txt";
-  for (const char* bad : {"10 5.5", "10 abc", "10 3x", "10 3 20 junk"}) {
-    SCOPED_TRACE(bad);
-    std::ofstream(path) << "0.5 4\n" << bad << "\n";
-    service::ArrivalConfig cfg;
-    cfg.trace_path = path;
-    service::BatchArrivalProcess p(catalog, test_batch_cfg(8), cfg);
-    const auto a = p.generate();
-    EXPECT_FALSE(a.ok());
-    if (!a.ok()) {
-      EXPECT_NE(a.error().message.find(path + " line 2"), std::string::npos)
-          << a.error().message;
-    }
-  }
 }
 
 TEST(Arrivals, SloClassesDrawDeterministicallyAndTraceOverrides) {
@@ -392,7 +319,7 @@ TEST(Arrivals, SloClassesDrawDeterministicallyAndTraceOverrides) {
   EXPECT_TRUE(saw_premium);
   EXPECT_TRUE(saw_standard);
 
-  // The arrival source moves WHEN batches arrive, never their class.
+  // The rate moves WHEN batches arrive, never their class.
   service::ArrivalConfig fast = cfg;
   fast.rate = 10.0;
   service::BatchArrivalProcess q(catalog, test_batch_cfg(4), fast);
@@ -401,18 +328,6 @@ TEST(Arrivals, SloClassesDrawDeterministicallyAndTraceOverrides) {
   for (std::size_t i = 0; i < 8; ++i)
     EXPECT_EQ(f.value()[i].slo.deadline_seconds,
               a.value()[i].slo.deadline_seconds);
-
-  // A trace's third column overrides the drawn class per batch.
-  const std::string path = testing::TempDir() + "slo_trace.txt";
-  std::ofstream(path) << "0.5 4 12.5\n2.0 4\n";
-  service::ArrivalConfig tcfg = cfg;
-  tcfg.trace_path = path;
-  service::BatchArrivalProcess t(catalog, test_batch_cfg(4), tcfg);
-  auto tr = t.generate();
-  ASSERT_TRUE(tr.ok()) << tr.error().message;
-  EXPECT_EQ(tr.value()[0].slo.deadline_seconds, 12.5);
-  EXPECT_EQ(tr.value()[1].slo.deadline_seconds,
-            a.value()[1].slo.deadline_seconds);
 }
 
 // -------------------------------------------------------------- admission
@@ -430,7 +345,7 @@ service::BatchArrival arrival_of(const std::vector<wl::FileInfo>& catalog,
 
 TEST(Admission, FifoPopsInArrivalOrder) {
   const std::vector<wl::FileInfo> catalog = test_catalog();
-  service::AdmissionQueue q(test_cluster(), {});
+  service::AdmissionQueue q({});
   ASSERT_TRUE(q.offer(arrival_of(catalog, 12, 0, 0.0)).ok());
   ASSERT_TRUE(q.offer(arrival_of(catalog, 2, 1, 1.0)).ok());
   ASSERT_TRUE(q.offer(arrival_of(catalog, 6, 2, 2.0)).ok());
@@ -440,35 +355,11 @@ TEST(Admission, FifoPopsInArrivalOrder) {
   EXPECT_TRUE(q.empty());
 }
 
-TEST(Admission, ShortestBatchFirstOrdersByEstimate) {
-  const std::vector<wl::FileInfo> catalog = test_catalog();
-  service::AdmissionOptions opt;
-  opt.policy = service::AdmissionPolicy::kShortestBatchFirst;
-  service::AdmissionQueue q(test_cluster(), opt);
-  ASSERT_TRUE(q.offer(arrival_of(catalog, 12, 0, 0.0)).ok());
-  ASSERT_TRUE(q.offer(arrival_of(catalog, 2, 1, 1.0)).ok());
-  ASSERT_TRUE(q.offer(arrival_of(catalog, 6, 2, 2.0)).ok());
-  EXPECT_EQ(q.pop().arrival.index, 1u);  // 2 tasks
-  EXPECT_EQ(q.pop().arrival.index, 2u);  // 6 tasks
-  EXPECT_EQ(q.pop().arrival.index, 0u);  // 12 tasks
-}
-
-TEST(Admission, EstimateIsMonotoneInBatchSize) {
-  const std::vector<wl::FileInfo> catalog = test_catalog();
-  const sim::ClusterConfig c = test_cluster();
-  const double small = service::estimate_batch_seconds(
-      service::make_service_batch(catalog, test_batch_cfg(2), 7), c);
-  const double big = service::estimate_batch_seconds(
-      service::make_service_batch(catalog, test_batch_cfg(16), 7), c);
-  EXPECT_GT(small, 0.0);
-  EXPECT_GT(big, small);
-}
-
 TEST(Admission, BoundedQueueRejectsWithTypedError) {
   const std::vector<wl::FileInfo> catalog = test_catalog();
   service::AdmissionOptions opt;
   opt.max_queue_depth = 2;
-  service::AdmissionQueue q(test_cluster(), opt);
+  service::AdmissionQueue q(opt);
   ASSERT_TRUE(q.offer(arrival_of(catalog, 4, 0, 0.0)).ok());
   ASSERT_TRUE(q.offer(arrival_of(catalog, 4, 1, 0.0)).ok());
   const Status s = q.offer(arrival_of(catalog, 4, 2, 0.0));
@@ -490,7 +381,7 @@ TEST(Admission, DeadlineAwarePopsEarliestEffectiveDeadline) {
   const std::vector<wl::FileInfo> catalog = test_catalog();
   service::AdmissionOptions opt;
   opt.policy = service::AdmissionPolicy::kDeadlineAware;
-  service::AdmissionQueue q(test_cluster(), opt);
+  service::AdmissionQueue q(opt);
   ASSERT_TRUE(q.offer(arrival_with_slo(catalog, 0, 0.0, 100.0, 1.0)).ok());
   ASSERT_TRUE(q.offer(arrival_with_slo(catalog, 1, 1.0, 20.0, 1.0)).ok());
   // Best-effort (infinite deadline) clamps to a 1e9 s deadline: never
@@ -507,7 +398,7 @@ TEST(Admission, AgingPullsOldBatchesAcrossSloClasses) {
   service::AdmissionOptions opt;
   opt.policy = service::AdmissionPolicy::kDeadlineAware;
   opt.aging_weight = 10.0;  // 10 key-seconds of credit per waiting second
-  service::AdmissionQueue q(test_cluster(), opt);
+  service::AdmissionQueue q(opt);
   // Pure EDF would pop index 1 (due 30) before index 0 (due 100); with
   // aging, by now = 12 the older batch has earned 120 key-seconds of
   // credit against the newcomer's 20 and overtakes it.
@@ -522,7 +413,7 @@ TEST(Admission, ShedLowestValueEvictsAndSurfacesVictims) {
   service::AdmissionOptions opt;
   opt.max_queue_depth = 2;
   opt.overload = service::OverloadPolicy::kShedLowestValue;
-  service::AdmissionQueue q(test_cluster(), opt);
+  service::AdmissionQueue q(opt);
   ASSERT_TRUE(q.offer(arrival_with_slo(catalog, 0, 0.0, 50.0, 5.0)).ok());
   ASSERT_TRUE(q.offer(arrival_with_slo(catalog, 1, 0.0, 50.0, 1.0)).ok());
   // Weight 3 beats the queued weight-1 batch: that one is shed, the offer
@@ -546,7 +437,7 @@ TEST(Admission, DegradeAdmitsPastBoundAsBestEffort) {
   service::AdmissionOptions opt;
   opt.max_queue_depth = 1;
   opt.overload = service::OverloadPolicy::kDegrade;
-  service::AdmissionQueue q(test_cluster(), opt);
+  service::AdmissionQueue q(opt);
   ASSERT_TRUE(q.offer(arrival_with_slo(catalog, 0, 0.0, 10.0, 2.0)).ok());
   ASSERT_TRUE(q.offer(arrival_with_slo(catalog, 1, 0.0, 10.0, 2.0)).ok());
   EXPECT_EQ(q.size(), 2u);
@@ -559,32 +450,6 @@ TEST(Admission, DegradeAdmitsPastBoundAsBestEffort) {
   EXPECT_FALSE(std::isfinite(d.effective_slo.deadline_seconds));
   // The original class survives on the arrival for SLO reporting.
   EXPECT_EQ(d.arrival.slo.deadline_seconds, 10.0);
-}
-
-TEST(Admission, SjfPricesOnceAtOfferTimeOnly) {
-  const std::vector<wl::FileInfo> catalog = test_catalog();
-  service::AdmissionOptions opt;
-  opt.policy = service::AdmissionPolicy::kShortestBatchFirst;
-  service::AdmissionQueue q(test_cluster(), opt);
-  ASSERT_TRUE(q.offer(arrival_of(catalog, 8, 0, 0.0)).ok());
-  ASSERT_TRUE(q.offer(arrival_of(catalog, 2, 1, 0.0)).ok());
-  ASSERT_TRUE(q.offer(arrival_of(catalog, 5, 2, 0.0)).ok());
-  EXPECT_EQ(q.pricing_calls(), 3u);
-  // Dequeues read the memoized estimates; no re-pricing per poll.
-  while (!q.empty()) q.pop();
-  EXPECT_EQ(q.pricing_calls(), 3u);
-
-  // The other policies never price at all.
-  service::AdmissionQueue fifo(test_cluster(), {});
-  ASSERT_TRUE(fifo.offer(arrival_of(catalog, 8, 0, 0.0)).ok());
-  fifo.pop();
-  EXPECT_EQ(fifo.pricing_calls(), 0u);
-  service::AdmissionOptions edf;
-  edf.policy = service::AdmissionPolicy::kDeadlineAware;
-  service::AdmissionQueue dq(test_cluster(), edf);
-  ASSERT_TRUE(dq.offer(arrival_of(catalog, 8, 0, 0.0)).ok());
-  dq.pop(1.0);
-  EXPECT_EQ(dq.pricing_calls(), 0u);
 }
 
 // ------------------------------------------------------------ service loop

@@ -129,14 +129,6 @@ TEST(Topology, UniformConfigMatchesHistoricalScalars) {
   const sim::TransferPath pp = topo.replica_path(0, 3);
   EXPECT_EQ(pp.bandwidth, 400.0 * sim::kMB);
   EXPECT_EQ(pp.num_links, 0u);
-
-  // resolve() dispatches on the endpoint kind.
-  EXPECT_EQ(topo.resolve(sim::Endpoint::storage(1), sim::Endpoint::compute(2))
-                .bandwidth,
-            rp.bandwidth);
-  EXPECT_EQ(topo.resolve(sim::Endpoint::compute(0), sim::Endpoint::compute(3))
-                .bandwidth,
-            pp.bandwidth);
 }
 
 TEST(Topology, SharedUplinkBecomesALinkResource) {
