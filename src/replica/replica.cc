@@ -137,6 +137,11 @@ RepairReport ReplicaManager::run_repairs(sim::ExecutionEngine& engine,
   for (wl::FileId f = 0; f < workload_.num_files(); ++f) {
     std::uint32_t have = actual_rf(engine, f);
     const std::uint32_t want = desired_rf(engine, f);
+    // A lost version has no source anywhere: one deferral, no offers.
+    if (have < want && residency(engine, f) == Residency::kLost) {
+      ++report.deferred;
+      continue;
+    }
     while (have < want) {
       if (!budget_left()) {
         ++report.deferred;

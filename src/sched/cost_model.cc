@@ -160,14 +160,18 @@ void PlannerState::reset(const wl::Workload& w, const sim::Topology& topo,
   if (present_.size() < want) present_.resize(want, 0);
   num_nodes_ = c.num_compute_nodes;
 
-  for (wl::FileId f = 0; f < w.num_files(); ++f)
-    for (wl::NodeId n : current.holders(f)) {
-      double avail = current.available_at(n, f);
+  for (wl::FileId f = 0; f < w.num_files(); ++f) {
+    const auto holders = current.holders(f);
+    const auto holder_avail = current.holder_avail(f);
+    for (std::size_t k = 0; k < holders.size(); ++k) {
+      const wl::NodeId n = holders[k];
+      double avail = holder_avail[k];
       // Guarded so the origin-0 batch path leaves stamps bit-identical
       // (no clamp applied to already-relative values).
       if (origin > 0.0) avail = std::max(0.0, avail - origin);
       add_planned(f, n, avail);
     }
+  }
 }
 
 void PlannerState::add_planned(wl::FileId f, wl::NodeId n, double avail) {

@@ -161,10 +161,9 @@ ExecutionEngine::TransferChoice ExecutionEngine::best_transfer(
     return price_transfer(true, home, topo_.remote_path(home, dst),
                           compute_tl_[dst], size, after, cap);
   };
-  auto replica_choice = [&](wl::NodeId j) {
+  auto replica_choice = [&](wl::NodeId j, double avail) {
     return price_transfer(false, j, topo_.replica_path(j, dst),
-                          compute_tl_[dst], size,
-                          std::max(after, state_.available_at(j, file)), cap);
+                          compute_tl_[dst], size, std::max(after, avail), cap);
   };
 
   // A write leaves the home storage copy stale until the replica manager
@@ -186,7 +185,8 @@ ExecutionEngine::TransferChoice ExecutionEngine::best_transfer(
       if (s.kind != SourceKind::kRemote && cluster_.allow_replication &&
           s.src_node != dst && s.src_node < cluster_.num_compute_nodes &&
           alive_[s.src_node] && state_.has(s.src_node, file)) {
-        TransferChoice c = replica_choice(s.src_node);
+        TransferChoice c =
+            replica_choice(s.src_node, state_.available_at(s.src_node, file));
         if (c.completion() <= faults_.crash_time(s.src_node)) return c;
       }
     }
@@ -195,9 +195,12 @@ ExecutionEngine::TransferChoice ExecutionEngine::best_transfer(
   TransferChoice best = remote_choice();
   best.stale_home = stale_home;
   if (cluster_.allow_replication) {
-    for (wl::NodeId j : state_.holders(file)) {
+    const auto holders = state_.holders(file);
+    const auto avail = state_.holder_avail(file);
+    for (std::size_t k = 0; k < holders.size(); ++k) {
+      const wl::NodeId j = holders[k];
       if (j == dst || !alive_[j]) continue;
-      TransferChoice c = replica_choice(j);
+      TransferChoice c = replica_choice(j, avail[k]);
       // A source scheduled to crash before the copy completes cannot serve
       // it.
       if (c.completion() > faults_.crash_time(j)) continue;
@@ -216,106 +219,17 @@ void ExecutionEngine::reserve_transfer(const TransferChoice& c, Timeline& dst) {
   reserve_tl(dst, c.start, c.duration);
 }
 
-void ExecutionEngine::remote_ready(wl::NodeId node,
-                                   std::vector<double>& ready) const {
-  ready.resize(storage_tl_.size());
-  for (wl::NodeId s = 0; s < storage_tl_.size(); ++s) {
-    const TransferPath rp = topo_.remote_path(s, node);
-    double src_ready = storage_tl_[s].horizon();
-    for (std::uint32_t l = 0; l < rp.num_links; ++l)
-      src_ready = std::max(src_ready, link_tl_[rp.links[l]].horizon());
-    ready[s] = src_ready;
-  }
-}
-
-std::uint64_t ExecutionEngine::residency_version(const RankEntry& e) const {
-  std::uint64_t sum = 0;
-  for (const RankTerm& term : e.terms)
-    sum += state_.residency_version(term.file);
-  return sum;
-}
-
-void ExecutionEngine::compile_rank_entry(RankEntry& e, wl::NodeId node) const {
-  const auto& info = workload_.task(e.task);
-  e.terms.resize(info.files.size());
-  double read_bytes = 0.0;
-  for (std::size_t i = 0; i < info.files.size(); ++i) {
-    const wl::FileId f = info.files[i];
-    RankTerm& term = e.terms[i];
-    read_bytes += workload_.file_size(f);
-    term.file = f;
-    term.home = workload_.file(f).home_storage_node;
-    term.seconds =
-        workload_.file_size(f) / topo_.remote_path(term.home, node).bandwidth;
-    if (state_.has(node, f))
-      term.kind = RankTerm::Kind::kLocal;
-    else if (cluster_.allow_replication && state_.num_copies(f) > 0)
-      term.kind = RankTerm::Kind::kHolders;
-    else
-      term.kind = RankTerm::Kind::kHome;
-  }
-  e.version = residency_version(e);
-  e.read_seconds = read_bytes / cluster_.local_disk_bw;
-  e.compute_seconds = info.compute_seconds / topo_.cpu_speed(node);
-}
-
-double ExecutionEngine::evaluate_ect(const RankEntry& e, wl::NodeId node,
-                                     const std::vector<double>& ready) const {
-  // Horizon-based estimate: cheap, mutation-free, consistent across
-  // candidates (used only for ranking).
-  double cursor = std::max(compute_tl_[node].horizon(), release_floor_);
-  for (const RankTerm& term : e.terms) {
-    if (term.kind == RankTerm::Kind::kLocal) continue;
-    const double home_fetch = std::max(cursor, ready[term.home]) + term.seconds;
-    if (term.kind == RankTerm::Kind::kHome) {
-      cursor = home_fetch;
-      continue;
-    }
-    const wl::FileId f = term.file;
-    const double size = workload_.file_size(f);
-    double best = kInfTime;
-    bool replica_served = false;
-    for (wl::NodeId j : state_.holders(f)) {
-      if (j == node) continue;
-      const TransferPath pp = topo_.replica_path(j, node);
-      double start = std::max({cursor, compute_tl_[j].horizon(),
-                               state_.available_at(j, f)});
-      for (std::uint32_t l = 0; l < pp.num_links; ++l)
-        start = std::max(start, link_tl_[pp.links[l]].horizon());
-      best = std::min(best, start + size / pp.bandwidth);
-      replica_served = true;
-    }
-    // Mirror best_transfer's staleness gate: a stale home copy is only an
-    // estimate candidate when no node holds the current version.
-    if (home_valid_[f] != 0 || !replica_served)
-      best = std::min(best, home_fetch);
-    cursor = best;
-  }
-  if (!faults_.has_slowdowns())
-    return cursor + e.read_seconds + e.compute_seconds;
-  // Degraded-node awareness: stretch the exec block by the node's slowdown
-  // windows so the speculation trigger sees stragglers the planners cannot.
-  const double nominal = e.read_seconds + e.compute_seconds;
-  return cursor + faults_.stretched_exec_duration(node, cursor, nominal);
-}
-
-double ExecutionEngine::estimate_ect(wl::TaskId task, wl::NodeId node) const {
-  RankEntry e;
-  e.task = task;
-  compile_rank_entry(e, node);
-  std::vector<double> ready;
-  remote_ready(node, ready);
-  return evaluate_ect(e, node, ready);
+RankView ExecutionEngine::rank_view() const {
+  return {cluster_,  topo_,       workload_, state_,  storage_tl_, compute_tl_,
+          link_tl_,  home_valid_, faults_,   release_floor_};
 }
 
 void ExecutionEngine::evict_for(wl::NodeId node, double need,
                                 const std::vector<wl::FileId>& pinned,
                                 ExecutionStats& stats) {
   if (need <= 0.0) return;
-  auto victims = state_.select_victims(
-      node, need, pinned, options_.eviction,
-      [this](wl::FileId f) { return pending_requests_[f]; },
-      [this](wl::FileId f) { return workload_.file_size(f); });
+  const std::vector<wl::FileId> victims = state_.select_victims(
+      node, need, pinned, options_.eviction, pending_requests_);
   BSIO_CHECK_MSG(!victims.empty(),
                  "cannot free disk space: a single task's files must fit on "
                  "one compute node (paper Section 4.2 assumption)");
@@ -336,8 +250,8 @@ void ExecutionEngine::reserve_tl(Timeline& tl, double start, double duration) {
 
 Result<double> ExecutionEngine::commit_transfer(
     const SubBatchPlan& plan, wl::TaskId task, wl::FileId file, wl::NodeId dst,
-    double after, const std::vector<wl::FileId>& pinned,
-    ExecutionStats& stats) {
+    double after, const std::vector<wl::FileId>& pinned, ExecutionStats& stats,
+    const TransferChoice* chosen) {
   const double size = workload_.file_size(file);
   // Disk admission on the destination (temporally safe: the reservation
   // starts at or after the node horizon, and every resident file's last
@@ -345,7 +259,9 @@ Result<double> ExecutionEngine::commit_transfer(
   evict_for(dst, size - state_.free_bytes(dst), pinned, stats);
   const std::uint64_t seq = transfer_seq_++;
   for (std::size_t attempt = 0;; ++attempt) {
-    const TransferChoice c = best_transfer(&plan, file, dst, after, 0.0);
+    const TransferChoice c = attempt == 0 && chosen != nullptr
+                                 ? *chosen
+                                 : best_transfer(&plan, file, dst, after, 0.0);
     reserve_transfer(c, compute_tl_[dst]);
 
     if (!faults_.transfer_attempt_fails(seq, attempt)) {
@@ -423,19 +339,21 @@ Result<bool> ExecutionEngine::commit_task(const SubBatchPlan& plan,
   while (!remaining.empty()) {
     // Greedy minimum-TCT-first staging (paper Section 6): evaluate every
     // remaining file against the current Gantt state, commit the earliest.
+    // The chosen file's pricing is its first attempt.
     std::size_t best_i = 0;
-    double best_tct = kInfTime;
+    TransferChoice best;
     const double after = std::max(compute_tl_[node].horizon(), release_floor_);
     for (std::size_t i = 0; i < remaining.size(); ++i) {
-      const double tct =
-          best_transfer(&plan, remaining[i], node, after, 0.0).completion();
-      if (tct < best_tct) {
-        best_tct = tct;
+      const TransferChoice c =
+          best_transfer(&plan, remaining[i], node, after, 0.0);
+      if (i == 0 || c.completion() < best.completion()) {
+        best = c;
         best_i = i;
       }
     }
-    Result<double> staged = commit_transfer(plan, task, remaining[best_i],
-                                            node, after, info.files, stats);
+    Result<double> staged =
+        commit_transfer(plan, task, remaining[best_i], node, after,
+                        info.files, stats, &best);
     if (!staged.ok()) return staged.error();
     last_end = std::max(last_end, staged.value());
     remaining.erase(remaining.begin() + best_i);
@@ -520,8 +438,9 @@ void ExecutionEngine::finalize_task(wl::TaskId task, wl::NodeId node,
     for (wl::FileId f : info.outputs) {
       const double size = workload_.file_size(f);
       ++epoch_[f];
-      // Copy the holder list: remove() mutates the inverted index.
-      const std::vector<wl::NodeId> stale = state_.holders(f);
+      // Copy the holder list: remove() mutates it.
+      const auto holders = state_.holders(f);
+      const std::vector<wl::NodeId> stale(holders.begin(), holders.end());
       for (wl::NodeId j : stale) {
         if (j == node) continue;
         state_.remove(j, f, size);
@@ -561,7 +480,7 @@ wl::NodeId ExecutionEngine::find_speculation_target(wl::TaskId task,
     std::size_t cached = 0;
     for (wl::FileId f : info.files) cached += state_.has(j, f) ? 1 : 0;
     if (cached < spec.min_cached_inputs) continue;
-    const double est = estimate_ect(task, j);
+    const double est = estimate_ect(rank_view(), task, j);
     // Strict < keeps the lowest node id on ties.
     if (est < best_est) {
       best_est = est;
@@ -569,7 +488,7 @@ wl::NodeId ExecutionEngine::find_speculation_target(wl::TaskId task,
     }
   }
   if (best == wl::kInvalidNode) return wl::kInvalidNode;
-  const double est_primary = estimate_ect(task, primary);
+  const double est_primary = estimate_ect(rank_view(), task, primary);
   // Relative-progress trigger AND absolute-gain floor, both required.
   if (!(est_primary > spec.straggler_ratio * best_est)) return wl::kInvalidNode;
   if (!(est_primary - best_est >= spec.min_ect_gain_seconds))
@@ -764,22 +683,27 @@ Result<ExecutionStats> ExecutionEngine::execute(const SubBatchPlan& plan) {
     if (state_.has(dst, file)) continue;
     const double after = std::max(compute_tl_[dst].horizon(), release_floor_);
     Result<double> c = commit_transfer(plan, wl::kInvalidTask, file, dst,
-                                       after, {file}, stats);
+                                       after, {file}, stats, nullptr);
     if (!c.ok()) {
       totals_.accumulate(stats);
       return c.error();
     }
   }
 
-  // Each node's group holds its tasks' compiled ECT terms (DESIGN.md §7),
-  // compiled group by group so that one group's terms sit together in
-  // memory.
-  std::vector<std::vector<RankEntry>> groups(cluster_.num_compute_nodes);
-  for (wl::TaskId t : plan.tasks)
-    groups[plan.assignment.at(t)].emplace_back().task = t;
-  for (wl::NodeId n = 0; n < groups.size(); ++n)
-    for (RankEntry& e : groups[n]) compile_rank_entry(e, n);
-  std::vector<double> storage_ready;  // remote_ready of the node ranked
+  // Each node's group holds its tasks' compiled ECT terms and bound rows
+  // (sim/rank.h, DESIGN.md §7), built group by group so that one group's
+  // terms sit together in memory. The index pushes every residency change
+  // logged by ClusterState to the entries that read the file.
+  const RankView view = rank_view();
+  std::vector<RankGroup> groups;
+  groups.reserve(cluster_.num_compute_nodes);
+  for (wl::NodeId n = 0; n < cluster_.num_compute_nodes; ++n)
+    groups.emplace_back(n);
+  for (wl::TaskId t : plan.tasks) groups[plan.assignment.at(t)].add(t);
+  for (RankGroup& g : groups) g.build(view);
+  const RankIndex index(workload_, groups, rank_file_slot_);
+  state_.clear_residency_log();
+  RankScratch scratch;
 
   // Serve the group whose node frees up first (equivalently: whenever a
   // node finishes, it picks its next task by earliest completion time).
@@ -810,25 +734,13 @@ Result<ExecutionStats> ExecutionEngine::execute(const SubBatchPlan& plan) {
       continue;
     }
 
-    // Earliest completion time first; strict < keeps the lowest group
-    // position on ties. An entry whose inputs gained or lost a copy since
-    // it was compiled is recompiled first.
-    auto& group = groups[node];
-    remote_ready(node, storage_ready);
-    std::size_t best_i = 0;
-    double best_ect = kInfTime;
-    for (std::size_t i = 0; i < group.size(); ++i) {
-      RankEntry& e = group[i];
-      if (residency_version(e) != e.version) compile_rank_entry(e, node);
-      const double ect = evaluate_ect(e, node, storage_ready);
-      BSIO_DCHECK(ect == estimate_ect(e.task, node));
-      if (ect < best_ect) {
-        best_ect = ect;
-        best_i = i;
-      }
-    }
-    const wl::TaskId task = group[best_i].task;
-    group.erase(group.begin() + best_i);
+    // Earliest completion time first, ties to the lowest group position.
+    // Entries whose inputs gained or lost a copy since the last pick are
+    // recompiled first.
+    index.mark(state_.residency_log(), groups);
+    state_.clear_residency_log();
+    RankGroup& group = groups[node];
+    const wl::TaskId task = group.pick(view, scratch);
     --left;
 
     // Straggler check: duplicate the task onto a cached backup when the
@@ -862,9 +774,8 @@ Result<ExecutionStats> ExecutionEngine::execute(const SubBatchPlan& plan) {
     // orphaned too.
     for (wl::NodeId n : {node, backup}) {
       if (n == wl::kInvalidNode || alive_[n]) continue;
-      for (const RankEntry& e : groups[n]) orphaned_.push_back(e.task);
       left -= groups[n].size();
-      groups[n].clear();
+      groups[n].drain(orphaned_);
     }
 
     if (backup == wl::kInvalidNode) {
@@ -965,11 +876,14 @@ Result<double> ExecutionEngine::flush_to_home(wl::FileId file, double after,
   // remote path's pricing in reverse (link bandwidths are symmetric) and
   // ends on the home storage port, not a compute node.
   TransferChoice best;  // src stays kInvalidNode until a holder qualifies
-  for (wl::NodeId j : state_.holders(file)) {
+  const auto holders = state_.holders(file);
+  const auto avail = state_.holder_avail(file);
+  for (std::size_t k = 0; k < holders.size(); ++k) {
+    const wl::NodeId j = holders[k];
     if (!alive_[j]) continue;
     const TransferChoice c = price_transfer(
         false, j, topo_.remote_path(home, j), storage_tl_[home], size,
-        std::max(after, state_.available_at(j, file)), bandwidth_cap);
+        std::max(after, avail[k]), bandwidth_cap);
     if (c.completion() > faults_.crash_time(j)) continue;
     if (best.src == wl::kInvalidNode || c.beats(best)) best = c;
   }

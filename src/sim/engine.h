@@ -40,6 +40,7 @@
 #include "sim/cluster.h"
 #include "sim/faults.h"
 #include "sim/plan.h"
+#include "sim/rank.h"
 #include "sim/state.h"
 #include "sim/timeline.h"
 #include "sim/topology.h"
@@ -320,31 +321,6 @@ class ExecutionEngine {
     std::size_t trace_end = 0;    // events in trace_
   };
 
-  // One input file of a rank entry, in the task's file order. kHome: no
-  // node holds the file, so it costs the fetch from storage node `home`,
-  // `seconds` = size / remote-path bandwidth. kHolders: priced against its
-  // holders at every evaluation, with that home fetch as one candidate.
-  // kLocal: the ranked node caches it.
-  struct RankTerm {
-    enum class Kind : std::uint8_t { kLocal, kHome, kHolders };
-    wl::FileId file = wl::kInvalidFile;
-    wl::NodeId home = wl::kInvalidNode;
-    double seconds = 0.0;
-    Kind kind = Kind::kLocal;
-  };
-
-  // A pending task of one node's group with its compiled ECT terms
-  // (DESIGN.md §7). The terms are current while `version` equals the sum
-  // of their files' residency versions. Each entry owns its terms, so a
-  // group frees them as it drains while the cache and the timelines grow.
-  struct RankEntry {
-    wl::TaskId task = wl::kInvalidTask;
-    std::vector<RankTerm> terms;
-    std::uint64_t version = 0;
-    double read_seconds = 0.0;     // local read of every input
-    double compute_seconds = 0.0;  // compute at the node's CPU speed
-  };
-
   // Earliest common start, no earlier than `after`, of a `duration`-long
   // transfer holding the `src` port, every shared link of `path` and the
   // `dst` port.
@@ -372,26 +348,8 @@ class ExecutionEngine {
   // Reserves `c` on its source port, its shared links and `dst`.
   void reserve_transfer(const TransferChoice& c, Timeline& dst);
 
-  // ready[s]: the earliest instant the horizons let a fetch from storage
-  // node s onto `node` start (the storage port and every shared link of
-  // the remote path).
-  void remote_ready(wl::NodeId node, std::vector<double>& ready) const;
-
-  // Sum of the residency versions of e.terms' files.
-  std::uint64_t residency_version(const RankEntry& e) const;
-
-  // Compiles e.task's ECT terms for `node` against the current residency
-  // into e.terms, and stamps e.version.
-  void compile_rank_entry(RankEntry& e, wl::NodeId node) const;
-
-  // Cheap ECT estimate of a compiled entry on `node`, used only to rank a
-  // node's pending tasks; `ready` is remote_ready(node).
-  double evaluate_ect(const RankEntry& e, wl::NodeId node,
-                      const std::vector<double>& ready) const;
-
-  // The same estimate from freshly compiled terms (with speculation on,
-  // compares the assigned node against cached backups).
-  double estimate_ect(wl::TaskId task, wl::NodeId node) const;
+  // What the rank unit (sim/rank.h) reads of this engine.
+  RankView rank_view() const;
 
   // Reserves [start, start + duration) on `tl`, logging the interval into
   // the active AttemptRecord when one is recording.
@@ -402,13 +360,17 @@ class ExecutionEngine {
   // no earlier than `after`. Evicts unpinned files to make room, then
   // injects transient failures: each failed attempt reserves its links for
   // the full window, and the retry waits an exponential backoff before
-  // re-picking the then-best source. The successful copy joins dst's cache
-  // and the active AttemptRecord. Returns its completion instant, or a
-  // typed error when give_up_after_max_attempts exhausts the budget.
+  // re-picking the then-best source. The first attempt reserves `chosen`
+  // when given: the caller priced it against this state, and the eviction
+  // touches neither the file's sources nor any timeline. The successful
+  // copy joins dst's cache and the active AttemptRecord. Returns its
+  // completion instant, or a typed error when give_up_after_max_attempts
+  // exhausts the budget.
   Result<double> commit_transfer(const SubBatchPlan& plan, wl::TaskId task,
                                  wl::FileId file, wl::NodeId dst, double after,
                                  const std::vector<wl::FileId>& pinned,
-                                 ExecutionStats& stats);
+                                 ExecutionStats& stats,
+                                 const TransferChoice* chosen);
 
   // Commits `task` on `node`: stages missing files (minimum-TCT-first),
   // evicting on demand, then reserves the local-read + compute block.
@@ -473,6 +435,9 @@ class ExecutionEngine {
   // keep every read path bit-identical to the immutable-file engine.
   std::vector<std::uint32_t> epoch_;
   std::vector<char> home_valid_;
+  // Per file: its slot in the executing plan's RankIndex (sim/rank.h);
+  // RankIndex::kNoSlot outside it.
+  std::vector<std::uint32_t> rank_file_slot_;
   std::vector<bool> executed_;
   std::vector<bool> was_evicted_;  // per file: evicted at least once
   // Wall-clock floor of the plan currently executing (SubBatchPlan::

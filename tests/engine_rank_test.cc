@@ -1,16 +1,18 @@
-// Invalidation tests for the engine's cached task ranking (DESIGN.md §7).
+// Invalidation tests for the engine's task ranking (sim/rank.h, DESIGN.md
+// §7).
 //
 // Each node's pending group keeps every task's compiled ECT terms and
-// recompiles an entry only when one of its files gained or lost a copy.
-// Every scenario here changes a pending task's input residency in the
-// middle of one execute(): a first holder appears, an eviction, a write
-// invalidation, a crash, a speculative cancel. In the first three an entry
-// left stale picks a different task, so they fail when a gained copy
-// (first holder) or a lost copy (eviction, write) does not bump the file's
-// residency version. Each run's per-task completion instants are pinned
-// bit for bit; they were captured from the engine that re-estimated every
-// pending task afresh on every commit, printed with %.17g (which
-// round-trips a double exactly).
+// bound row, and recompiles an entry only when one of its files gained or
+// lost a copy: ClusterState logs every such file, and execute() marks the
+// entries that read it dirty before the next pick. Every scenario here
+// changes a pending task's input residency in the middle of one execute():
+// a first holder appears, an eviction, a write invalidation, a crash, a
+// speculative cancel. In the first three an entry left stale picks a
+// different task, so they fail when a gained copy (first holder) or a lost
+// copy (eviction, write) is missing from the residency log. Each run's
+// per-task completion instants are pinned bit for bit; they were captured
+// from the engine that re-estimated every pending task afresh on every
+// commit, printed with %.17g (which round-trips a double exactly).
 
 #include <gtest/gtest.h>
 

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <map>
+#include <utility>
+#include <vector>
 
 #include "sim/cluster.h"
 #include "sim/topology.h"
@@ -8,6 +12,7 @@
 #include "sim/plan.h"
 #include "sim/state.h"
 #include "sim/timeline.h"
+#include "util/rng.h"
 #include "workload/synthetic.h"
 
 namespace bsio::sim {
@@ -57,7 +62,9 @@ TEST(ClusterState, AddRemoveHolders) {
   EXPECT_TRUE(st.has(0, 7));
   EXPECT_DOUBLE_EQ(st.available_at(2, 7), 9.0);
   EXPECT_EQ(st.num_copies(7), 2u);
-  EXPECT_EQ(st.holders(7), (std::vector<wl::NodeId>{0, 2}));
+  const auto holders = st.holders(7);
+  EXPECT_EQ(std::vector<wl::NodeId>(holders.begin(), holders.end()),
+            (std::vector<wl::NodeId>{0, 2}));
   EXPECT_DOUBLE_EQ(st.used_bytes(0), 40.0);
   st.remove(0, 7, 40.0);
   EXPECT_FALSE(st.has(0, 7));
@@ -71,10 +78,9 @@ TEST(ClusterState, PopularityEvictionOrder) {
   st.add(0, 2, 100.0, 0.0);  // freq 5 -> pop 500
   st.add(0, 3, 10.0, 0.0);   // freq 9 -> pop 90
   st.add(1, 2, 100.0, 0.0);  // second copy of 2 -> pop 250
-  auto freq = [](wl::FileId f) { return f == 1 ? 1.0 : (f == 2 ? 5.0 : 9.0); };
-  auto size = [](wl::FileId f) { return f == 3 ? 10.0 : 100.0; };
-  auto victims = st.select_victims(0, 105.0, {}, EvictionPolicy::kPopularity,
-                                   freq, size);
+  const std::vector<double> freq = {0.0, 1.0, 5.0, 9.0};
+  auto victims =
+      st.select_victims(0, 105.0, {}, EvictionPolicy::kPopularity, freq);
   // Order: 3 (90), 1 (100) -> 110 freed >= 105.
   ASSERT_EQ(victims.size(), 2u);
   EXPECT_EQ(victims[0], 3u);
@@ -88,10 +94,8 @@ TEST(ClusterState, LruEvictionOrderAndPinning) {
   st.add(0, 3, 100.0, 0.0);
   st.touch(0, 1, 50.0);
   st.touch(0, 2, 20.0);
-  auto one = [](wl::FileId) { return 1.0; };
-  auto size = [](wl::FileId) { return 100.0; };
-  auto victims =
-      st.select_victims(0, 100.0, {3}, EvictionPolicy::kLru, one, size);
+  const std::vector<double> one(4, 1.0);
+  auto victims = st.select_victims(0, 100.0, {3}, EvictionPolicy::kLru, one);
   ASSERT_EQ(victims.size(), 1u);
   EXPECT_EQ(victims[0], 2u);  // 3 pinned, 2 older than 1
 }
@@ -99,11 +103,154 @@ TEST(ClusterState, LruEvictionOrderAndPinning) {
 TEST(ClusterState, VictimSelectionFailsWhenPinnedBlocksAll) {
   ClusterState st(1, 100.0);
   st.add(0, 1, 100.0, 0.0);
-  auto one = [](wl::FileId) { return 1.0; };
-  auto size = [](wl::FileId) { return 100.0; };
+  const std::vector<double> one(2, 1.0);
   EXPECT_TRUE(
-      st.select_victims(0, 50.0, {1}, EvictionPolicy::kLru, one, size)
-          .empty());
+      st.select_victims(0, 50.0, {1}, EvictionPolicy::kLru, one).empty());
+}
+
+// Random add / remove / touch / clear_node sequences against a std::map
+// model: membership, availability, ascending holders, copy counts, used
+// bytes, the residency log (each changed file exactly once) and victim
+// selection under every policy against a sort-based reference.
+TEST(ClusterState, MatchesReferenceModel) {
+  struct Copy {
+    double avail;
+    double last_use;
+  };
+  constexpr std::size_t kNodes = 5;
+  constexpr wl::FileId kFiles = 30;
+  for (std::uint64_t seed = 1; seed <= 25; ++seed) {
+    Rng rng(seed);
+    ClusterState st(kNodes, 1e15);
+    std::map<std::pair<wl::FileId, wl::NodeId>, Copy> model;
+    std::vector<double> size(kFiles), pending(kFiles);
+    for (wl::FileId f = 0; f < kFiles; ++f) {
+      size[f] = static_cast<double>(1 + rng.uniform(50)) * kMB;
+      pending[f] = static_cast<double>(rng.uniform(6));
+    }
+    std::vector<wl::FileId> log;
+    auto changed = [&](wl::FileId f) {
+      if (std::find(log.begin(), log.end(), f) == log.end()) log.push_back(f);
+    };
+    auto copies_of = [&](wl::FileId f) {
+      std::size_t n = 0;
+      for (wl::NodeId m = 0; m < kNodes; ++m) n += model.count({f, m});
+      return n;
+    };
+
+    for (int op = 0; op < 300; ++op) {
+      const wl::NodeId n = static_cast<wl::NodeId>(rng.uniform(kNodes));
+      const wl::FileId f = static_cast<wl::FileId>(rng.uniform(kFiles));
+      const double t = static_cast<double>(rng.uniform(100));
+      const std::uint64_t r = rng.uniform(100);
+      if (r < 45) {
+        st.add(n, f, size[f], t);
+        auto it = model.find({f, n});
+        if (it == model.end()) {
+          model[{f, n}] = {t, std::max(0.0, t)};
+          changed(f);
+        } else {
+          it->second.avail = t;
+          it->second.last_use = std::max(it->second.last_use, t);
+        }
+      } else if (r < 70) {
+        if (model.count({f, n}) == 0) continue;
+        st.remove(n, f, size[f]);
+        model.erase({f, n});
+        changed(f);
+      } else if (r < 85) {
+        st.touch(n, f, t);
+        if (auto it = model.find({f, n}); it != model.end())
+          it->second.last_use = std::max(it->second.last_use, t);
+      } else if (r < 88) {
+        double lost = 0.0;
+        for (wl::FileId g = 0; g < kFiles; ++g)
+          if (model.erase({g, n}) > 0) {
+            lost += size[g];
+            changed(g);
+          }
+        EXPECT_EQ(st.clear_node(n), lost);
+      } else if (r < 93) {
+        std::vector<wl::FileId> got = st.residency_log();
+        std::sort(got.begin(), got.end());
+        std::sort(log.begin(), log.end());
+        EXPECT_EQ(got, log);  // each changed file exactly once
+        st.clear_residency_log();
+        log.clear();
+      } else {
+        std::vector<wl::FileId> pinned;
+        for (std::uint64_t i = rng.uniform(3); i > 0; --i)
+          pinned.push_back(static_cast<wl::FileId>(rng.uniform(kFiles)));
+        const double need = static_cast<double>(rng.uniform(120)) * kMB;
+        for (EvictionPolicy policy :
+             {EvictionPolicy::kPopularity, EvictionPolicy::kLru,
+              EvictionPolicy::kSizeAscending}) {
+          struct Cand {
+            double key;
+            wl::FileId file;
+          };
+          std::vector<Cand> cands;
+          for (const auto& [key, copy] : model) {
+            const auto [g, m] = key;
+            if (m != n || std::count(pinned.begin(), pinned.end(), g) > 0)
+              continue;
+            double k = size[g];
+            if (policy == EvictionPolicy::kPopularity)
+              k = pending[g] * size[g] / static_cast<double>(copies_of(g));
+            else if (policy == EvictionPolicy::kLru)
+              k = copy.last_use;
+            cands.push_back({k, g});
+          }
+          std::sort(cands.begin(), cands.end(),
+                    [](const Cand& a, const Cand& b) {
+                      if (a.key != b.key) return a.key < b.key;
+                      return a.file < b.file;
+                    });
+          std::vector<wl::FileId> want;
+          double freed = 0.0;
+          for (const Cand& c : cands) {
+            if (freed >= need) break;
+            want.push_back(c.file);
+            freed += size[c.file];
+          }
+          if (freed < need) want.clear();
+          EXPECT_EQ(st.select_victims(n, need, pinned, policy, pending), want)
+              << "seed " << seed << " op " << op;
+        }
+      }
+
+      for (wl::FileId g = 0; g < kFiles; ++g) {
+        std::vector<wl::NodeId> holders;
+        std::vector<double> avail;
+        for (wl::NodeId m = 0; m < kNodes; ++m) {
+          auto it = model.find({g, m});
+          ASSERT_EQ(st.has(m, g), it != model.end());
+          if (it == model.end()) continue;
+          EXPECT_EQ(st.available_at(m, g), it->second.avail);
+          holders.push_back(m);
+          avail.push_back(it->second.avail);
+        }
+        const auto h = st.holders(g);
+        const auto a = st.holder_avail(g);
+        EXPECT_EQ(std::vector<wl::NodeId>(h.begin(), h.end()), holders);
+        EXPECT_EQ(std::vector<double>(a.begin(), a.end()), avail);
+        EXPECT_EQ(st.num_copies(g), holders.size());
+      }
+      for (wl::NodeId m = 0; m < kNodes; ++m) {
+        double used = 0.0;
+        std::vector<wl::FileId> on;
+        for (const auto& [key, copy] : model)
+          if (key.second == m) {
+            used += size[key.first];
+            on.push_back(key.first);
+          }
+        EXPECT_EQ(st.used_bytes(m), used);
+        std::vector<wl::FileId> files = st.files_on(m);
+        std::sort(files.begin(), files.end());
+        EXPECT_EQ(files, on);
+      }
+    }
+  }
 }
 
 // --- Engine tests on tiny hand-checkable workloads. ---
