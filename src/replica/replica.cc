@@ -102,11 +102,6 @@ std::vector<wl::FileId> ReplicaManager::files_below_target(
 RepairReport ReplicaManager::run_repairs(sim::ExecutionEngine& engine,
                                          double now) {
   RepairReport report;
-  const std::size_t budget = cfg_.max_repairs_per_round;
-  auto budget_left = [&] {
-    return budget == 0 ||
-           report.flushes_scheduled + report.replicas_scheduled < budget;
-  };
 
   // Pass 1 — write-back: flush every dirty home whose current version is
   // still alive somewhere. Doing this before fan-out lets the home storage
@@ -115,10 +110,6 @@ RepairReport ReplicaManager::run_repairs(sim::ExecutionEngine& engine,
   for (wl::FileId f = 0; f < workload_.num_files(); ++f) {
     if (engine.home_valid(f)) continue;
     if (engine.state().num_copies(f) == 0) continue;  // kLost: unrepairable
-    if (!budget_left()) {
-      ++report.deferred;
-      continue;
-    }
     Result<double> done =
         engine.flush_to_home(f, now, cfg_.repair_bandwidth_cap);
     if (!done.ok()) {
@@ -143,10 +134,6 @@ RepairReport ReplicaManager::run_repairs(sim::ExecutionEngine& engine,
       continue;
     }
     while (have < want) {
-      if (!budget_left()) {
-        ++report.deferred;
-        break;
-      }
       // Alive non-holders with room, most free disk first (ties keep the
       // lowest node id). Each is OFFERED the copy in turn: the engine may
       // refuse a destination the manager cannot rule out itself — e.g. a

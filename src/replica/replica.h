@@ -59,10 +59,6 @@ struct ReplicaConfig {
   // repair reservation, which is exactly how repair yields link time to
   // foreground traffic.
   double repair_bandwidth_cap = 0.0;
-  // Repair transfers scheduled per run_repairs() round; 0 = no bound. A
-  // bound spreads repair over rounds instead of storming the links after a
-  // crash.
-  std::size_t max_repairs_per_round = 0;
 
   // Typed validation (surfaced through run_batch / StreamServiceLoop):
   // empty tier table, target_rf of 0 or exceeding num_compute_nodes + 1,
@@ -89,8 +85,8 @@ enum class Residency {
 struct RepairReport {
   std::size_t flushes_scheduled = 0;   // dirty homes written back
   std::size_t replicas_scheduled = 0;  // fan-out copies placed
-  // Repair work recognised but not scheduled this round: budget exhausted,
-  // no destination with free space, or no usable source.
+  // Repair work recognised but not scheduled this round: no destination
+  // with free space, or no usable source.
   std::size_t deferred = 0;
   // Latest completion instant over everything scheduled this round (0 when
   // nothing was).
@@ -126,8 +122,6 @@ class ReplicaManager {
   // deferred to a later round. Scheduled transfers land on the engine's
   // shared Timelines at or after `now`, capped by repair_bandwidth_cap.
   RepairReport run_repairs(sim::ExecutionEngine& engine, double now);
-
-  const ReplicaConfig& config() const { return cfg_; }
 
  private:
   const wl::Workload& workload_;

@@ -152,8 +152,6 @@ void PlannerState::reset(const wl::Workload& w, const sim::Topology& topo,
 
   planned.resize(w.num_files());
   for (auto& holders : planned) holders.clear();
-  node_files.resize(c.num_compute_nodes);
-  for (auto& files : node_files) files.clear();
 
   const std::size_t want =
       (w.num_files() * c.num_compute_nodes + 63) / 64;
@@ -181,7 +179,6 @@ void PlannerState::add_planned(wl::FileId f, wl::NodeId n, double avail) {
   if (word & mask) return;
   word |= mask;
   planned[f].push_back({n, avail});
-  node_files[n].push_back(f);
 }
 
 namespace {

@@ -68,11 +68,9 @@ std::vector<double> plain_exec_times(const wl::Workload& w,
 // port plus planned file locations. MinMin / JDP mutate one of these as
 // they build their assignment.
 //
-// Replica presence is tracked three ways, kept in sync by add_planned:
+// Replica presence is tracked two ways, kept in sync by add_planned:
 //  - planned[f]: the live holder list (node, availability) that replica-
 //    source scans iterate — only actual holders, never all nodes;
-//  - node_files[n]: the per-node replica list, for per-node load accounting
-//    (JobDataPresent's Data Least Loaded placement);
 //  - a bit-packed per-(file, node) presence bitmap making on_node O(1) at
 //    one bit per entry — 1M files x 1k nodes costs ~125 MB where a
 //    byte-or-wider grid would not fit the scale-sweep memory budget.
@@ -88,9 +86,6 @@ struct PlannerState {
   // planned[f] = nodes expected to hold f, with availability time.
   // Read-only for planners; mutate via add_planned.
   std::vector<std::vector<std::pair<wl::NodeId, double>>> planned;
-  // node_files[n] = files planned on compute node n (same entries as
-  // `planned`, transposed).
-  std::vector<std::vector<wl::FileId>> node_files;
 
   PlannerState() = default;
   PlannerState(const wl::Workload& w, const sim::Topology& topo,

@@ -137,19 +137,30 @@ Status ControlLoop::cycle(const HorizonOptions& horizon) {
     return OkStatus();
   }
 
-  const std::vector<sim::SubBatchPlan> subs =
+  std::vector<sim::SubBatchPlan> subs =
       split_by_release(std::move(window), release_);
-  for (const sim::SubBatchPlan& sub : subs) {
+  std::vector<wl::TaskId> stranded;
+  for (sim::SubBatchPlan& sub : subs) {
+    // A task whose node crashed after the task was planned (while it waited
+    // in the live plan, or during an earlier epoch's sub-plan of this
+    // window) cannot run there: orphan it like the engine's queued ones.
+    std::erase_if(sub.tasks, [&](wl::TaskId t) {
+      if (engine_.node_alive(sub.assignment.at(t))) return false;
+      stranded.push_back(t);
+      return true;
+    });
     auto executed = engine_.execute(sub);
     if (!executed.ok()) return executed.error();
     unfinished_ -= sub.tasks.size();
   }
   ++windows_;
 
-  // Recovery: tasks orphaned by node crashes (killed mid-run or queued on a
-  // node that died) are re-planned on the survivors next cycle.
+  // Recovery: tasks orphaned by node crashes (killed mid-run, queued on a
+  // node that died, or stranded above) are re-planned on the survivors
+  // next cycle.
   incoming_ = engine_.take_orphaned();
   unfinished_ += incoming_.size();
+  incoming_.insert(incoming_.end(), stranded.begin(), stranded.end());
   if (!incoming_.empty()) {
     BSIO_LOG(kDebug) << scheduler_.name() << ": re-planning "
                      << incoming_.size() << " tasks orphaned by crashes ("
@@ -187,9 +198,8 @@ Status ControlLoop::drain(const HorizonOptions& horizon, double floor) {
   if (repair_ == nullptr) return OkStatus();
 
   // Convergence: a round's fan-out can unlock the next one (a fresh copy
-  // becomes a source; a budget bound spreads work over rounds), so a few
-  // bounded extra rounds close the deficit. What remains is real: lost
-  // versions or copies that fit nowhere.
+  // becomes a source), so a few bounded extra rounds close the deficit.
+  // What remains is real: lost versions or copies that fit nowhere.
   floor = std::max(floor, engine_.makespan());
   for (int round = 0; round < 8; ++round) {
     if (repair_->files_below_target(engine_).empty()) break;

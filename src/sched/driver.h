@@ -9,6 +9,7 @@
 // repairs the live plan where the last window moved files, folds in newly
 // admitted tasks, freezes a horizon window, executes it split by release
 // epoch, hands crash-orphaned tasks back to the planner for the next cycle
+// (including tasks placed on a node that died before their sub-plan ran)
 // and runs one repair round. Draining adds up to 8 repair convergence
 // rounds.
 //
@@ -40,8 +41,8 @@
 namespace bsio::sched {
 
 // Extended run controls. The plain faults-only overload below forwards
-// here; the streaming service (src/service) uses the full struct to turn on
-// replication.
+// here; the streaming service's StreamOptions (src/service) derives from
+// this struct, so a stream runs under the same configuration.
 struct BatchRunOptions {
   sim::FaultConfig faults;
   // Speculative task replication inside the engine's recovery surface

@@ -1,7 +1,6 @@
 #include "sched/job_data_present.h"
 
 #include <algorithm>
-#include <unordered_map>
 #include <vector>
 
 #include "sched/cost_model.h"
@@ -26,19 +25,26 @@ sim::SubBatchPlan JobDataPresentScheduler::plan_sub_batch(
   if (c.allow_replication) {
     const double threshold = static_cast<double>(pending.size()) /
                              static_cast<double>(nodes.size());
-    std::unordered_map<wl::FileId, double> popularity;
+    // Pending requests per file, in the reused dense counter; `requested_`
+    // lists the files counted so the counter is cleared through it.
+    if (popularity_.size() < w.num_files())
+      popularity_.resize(w.num_files(), 0.0);
     for (wl::TaskId t : pending)
-      for (wl::FileId f : w.task(t).files) popularity[f] += 1.0;
+      for (wl::FileId f : w.task(t).files)
+        if (popularity_[f]++ == 0.0) requested_.push_back(f);
 
-    // Planned load per node = bytes of files it is slated to hold, read
-    // straight off the per-node replica lists.
+    // Planned load per node = bytes of files it is slated to hold, summed
+    // in ascending file id.
     std::vector<double> load(c.num_compute_nodes, 0.0);
-    for (wl::NodeId n = 0; n < c.num_compute_nodes; ++n)
-      for (wl::FileId f : ps.node_files[n]) load[n] += w.file_size(f);
+    for (wl::FileId f = 0; f < w.num_files(); ++f)
+      for (const auto& [n, avail] : ps.planned[f]) load[n] += w.file_size(f);
 
     std::vector<std::pair<double, wl::FileId>> hot;
-    for (const auto& [f, pop] : popularity)
-      if (pop > threshold) hot.push_back({pop, f});
+    for (wl::FileId f : requested_) {
+      if (popularity_[f] > threshold) hot.push_back({popularity_[f], f});
+      popularity_[f] = 0.0;
+    }
+    requested_.clear();
     std::sort(hot.rbegin(), hot.rend());  // most popular first
 
     for (const auto& [pop, f] : hot) {

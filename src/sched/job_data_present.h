@@ -14,6 +14,8 @@
 // node before the batch runs. Pairs with LRU eviction, as in [13].
 #pragma once
 
+#include <vector>
+
 #include "sched/cost_model.h"
 #include "sched/scheduler.h"
 
@@ -30,6 +32,10 @@ class JobDataPresentScheduler : public Scheduler {
 
  private:
   PlannerState ps_;  // reused across rounds (epoch-stamped reset)
+  // Data Least Loaded's pending requests per file, all zero between calls,
+  // and the files it counted in the current call.
+  std::vector<double> popularity_;
+  std::vector<wl::FileId> requested_;
 };
 
 }  // namespace bsio::sched

@@ -86,7 +86,6 @@ Status AdmissionQueue::offer(BatchArrival arrival) {
       q.effective_slo.deadline_seconds =
           std::numeric_limits<double>::infinity();
       q.effective_slo.weight = 0.0;
-      ++degraded_count_;
       queue_.push_back(std::move(q));
       return OkStatus();
   }

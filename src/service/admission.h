@@ -81,8 +81,6 @@ class AdmissionQueue {
   bool empty() const { return queue_.empty(); }
   std::size_t size() const { return queue_.size(); }
 
-  std::size_t degraded_count() const { return degraded_count_; }
-
  private:
   // Ordering key of a queued batch at service time `now` (smaller = first).
   double deadline_key(const QueuedBatch& q, double now) const;
@@ -91,7 +89,6 @@ class AdmissionQueue {
   AdmissionOptions options_;
   std::deque<QueuedBatch> queue_;
   std::vector<QueuedBatch> shed_;
-  std::size_t degraded_count_ = 0;
 };
 
 }  // namespace bsio::service

@@ -4,7 +4,6 @@
 #include <string>
 #include <utility>
 
-#include "sched/driver.h"
 #include "util/logging.h"
 #include "util/stats.h"
 
@@ -53,11 +52,9 @@ Result<StreamResult> StreamServiceLoop::run(
                    std::to_string(f) +
                    " disagrees with the shared catalogue");
   }
-  sched::BatchRunOptions run_options;
-  run_options.replication = options_.replication;
   scheduler_.reset_run_stats();
   if (const Status v = sched::ControlLoop::validate(scheduler_, cluster_,
-                                                    run_options, inputs);
+                                                    options_, inputs);
       !v.ok())
     return v.error();
 
@@ -75,7 +72,7 @@ Result<StreamResult> StreamServiceLoop::run(
 
   // The one loop of the whole run, over the growable merged workload.
   wl::Workload stream({}, catalog_);
-  sched::ControlLoop loop(scheduler_, stream, cluster_, run_options);
+  sched::ControlLoop loop(scheduler_, stream, cluster_, options_);
   AdmissionQueue queue(options_.admission);
   std::vector<wl::TaskId> first_task(arrivals.size(), wl::kInvalidTask);
   double clock = 0.0;

@@ -23,18 +23,25 @@
 // or degrades the newcomer to best-effort. SLO attainment counts shed and
 // rejected batches as missed.
 //
+// Faults, speculation and replication are the batch driver's: StreamOptions
+// is a sched::BatchRunOptions, handed whole to the one control loop, so a
+// crash orphans tasks for the next cycle as in run_batch (also the live or
+// later-epoch tasks already placed on the dead node) and the speculation
+// budget (max_speculative_tasks) spans the whole stream.
+//
 // Quiescence: with a single batch arriving at t = 0 and a drain-all horizon
 // (window_seconds <= 0), the stream drives the control loop exactly as
 // sched::run_batch does — admit every task at 0, drain — so the two are
-// bit-identical by construction (tests/incremental_test.cc checks it
-// against the PR 4 topology goldens for all four schedulers).
+// bit-identical by construction, faults and speculation included
+// (tests/incremental_test.cc checks it against the topology goldens of
+// tests/goldens.h for all four schedulers).
 #pragma once
 
 #include <cstddef>
 #include <limits>
 #include <vector>
 
-#include "replica/replica.h"
+#include "sched/driver.h"
 #include "sched/incremental.h"
 #include "sched/scheduler.h"
 #include "service/admission.h"
@@ -46,15 +53,13 @@
 
 namespace bsio::service {
 
-struct StreamOptions {
+// The batch driver's run configuration (faults, speculation, replication;
+// each validated up front, an invalid one a typed error from run()) plus
+// the stream's own admission and horizon. Replica repair also runs in the
+// quiescent gaps between admissions.
+struct StreamOptions : sched::BatchRunOptions {
   AdmissionOptions admission;
   sched::HorizonOptions horizon;
-  // Replica lifecycle manager (src/replica): repair runs after every
-  // committed window and in the quiescent gaps between admissions, on the
-  // same engine timelines as foreground traffic. Off by default — the run
-  // stays bit-identical to the replication-free stream. Validated up
-  // front; an invalid config is a typed error from run().
-  replica::ReplicaConfig replication;
 };
 
 // One batch's stream service record. Exactly one of {completed, shed,
@@ -125,9 +130,10 @@ class StreamServiceLoop {
   // Serves the arrival sequence to drain (arrivals must be sorted by time,
   // with indices dense 0..N-1, each once). Typed errors: unsorted arrivals,
   // missing or repeated indices, an empty batch, catalogue mismatch,
-  // anything sched::ControlLoop::validate rejects (invalid cluster or
-  // replication config, malformed BSIO_THREADS, an infeasible task), or the
-  // engine rejecting a window. Rejected and shed batches are counted, not
+  // anything sched::ControlLoop::validate rejects (invalid cluster, fault,
+  // speculation or replication config, malformed BSIO_THREADS, an
+  // infeasible task), the engine rejecting a window, or every compute node
+  // crashed with tasks pending. Rejected and shed batches are counted, not
   // errors.
   Result<StreamResult> run(std::vector<BatchArrival> arrivals);
 

@@ -4,6 +4,7 @@
 #include <string>
 
 #include "util/check.h"
+#include "util/rng.h"
 
 namespace bsio::sim {
 
@@ -156,16 +157,9 @@ ClusterConfig racked_cluster(std::size_t compute_nodes,
 }
 
 namespace {
-// SplitMix64: the repo's standard deterministic stream (see hypergraph.cc).
-std::uint64_t splitmix64(std::uint64_t& state) {
-  std::uint64_t z = (state += 0x9e3779b97f4a7c15ull);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
-}
 // Multiplicative factor in [1/(1+skew), 1+skew], log-uniform.
-double skew_factor(double skew, std::uint64_t& state) {
-  const double u = static_cast<double>(splitmix64(state) >> 11) * 0x1.0p-53;
+double skew_factor(double skew, SplitMix64& rng) {
+  const double u = static_cast<double>(rng.next() >> 11) * 0x1.0p-53;
   const double span = std::log1p(skew);  // log(1+skew)
   return std::exp((2.0 * u - 1.0) * span);
 }
@@ -175,21 +169,21 @@ ClusterConfig make_skewed_cluster(const ClusterConfig& base, double skew,
                                   std::uint64_t seed) {
   if (!(skew > 0.0)) return base;
   ClusterConfig c = base;
-  std::uint64_t state = seed * 0x2545f4914f6cdd1dull + 0x9e3779b97f4a7c15ull;
+  SplitMix64 rng(seed * 0x2545f4914f6cdd1dull + 0x9e3779b97f4a7c15ull);
   c.storage_disk_bw_per_node.resize(c.num_storage_nodes);
   for (std::size_t s = 0; s < c.num_storage_nodes; ++s)
     c.storage_disk_bw_per_node[s] =
-        base.storage_node_disk_bw(s) * skew_factor(skew, state);
+        base.storage_node_disk_bw(s) * skew_factor(skew, rng);
   c.compute_nic_bw.resize(c.num_compute_nodes);
   c.compute_speed.resize(c.num_compute_nodes);
   for (std::size_t i = 0; i < c.num_compute_nodes; ++i) {
     const double nic_base = base.compute_nic_bw.empty()
                                 ? base.storage_net_bw
                                 : base.compute_nic_bw[i];
-    c.compute_nic_bw[i] = nic_base * skew_factor(skew, state);
+    c.compute_nic_bw[i] = nic_base * skew_factor(skew, rng);
     const double speed_base =
         base.compute_speed.empty() ? 1.0 : base.compute_speed[i];
-    c.compute_speed[i] = speed_base * skew_factor(skew, state);
+    c.compute_speed[i] = speed_base * skew_factor(skew, rng);
   }
   return c;
 }

@@ -248,7 +248,7 @@ void ExecutionEngine::reserve_tl(Timeline& tl, double start, double duration) {
     record_->reservations.push_back({&tl, {start, start + duration}});
 }
 
-Result<double> ExecutionEngine::commit_transfer(
+double ExecutionEngine::commit_transfer(
     const SubBatchPlan& plan, wl::TaskId task, wl::FileId file, wl::NodeId dst,
     double after, const std::vector<wl::FileId>& pinned, ExecutionStats& stats,
     const TransferChoice* chosen) {
@@ -297,14 +297,6 @@ Result<double> ExecutionEngine::commit_transfer(
     if (options_.trace)
       trace_.push_back({TraceEvent::Kind::kFailedTransfer, task, file, c.src,
                         dst, c.start, c.completion()});
-    if (attempt + 1 >= faults_.config().max_transfer_attempts) {
-      // Only reachable with give_up_after_max_attempts (otherwise the last
-      // attempt never fails): surface a typed error instead of spinning.
-      stats.recovery_seconds += c.duration;
-      return Err("transfer of file " + std::to_string(file) +
-                 " onto compute node " + std::to_string(dst) + " failed " +
-                 std::to_string(attempt + 1) + " attempts; giving up");
-    }
     const double backoff = faults_.backoff_after(attempt);
     stats.recovery_seconds += c.duration + backoff;
     after = c.completion() + backoff;
@@ -318,9 +310,8 @@ void ExecutionEngine::apply_crash(wl::NodeId node, ExecutionStats& stats) {
   ++stats.node_crashes;
 }
 
-Result<bool> ExecutionEngine::commit_task(const SubBatchPlan& plan,
-                                          wl::TaskId task, wl::NodeId node,
-                                          ExecutionStats& stats) {
+bool ExecutionEngine::commit_task(const SubBatchPlan& plan, wl::TaskId task,
+                                  wl::NodeId node, ExecutionStats& stats) {
   const auto& info = workload_.task(task);
 
   std::vector<wl::FileId> remaining;
@@ -351,11 +342,9 @@ Result<bool> ExecutionEngine::commit_task(const SubBatchPlan& plan,
         best_i = i;
       }
     }
-    Result<double> staged =
-        commit_transfer(plan, task, remaining[best_i], node, after,
-                        info.files, stats, &best);
-    if (!staged.ok()) return staged.error();
-    last_end = std::max(last_end, staged.value());
+    last_end = std::max(last_end,
+                        commit_transfer(plan, task, remaining[best_i], node,
+                                        after, info.files, stats, &best));
     remaining.erase(remaining.begin() + best_i);
   }
 
@@ -489,18 +478,14 @@ wl::NodeId ExecutionEngine::find_speculation_target(wl::TaskId task,
   }
   if (best == wl::kInvalidNode) return wl::kInvalidNode;
   const double est_primary = estimate_ect(rank_view(), task, primary);
-  // Relative-progress trigger AND absolute-gain floor, both required.
   if (!(est_primary > spec.straggler_ratio * best_est)) return wl::kInvalidNode;
-  if (!(est_primary - best_est >= spec.min_ect_gain_seconds))
-    return wl::kInvalidNode;
   return best;
 }
 
-Result<bool> ExecutionEngine::speculative_commit(const SubBatchPlan& plan,
-                                                 wl::TaskId task,
-                                                 wl::NodeId primary,
-                                                 wl::NodeId backup,
-                                                 ExecutionStats& stats) {
+void ExecutionEngine::speculative_commit(const SubBatchPlan& plan,
+                                         wl::TaskId task, wl::NodeId primary,
+                                         wl::NodeId backup,
+                                         ExecutionStats& stats) {
   BSIO_CHECK(record_ == nullptr);
   --spec_remaining_;
   ++stats.speculative_launches;
@@ -519,24 +504,15 @@ Result<bool> ExecutionEngine::speculative_commit(const SubBatchPlan& plan,
 
   prim.trace_begin = trace_.size();
   record_ = &prim;
-  Result<bool> first = commit_task(plan, task, primary, prim.delta);
+  commit_task(plan, task, primary, prim.delta);
   record_ = nullptr;
   prim.trace_end = trace_.size();
-  if (!first.ok()) {
-    stats.accumulate(prim.delta);
-    return first.error();
-  }
 
   back.trace_begin = trace_.size();
   record_ = &back;
-  Result<bool> second = commit_task(plan, task, backup, back.delta);
+  commit_task(plan, task, backup, back.delta);
   record_ = nullptr;
   back.trace_end = trace_.size();
-  if (!second.ok()) {
-    stats.accumulate(prim.delta);
-    stats.accumulate(back.delta);
-    return second.error();
-  }
 
   // First finish wins; an exact tie keeps the primary.
   AttemptRecord* winner = nullptr;
@@ -554,7 +530,7 @@ Result<bool> ExecutionEngine::speculative_commit(const SubBatchPlan& plan,
     stats.accumulate(back.delta);
     ++stats.task_reexecutions;
     orphaned_.push_back(task);
-    return false;
+    return;
   }
 
   AttemptRecord* loser = winner == &prim ? &back : &prim;
@@ -570,7 +546,6 @@ Result<bool> ExecutionEngine::speculative_commit(const SubBatchPlan& plan,
   } else {
     cancel_attempt(task, winner->node, *loser, winner->completion, stats);
   }
-  return true;
 }
 
 void ExecutionEngine::cancel_attempt(wl::TaskId task, wl::NodeId winner_node,
@@ -637,7 +612,8 @@ void ExecutionEngine::cancel_attempt(wl::TaskId task, wl::NodeId winner_node,
 }
 
 Result<ExecutionStats> ExecutionEngine::execute(const SubBatchPlan& plan) {
-  // --- Recoverable plan validation, before any state mutates. ---
+  // --- Recoverable plan validation, before any state mutates: the only
+  // errors execute() returns. Past this block every transfer completes. ---
   for (const auto& [file, dst] : plan.prefetches) {
     if (file >= workload_.num_files())
       return Err("SubBatchPlan: prefetch names unknown file " +
@@ -682,12 +658,8 @@ Result<ExecutionStats> ExecutionEngine::execute(const SubBatchPlan& plan) {
   for (const auto& [file, dst] : plan.prefetches) {
     if (state_.has(dst, file)) continue;
     const double after = std::max(compute_tl_[dst].horizon(), release_floor_);
-    Result<double> c = commit_transfer(plan, wl::kInvalidTask, file, dst,
-                                       after, {file}, stats, nullptr);
-    if (!c.ok()) {
-      totals_.accumulate(stats);
-      return c.error();
-    }
+    commit_transfer(plan, wl::kInvalidTask, file, dst, after, {file}, stats,
+                    nullptr);
   }
 
   // Each node's group holds its tasks' compiled ECT terms and bound rows
@@ -750,24 +722,15 @@ Result<ExecutionStats> ExecutionEngine::execute(const SubBatchPlan& plan) {
       backup = find_speculation_target(task, node);
 
     if (backup == wl::kInvalidNode) {
-      Result<bool> done = commit_task(plan, task, node, stats);
-      if (!done.ok()) {
-        totals_.accumulate(stats);
-        return done.error();
-      }
-      if (!done.value()) {
+      if (!commit_task(plan, task, node, stats)) {
         // The node crashed killing `task`: orphan it for the driver's
         // re-scheduling loop.
         ++stats.task_reexecutions;
         orphaned_.push_back(task);
       }
     } else {
-      Result<bool> done = speculative_commit(plan, task, node, backup, stats);
-      if (!done.ok()) {
-        totals_.accumulate(stats);
-        return done.error();
-      }
       // On a double crash speculative_commit already orphaned the task.
+      speculative_commit(plan, task, node, backup, stats);
     }
 
     // Queued siblings of any node that died during this commit are

@@ -21,13 +21,14 @@
 //    and re-transfers, the effect driving the paper's Fig 5b);
 //  - an optional FaultModel (sim/faults.h) injects transient transfer
 //    failures (retried with exponential backoff, every attempt and backoff
-//    charged on the timelines), compute-node fail-stop crashes (cache lost,
-//    unfinished tasks orphaned for re-scheduling) and storage outage
+//    charged on the timelines; the fifth attempt always succeeds, so
+//    staging never fails for good), compute-node fail-stop crashes (cache
+//    lost, unfinished tasks orphaned for re-scheduling) and storage outage
 //    windows (pre-reserved on the storage port, degrading staging to
 //    replica-only sourcing until the window ends);
 //  - an optional SpeculationConfig arms a straggler detector: a task whose
 //    assigned node's ECT estimate lags the best cached-input alternative
-//    past the configured thresholds runs as two recorded attempts,
+//    past the configured ratio runs as two recorded attempts,
 //    first-finish-wins — the loser's not-yet-elapsed Timeline reservations
 //    and disk holds are rolled back and its burnt time is charged as
 //    wasted work (DESIGN.md §10).
@@ -176,12 +177,13 @@ class ExecutionEngine {
                   EngineOptions options = {});
 
   // Executes one sub-batch plan on top of the current cluster state; returns
-  // the stats of this call. A malformed plan (unknown task/node ids, a task
-  // already executed, a missing assignment, work placed on a crashed node, a
-  // negative release_time) yields a recoverable error before any state
-  // mutates. Tasks killed by an injected node crash are NOT executed — they
-  // surface via take_orphaned() for re-scheduling. The plan's release_time
-  // floors every new reservation (streaming horizon windows); 0 keeps the
+  // the stats of this call. Every error comes from validating the plan
+  // (unknown task/node ids, a task already executed, a missing assignment,
+  // work placed on a crashed node, a negative release_time) before any
+  // state mutates; once validation passes the call runs to completion.
+  // Tasks killed by an injected node crash are NOT executed — they surface
+  // via take_orphaned() for re-scheduling. The plan's release_time floors
+  // every new reservation (streaming horizon windows); 0 keeps the
   // historical batch behaviour bit for bit.
   Result<ExecutionStats> execute(const SubBatchPlan& plan);
 
@@ -223,7 +225,6 @@ class ExecutionEngine {
   }
 
   // --- Failure recovery surface. ---
-  const FaultModel& faults() const { return faults_; }
   bool node_alive(wl::NodeId node) const { return alive_[node] != 0; }
   std::size_t alive_count() const;
   // Per-compute-node liveness (1 = alive), for scheduler consumption.
@@ -364,21 +365,19 @@ class ExecutionEngine {
   // when given: the caller priced it against this state, and the eviction
   // touches neither the file's sources nor any timeline. The successful
   // copy joins dst's cache and the active AttemptRecord. Returns its
-  // completion instant, or a typed error when give_up_after_max_attempts
-  // exhausts the budget.
-  Result<double> commit_transfer(const SubBatchPlan& plan, wl::TaskId task,
-                                 wl::FileId file, wl::NodeId dst, double after,
-                                 const std::vector<wl::FileId>& pinned,
-                                 ExecutionStats& stats,
-                                 const TransferChoice* chosen);
+  // completion instant.
+  double commit_transfer(const SubBatchPlan& plan, wl::TaskId task,
+                         wl::FileId file, wl::NodeId dst, double after,
+                         const std::vector<wl::FileId>& pinned,
+                         ExecutionStats& stats, const TransferChoice* chosen);
 
   // Commits `task` on `node`: stages missing files (minimum-TCT-first),
   // evicting on demand, then reserves the local-read + compute block.
   // Returns false when an injected crash killed the task (the node is
   // dead; the caller owns orphaning). While an AttemptRecord is active the
   // task is NOT finalized — the speculation resolver picks the winner.
-  Result<bool> commit_task(const SubBatchPlan& plan, wl::TaskId task,
-                           wl::NodeId node, ExecutionStats& stats);
+  bool commit_task(const SubBatchPlan& plan, wl::TaskId task, wl::NodeId node,
+                   ExecutionStats& stats);
 
   // Marks `task` done at `completion` on `node`: touches its files, drops
   // pending requests, stamps the completion time and the makespan.
@@ -387,17 +386,17 @@ class ExecutionEngine {
 
   // Straggler trigger: the alive node (≠ primary) caching at least
   // min_cached_inputs of the task's files with the best ECT estimate, if
-  // the primary's estimate lags it past both configured thresholds;
+  // the primary's estimate exceeds straggler_ratio × that estimate;
   // kInvalidNode otherwise.
   wl::NodeId find_speculation_target(wl::TaskId task, wl::NodeId primary) const;
 
   // Runs `task` as two recorded attempts (primary then backup in commit
   // order; their simulated windows overlap through the shared timelines),
-  // keeps the first finisher and cancels or charges the loser. Returns
-  // false when both attempts died to crashes (the task was orphaned).
-  Result<bool> speculative_commit(const SubBatchPlan& plan, wl::TaskId task,
-                                  wl::NodeId primary, wl::NodeId backup,
-                                  ExecutionStats& stats);
+  // keeps the first finisher and cancels or charges the loser. When both
+  // attempts die to crashes the task is orphaned.
+  void speculative_commit(const SubBatchPlan& plan, wl::TaskId task,
+                          wl::NodeId primary, wl::NodeId backup,
+                          ExecutionStats& stats);
 
   // First-finish-wins rollback of a completed losing attempt: releases its
   // not-yet-started reservations, truncates in-flight ones at `winner_end`,

@@ -8,17 +8,20 @@
 
 namespace bsio::sim {
 
+namespace {
+
+// Attempts per transfer, counting the first; the last one never fails.
+constexpr std::size_t kMaxTransferAttempts = 5;
+// Backoff after failed attempt k (0-based) is kRetryBackoffSeconds ×
+// kRetryBackoffFactor^k: at most 0.5 × 2^3 = 4 s.
+constexpr double kRetryBackoffSeconds = 0.5;
+constexpr double kRetryBackoffFactor = 2.0;
+
+}  // namespace
+
 Status FaultConfig::validate(const ClusterConfig& cluster) const {
   if (!(transfer_failure_prob >= 0.0 && transfer_failure_prob <= 1.0))
     return Err("FaultConfig: transfer_failure_prob must be in [0, 1]");
-  if (max_transfer_attempts == 0)
-    return Err("FaultConfig: max_transfer_attempts must be at least 1");
-  if (!(retry_backoff_seconds >= 0.0) || !std::isfinite(retry_backoff_seconds))
-    return Err("FaultConfig: retry_backoff_seconds must be finite and >= 0");
-  if (!(retry_backoff_factor >= 1.0) || !std::isfinite(retry_backoff_factor))
-    return Err("FaultConfig: retry_backoff_factor must be finite and >= 1");
-  if (!(max_backoff_seconds > 0.0) || !std::isfinite(max_backoff_seconds))
-    return Err("FaultConfig: max_backoff_seconds must be finite and > 0");
   for (const ComputeCrash& c : compute_crashes) {
     if (c.node >= cluster.num_compute_nodes)
       return Err("FaultConfig: crash names compute node " +
@@ -65,9 +68,6 @@ Status FaultConfig::validate(const ClusterConfig& cluster) const {
 Status SpeculationConfig::validate() const {
   if (!(straggler_ratio >= 1.0) || !std::isfinite(straggler_ratio))
     return Err("SpeculationConfig: straggler_ratio must be finite and >= 1");
-  if (!(min_ect_gain_seconds >= 0.0) || !std::isfinite(min_ect_gain_seconds))
-    return Err(
-        "SpeculationConfig: min_ect_gain_seconds must be finite and >= 0");
   return OkStatus();
 }
 
@@ -114,9 +114,7 @@ FaultModel::FaultModel(FaultConfig config, std::size_t num_compute_nodes,
 bool FaultModel::transfer_attempt_fails(std::uint64_t transfer_index,
                                         std::size_t attempt) const {
   if (config_.transfer_failure_prob <= 0.0) return false;
-  if (attempt + 1 >= config_.max_transfer_attempts &&
-      !config_.give_up_after_max_attempts)
-    return false;
+  if (attempt + 1 >= kMaxTransferAttempts) return false;
   if (config_.transfer_failure_prob >= 1.0) return true;
   // Stateless coin: independent of draw order, so a retry never shifts the
   // fault pattern seen by unrelated transfers.
@@ -128,10 +126,8 @@ bool FaultModel::transfer_attempt_fails(std::uint64_t transfer_index,
 }
 
 double FaultModel::backoff_after(std::size_t attempt) const {
-  const double raw =
-      config_.retry_backoff_seconds *
-      std::pow(config_.retry_backoff_factor, static_cast<double>(attempt));
-  return std::min(raw, config_.max_backoff_seconds);
+  return kRetryBackoffSeconds *
+         std::pow(kRetryBackoffFactor, static_cast<double>(attempt));
 }
 
 double FaultModel::stretched_exec_duration(wl::NodeId node, double start,

@@ -8,9 +8,9 @@
 //    draws. A failed attempt occupies its endpoint links for the full
 //    transfer window (the failure is detected at the deadline — the
 //    conservative single-port accounting), and the retry waits an
-//    exponentially growing backoff before re-picking the then-best source.
-//    The final allowed attempt always succeeds so simulations terminate
-//    even at probability 1.
+//    exponentially growing backoff (0.5 s, doubling) before re-picking the
+//    then-best source. The fifth attempt always succeeds, so every transfer
+//    completes and simulations terminate even at probability 1.
 //
 //  - Compute-node crashes: node fail-stops at the scheduled instant. The
 //    first task whose execution block would run past the crash is killed
@@ -69,28 +69,11 @@ struct NodeSlowdown {
 struct FaultConfig {
   std::uint64_t seed = 0x5eedULL;
   // Per-attempt probability that a transfer (remote or replication) fails.
+  // Attempts 0-3 draw a coin; attempt 4 always succeeds.
   double transfer_failure_prob = 0.0;
-  // Attempts per transfer, counting the first. By default the last attempt
-  // never fails (simulations terminate even at probability 1); with
-  // give_up_after_max_attempts the last attempt draws its coin like any
-  // other and exhausting all attempts surfaces a typed bsio::Error from
-  // ExecutionEngine::execute instead of retrying forever.
-  std::size_t max_transfer_attempts = 5;
-  bool give_up_after_max_attempts = false;
-  // Backoff after failed attempt k (0-based) is
-  // min(retry_backoff_seconds * factor^k, max_backoff_seconds) — the clamp
-  // keeps high attempt counts from pow-overflowing into absurd waits.
-  double retry_backoff_seconds = 0.5;
-  double retry_backoff_factor = 2.0;
-  double max_backoff_seconds = 60.0;
   std::vector<ComputeCrash> compute_crashes;
   std::vector<StorageOutage> storage_outages;
   std::vector<NodeSlowdown> compute_slowdowns;
-
-  bool enabled() const {
-    return transfer_failure_prob > 0.0 || !compute_crashes.empty() ||
-           !storage_outages.empty() || !compute_slowdowns.empty();
-  }
 
   // Recoverable validation against a cluster's shape (node-id ranges,
   // probability bounds, window sanity).
@@ -109,12 +92,9 @@ struct SpeculationConfig {
   bool enabled = false;
   // Relative-progress trigger: duplicate only when the assigned node's
   // estimated completion exceeds straggler_ratio × the best cached-input
-  // alternative's estimate.
+  // alternative's estimate (a ratio >= 1 over estimates >= 0 implies a
+  // positive gain).
   double straggler_ratio = 1.5;
-  // ECT-threshold trigger: additionally require the estimated absolute win
-  // (primary ECT − backup ECT, seconds) to reach this floor, filtering
-  // near-ties where a duplicate mostly burns bandwidth.
-  double min_ect_gain_seconds = 0.0;
   // Budget: at most this many duplicate launches per engine lifetime.
   std::size_t max_speculative_tasks =
       std::numeric_limits<std::size_t>::max();
@@ -132,17 +112,13 @@ class FaultModel {
   explicit FaultModel(FaultConfig config, std::size_t num_compute_nodes,
                       std::size_t num_storage_nodes);
 
-  const FaultConfig& config() const { return config_; }
-  bool enabled() const { return config_.enabled(); }
-
   // Does attempt `attempt` (0-based) of the `transfer_index`-th committed
-  // transfer fail? Stateless and deterministic; the last allowed attempt
-  // never fails unless give_up_after_max_attempts is set.
+  // transfer fail? Stateless and deterministic; the fifth attempt (index 4)
+  // never fails.
   bool transfer_attempt_fails(std::uint64_t transfer_index,
                               std::size_t attempt) const;
 
-  // Backoff charged after failed attempt `attempt` (0-based), clamped to
-  // max_backoff_seconds.
+  // Backoff charged after failed attempt `attempt` (0-based): 0.5 s × 2^k.
   double backoff_after(std::size_t attempt) const;
 
   // Any degradation window with factor > 1 configured?

@@ -38,11 +38,6 @@ double Timeline::gap_walk(std::size_t ci, double after, double duration) const {
   return t;
 }
 
-double Timeline::earliest_free(double after, double duration) const {
-  BSIO_DCHECK(duration >= 0.0);
-  return gap_walk(walk_start_chunk(after, 0), after, duration);
-}
-
 double Timeline::earliest_free(double after, double duration) {
   BSIO_DCHECK(duration >= 0.0);
   // Ends are ascending, so for a non-decreasing query time the walk-start
@@ -197,42 +192,26 @@ void Timeline::validate() const {
   BSIO_CHECK(count == size_);
 }
 
-namespace {
-
-// Shared fixed-point iteration: each round queries every timeline against
-// the SAME base t and restarts from the max candidate — when endpoint
-// calendars are dense this avoids the pathological re-walks of advancing t
-// mid-pass (each timeline's gap walk restarts from the furthest conflict,
-// not from a stale cursor). earliest_free is monotone in `after`, so the
-// max candidate never overshoots the least common fixed point: the result
-// is bit-identical to the sequential-advance iteration.
-template <typename TimelinePtr>
-double common_free_fixed_point(std::span<TimelinePtr const> timelines,
-                               double after, double duration) {
+// Fixed-point iteration: each round queries every timeline against the
+// SAME base t and restarts from the max candidate — when endpoint calendars
+// are dense this avoids the pathological re-walks of advancing t mid-pass
+// (each timeline's gap walk restarts from the furthest conflict, not from a
+// stale position). earliest_free is monotone in `after`, so the max
+// candidate never overshoots the least common fixed point: the result is
+// bit-identical to the sequential-advance iteration. t is non-decreasing
+// across rounds, so every probe resumes the timeline's monotone cursor.
+double earliest_common_free(std::span<Timeline* const> timelines,
+                            double after, double duration) {
   double t = after;
   for (;;) {
     double best = t;
-    for (TimelinePtr tl : timelines) {
+    for (Timeline* tl : timelines) {
       if (tl == nullptr) continue;
       best = std::max(best, tl->earliest_free(t, duration));
     }
     if (best == t) return t;
     t = best;
   }
-}
-
-}  // namespace
-
-double earliest_common_free(std::span<const Timeline* const> timelines,
-                            double after, double duration) {
-  return common_free_fixed_point(timelines, after, duration);
-}
-
-double earliest_common_free(std::span<Timeline* const> timelines,
-                            double after, double duration) {
-  // t is non-decreasing across rounds, so every probe here resumes the
-  // timeline's monotone cursor.
-  return common_free_fixed_point(timelines, after, duration);
 }
 
 }  // namespace bsio::sim

@@ -31,17 +31,15 @@ struct Interval {
 
 class Timeline {
  public:
-  // Earliest t >= after such that [t, t + duration) is free.
-  double earliest_free(double after, double duration) const;
-
-  // Same query with a monotone cursor: the engine's placement loops and
+  // Earliest t >= after such that [t, t + duration) is free. The query
+  // keeps a monotone cursor: the engine's placement loops and
   // earliest_common_free's fixed-point rounds probe one timeline with
   // non-decreasing `after` between mutations, so the start-chunk binary
-  // search can resume from the previous query's chunk instead of the full
-  // range. A backward query or any mutation resets the cursor; results are
-  // bit-identical to the const overload (same walk, narrower search
-  // window) — pinned by tests/timeline_property_test.cc, whose random
-  // query mix exercises both resumed and reset cursors.
+  // search resumes from the previous query's chunk instead of the full
+  // range. A backward query or any mutation resets the cursor; the cursor
+  // narrows the search window but not the walk, so results equal a full
+  // search — pinned by tests/timeline_property_test.cc, whose random query
+  // mix exercises both resumed and reset cursors.
   double earliest_free(double after, double duration);
 
   // Reserves [start, start + duration); the slot must be free.
@@ -109,21 +107,17 @@ class Timeline {
   std::vector<Chunk> chunks_;
   std::size_t size_ = 0;
 
-  // Monotone-query cursor (non-const earliest_free): the walk-start chunk
-  // and query time of the previous query. Invalidated by every mutation.
+  // Monotone-query cursor (earliest_free): the walk-start chunk and query
+  // time of the previous query. Invalidated by every mutation.
   bool cursor_valid_ = false;
   std::size_t cursor_chunk_ = 0;
   double cursor_after_ = 0.0;
 };
 
 // Earliest t >= after such that [t, t + duration) is simultaneously free on
-// every timeline. Pointers may repeat; null entries are ignored.
-double earliest_common_free(std::span<const Timeline* const> timelines,
-                            double after, double duration);
-
-// Mutable-timeline overload: the fixed-point rounds query each timeline
-// with non-decreasing t, so every probe resumes that timeline's monotone
-// cursor. Bit-identical to the const overload.
+// every timeline. Pointers may repeat; null entries are ignored. The
+// fixed-point rounds query each timeline with non-decreasing t, so every
+// probe resumes that timeline's monotone cursor.
 double earliest_common_free(std::span<Timeline* const> timelines,
                             double after, double duration);
 

@@ -1,18 +1,25 @@
 #include "workload/stats.h"
 
+#include <vector>
+
 namespace bsio::wl {
 
 WorkloadStats measure(const Workload& w) {
   WorkloadStats s;
   s.num_tasks = w.num_tasks();
+  // Readers per file, for the sharing degree.
+  std::vector<std::size_t> degree(w.num_files(), 0);
   for (const auto& t : w.tasks()) {
     s.total_requests += t.files.size();
     s.total_compute_seconds += t.compute_seconds;
-    for (FileId f : t.files) s.total_request_bytes += w.file_size(f);
+    for (FileId f : t.files) {
+      s.total_request_bytes += w.file_size(f);
+      ++degree[f];
+    }
   }
   std::size_t sharing_sum = 0;
   for (const auto& f : w.files()) {
-    std::size_t deg = w.tasks_of_file(f.id).size();
+    const std::size_t deg = degree[f.id];
     if (deg == 0) continue;
     ++s.num_requested_files;
     sharing_sum += deg;

@@ -1,9 +1,9 @@
 #include "workload/types.h"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "util/check.h"
+#include "workload/stats.h"
 
 namespace bsio::wl {
 
@@ -21,7 +21,6 @@ Workload::Workload(std::vector<TaskInfo> tasks, std::vector<FileInfo> files)
   }
   for (std::size_t i = 0; i < files_.size(); ++i)
     files_[i].id = static_cast<FileId>(i);
-  build_inverse();
   validate();
 }
 
@@ -38,11 +37,9 @@ TaskId Workload::append_tasks(std::vector<TaskInfo> tasks) {
     std::sort(os.begin(), os.end());
     os.erase(std::unique(os.begin(), os.end()), os.end());
     BSIO_CHECK_MSG(t.compute_seconds >= 0.0, "negative compute time");
-    for (FileId f : fs) {
+    for (FileId f : fs)
       BSIO_CHECK_MSG(f < files_.size(),
                      "appended task references unknown file");
-      tasks_of_file_[f].push_back(t.id);
-    }
     for (FileId f : os)
       BSIO_CHECK_MSG(f < files_.size(), "appended task writes unknown file");
     tasks_.push_back(std::move(t));
@@ -50,37 +47,8 @@ TaskId Workload::append_tasks(std::vector<TaskInfo> tasks) {
   return first;
 }
 
-void Workload::build_inverse() {
-  tasks_of_file_.assign(files_.size(), {});
-  for (const auto& t : tasks_)
-    for (FileId f : t.files) {
-      BSIO_CHECK_MSG(f < files_.size(), "task references unknown file");
-      tasks_of_file_[f].push_back(t.id);
-    }
-}
-
 double Workload::unique_request_bytes() const {
-  double total = 0.0;
-  for (const auto& f : files_)
-    if (!tasks_of_file_[f.id].empty()) total += f.size_bytes;
-  return total;
-}
-
-double Workload::total_request_bytes() const {
-  double total = 0.0;
-  for (const auto& t : tasks_)
-    for (FileId f : t.files) total += files_[f].size_bytes;
-  return total;
-}
-
-Workload Workload::subset(const std::vector<TaskId>& task_ids) const {
-  std::vector<TaskInfo> ts;
-  ts.reserve(task_ids.size());
-  for (TaskId t : task_ids) {
-    BSIO_CHECK(t < tasks_.size());
-    ts.push_back(tasks_[t]);
-  }
-  return Workload(std::move(ts), files_);
+  return measure(*this).unique_bytes;
 }
 
 void Workload::validate() const {

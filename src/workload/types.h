@@ -54,29 +54,18 @@ class Workload {
   std::size_t num_tasks() const { return tasks_.size(); }
   std::size_t num_files() const { return files_.size(); }
 
-  // Tasks that read file f ("Require_l" in the paper). Built lazily-once at
-  // construction.
-  const std::vector<TaskId>& tasks_of_file(FileId f) const {
-    return tasks_of_file_[f];
-  }
-
   double file_size(FileId f) const { return files_[f].size_bytes; }
 
-  // Total bytes of one copy of every file any task requests.
+  // Total bytes of one copy of every file any task requests, summed in
+  // ascending file id (wl::measure's unique_bytes).
   double unique_request_bytes() const;
-  // Total bytes summed over every (task, file) request.
-  double total_request_bytes() const;
-
-  // Restrict to a subset of tasks, keeping file ids stable (files not
-  // referenced by the subset remain in the catalogue but have no requesters).
-  Workload subset(const std::vector<TaskId>& task_ids) const;
 
   // Appends tasks to the batch, keeping the file catalogue fixed — the
   // streaming service's growable merged workload (batches admitted into the
   // live horizon window join one Workload over the shared catalogue). Ids
   // continue densely from the current task count; per-task file lists are
-  // normalised exactly like the constructor's, and the file inverse is
-  // extended in place. Returns the id of the first appended task.
+  // normalised exactly like the constructor's. Returns the id of the first
+  // appended task.
   TaskId append_tasks(std::vector<TaskInfo> tasks);
 
   // Validation: file ids in range, per-task file lists sorted and unique,
@@ -84,11 +73,8 @@ class Workload {
   void validate() const;
 
  private:
-  void build_inverse();
-
   std::vector<TaskInfo> tasks_;
   std::vector<FileInfo> files_;
-  std::vector<std::vector<TaskId>> tasks_of_file_;
 };
 
 }  // namespace bsio::wl

@@ -1,11 +1,11 @@
 // Fault injection & failure recovery tests: deterministic seeded faults,
-// transfer retries with backoff, compute-node crashes with driver-level
-// re-scheduling, storage outages, and the typed-error surface
-// (ClusterConfig::validate, FaultConfig::validate, ExecutionEngine::execute).
+// transfer retries with backoff and a forced final success, compute-node
+// crashes with driver-level re-scheduling, storage outages, and the
+// typed-error surface (ClusterConfig::validate, FaultConfig::validate,
+// ExecutionEngine::execute's plan validation).
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <set>
 #include <string>
 
@@ -69,9 +69,7 @@ TEST(FaultConfig, ValidateCatchesBadValues) {
   f.transfer_failure_prob = 1.5;
   EXPECT_FALSE(f.validate(c).ok());
   f.transfer_failure_prob = 0.1;
-  f.max_transfer_attempts = 0;
-  EXPECT_FALSE(f.validate(c).ok());
-  f.max_transfer_attempts = 3;
+  EXPECT_TRUE(f.validate(c).ok());
 
   f.compute_crashes.push_back({99, 1.0});  // node out of range
   EXPECT_FALSE(f.validate(c).ok());
@@ -106,12 +104,11 @@ TEST(FaultModel, SameSeedSameDraws) {
 TEST(FaultModel, LastAttemptNeverFails) {
   sim::FaultConfig cfg;
   cfg.transfer_failure_prob = 1.0;
-  cfg.max_transfer_attempts = 3;
   sim::FaultModel m(cfg, 2, 2);
   for (std::uint64_t t = 0; t < 50; ++t) {
-    EXPECT_TRUE(m.transfer_attempt_fails(t, 0));
-    EXPECT_TRUE(m.transfer_attempt_fails(t, 1));
-    EXPECT_FALSE(m.transfer_attempt_fails(t, 2));  // forced success
+    for (std::size_t k = 0; k < 4; ++k)
+      EXPECT_TRUE(m.transfer_attempt_fails(t, k));
+    EXPECT_FALSE(m.transfer_attempt_fails(t, 4));  // forced success
   }
 }
 
@@ -147,119 +144,61 @@ TEST(FaultModel, ZeroFaultConfigReproducesSeedMakespans) {
   }
 }
 
-// --- Backoff clamp & give-up. ---
-
-TEST(FaultModel, BackoffIsClampedToMaxBackoffSeconds) {
-  sim::FaultConfig cfg;
-  cfg.retry_backoff_seconds = 0.5;
-  cfg.retry_backoff_factor = 2.0;
-  cfg.max_backoff_seconds = 3.0;
-  sim::FaultModel m(cfg, 2, 2);
-  EXPECT_DOUBLE_EQ(m.backoff_after(0), 0.5);
-  EXPECT_DOUBLE_EQ(m.backoff_after(1), 1.0);
-  EXPECT_DOUBLE_EQ(m.backoff_after(2), 2.0);
-  EXPECT_DOUBLE_EQ(m.backoff_after(3), 3.0);  // 4.0 clamped
-  // Huge attempt counts must not pow-overflow into absurd waits.
-  EXPECT_DOUBLE_EQ(m.backoff_after(100), 3.0);
-  EXPECT_DOUBLE_EQ(m.backoff_after(10000), 3.0);
-  EXPECT_TRUE(std::isfinite(m.backoff_after(10000)));
-}
-
-TEST(FaultConfig, MaxBackoffSecondsValidation) {
-  const sim::ClusterConfig c = fault_cluster();
-  sim::FaultConfig f;
-  f.max_backoff_seconds = 0.0;
-  EXPECT_FALSE(f.validate(c).ok());
-  f.max_backoff_seconds = -1.0;
-  EXPECT_FALSE(f.validate(c).ok());
-  f.max_backoff_seconds = 60.0;
-  EXPECT_TRUE(f.validate(c).ok());
-}
-
-TEST(FaultInjection, GiveUpAfterMaxAttemptsIsTypedEngineError) {
-  // prob = 1 with give-up: every attempt fails, including the last, and the
-  // engine surfaces a typed error instead of forcing the final success.
-  wl::Workload w = disjoint_workload(1, 2.0);
-  sim::EngineOptions opts;
-  opts.faults.transfer_failure_prob = 1.0;
-  opts.faults.max_transfer_attempts = 2;
-  opts.faults.give_up_after_max_attempts = true;
-  sim::ExecutionEngine eng(fault_cluster(), w, opts);
-  sim::SubBatchPlan p;
-  p.tasks = {0};
-  p.assignment[0] = 0;
-  const auto r = eng.execute(p);
-  ASSERT_FALSE(r.ok());
-  EXPECT_NE(r.error().message.find("giving up"), std::string::npos);
-  EXPECT_EQ(eng.totals().transfer_retries, 2u);
-  EXPECT_EQ(eng.totals().tasks_executed, 0u);
-}
-
-TEST(FaultInjection, GiveUpSurfacesThroughDriver) {
-  wl::Workload w = disjoint_workload(2, 1.0);
-  sim::FaultConfig faults;
-  faults.transfer_failure_prob = 1.0;
-  faults.max_transfer_attempts = 3;
-  faults.give_up_after_max_attempts = true;
-  sched::MinMinScheduler sched;
-  const auto r = sched::run_batch(sched, w, fault_cluster(), faults);
-  ASSERT_FALSE(r.ok());
-  EXPECT_NE(r.error.find("giving up"), std::string::npos);
-  EXPECT_GT(r.tasks_stranded, 0u);
-}
+// --- Forced final success. ---
 
 TEST(FaultInjection, GiveUpDisabledKeepsForcedFinalSuccess) {
-  // Same probability-1 scenario without give-up: the final attempt still
-  // succeeds and the batch drains (the PR 1 semantics are the default).
+  // Probability 1: every attempt but the fifth fails, the fifth succeeds
+  // and the batch drains — a transfer never fails for good.
   wl::Workload w = disjoint_workload(1, 1.0);
   sim::EngineOptions opts;
   opts.faults.transfer_failure_prob = 1.0;
-  opts.faults.max_transfer_attempts = 2;
   sim::ExecutionEngine eng(fault_cluster(), w, opts);
   sim::SubBatchPlan p;
   p.tasks = {0};
   p.assignment[0] = 0;
   ASSERT_TRUE(eng.execute(p).ok());
   EXPECT_EQ(eng.totals().tasks_executed, 1u);
+  EXPECT_EQ(eng.totals().transfer_retries, 4u);
 }
 
 // --- Transient transfer failures & retry backoff. ---
 
 TEST(FaultInjection, TransferRetriesAppearInTraceWithBackoffSpacing) {
-  // prob = 1 with 3 attempts: attempts 0 and 1 fail, attempt 2 succeeds.
-  // Each retry starts backoff_after(k) seconds after the failed attempt's
+  // prob = 1: attempts 0-3 fail, attempt 4 succeeds. Each retry starts
+  // backoff_after(k) = 0.5 × 2^k seconds after the failed attempt's
   // deadline.
   wl::Workload w = disjoint_workload(1, 2.0);
   sim::EngineOptions opts;
   opts.trace = true;
   opts.faults.transfer_failure_prob = 1.0;
-  opts.faults.max_transfer_attempts = 3;
-  opts.faults.retry_backoff_seconds = 0.5;
-  opts.faults.retry_backoff_factor = 2.0;
   sim::ExecutionEngine eng(fault_cluster(), w, opts);
 
   sim::SubBatchPlan p;
   p.tasks = {0};
   p.assignment[0] = 0;
   auto stats = eng.execute(p).value();
-  EXPECT_EQ(stats.transfer_retries, 2u);
+  EXPECT_EQ(stats.transfer_retries, 4u);
   EXPECT_EQ(stats.remote_transfers, 1u);
-  EXPECT_GT(stats.recovery_seconds, 0.0);
+  // Four failed 1 s windows plus 0.5 + 1 + 2 + 4 s of backoff.
+  EXPECT_NEAR(stats.recovery_seconds, 4.0 + 7.5, 1e-9);
 
   std::vector<sim::TraceEvent> failed, ok;
   for (const auto& e : eng.trace()) {
     if (e.kind == sim::TraceEvent::Kind::kFailedTransfer) failed.push_back(e);
     if (e.kind == sim::TraceEvent::Kind::kRemoteTransfer) ok.push_back(e);
   }
-  ASSERT_EQ(failed.size(), 2u);
+  ASSERT_EQ(failed.size(), 4u);
   ASSERT_EQ(ok.size(), 1u);
-  // Attempt 0: [0, 1); retry waits 0.5 -> attempt 1: [1.5, 2.5); retry
-  // waits 1.0 -> attempt 2: [3.5, 4.5).
+  // Attempt 0: [0, 1); waits 0.5 -> attempt 1: [1.5, 2.5); waits 1 ->
+  // attempt 2: [3.5, 4.5); waits 2 -> attempt 3: [6.5, 7.5); waits 4 ->
+  // attempt 4: [11.5, 12.5).
   EXPECT_NEAR(failed[0].start, 0.0, 1e-9);
   EXPECT_NEAR(failed[1].start - failed[0].end, 0.5, 1e-9);
-  EXPECT_NEAR(ok[0].start - failed[1].end, 1.0, 1e-9);
-  // Exec after the successful transfer: 4.5 + 0.1 read + 2.0 compute.
-  EXPECT_NEAR(eng.makespan(), 4.5 + 0.1 + 2.0, 1e-9);
+  EXPECT_NEAR(failed[2].start - failed[1].end, 1.0, 1e-9);
+  EXPECT_NEAR(failed[3].start - failed[2].end, 2.0, 1e-9);
+  EXPECT_NEAR(ok[0].start - failed[3].end, 4.0, 1e-9);
+  // Exec after the successful transfer: 12.5 + 0.1 read + 2.0 compute.
+  EXPECT_NEAR(eng.makespan(), 12.5 + 0.1 + 2.0, 1e-9);
 }
 
 TEST(FaultInjection, RetriesDegradeButCompleteUnderModerateRates) {

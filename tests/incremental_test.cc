@@ -5,16 +5,19 @@
 // PR 4 topology goldens — BIT for BIT (hexfloat makespans, every engine
 // counter), for all four schedulers (MinMin by delta insertion; BiPartition,
 // JobDataPresent and IP by part repair, including the limited-disk
-// two-round presets), at 1, 2 and 8 planning threads. Part 2 unit-tests the
-// planner mechanics: delta-extend leaving the earlier wave untouched, the
-// BiPartition footprint gate, the commit_horizon freeze rule and its
+// two-round presets), at 1, 2 and 8 planning threads, and under one run
+// configuration with a crash, transfer failures, a slowdown, speculation
+// and tiered replication. Part 2 unit-tests the planner mechanics:
+// delta-extend leaving the earlier wave untouched, the BiPartition
+// footprint gate, the commit_horizon freeze rule and its
 // release-at-least-one progress rule, and the dirty-set derivation. Part 3
 // exercises the streaming loop proper: overlapping batches, SLO accounting,
-// and the typed error surface.
+// a crash mid-stream, and the typed error surface.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -83,6 +86,61 @@ TEST(StreamQuiescence, BitIdenticalToBatchDriverAtAnyThreadCount) {
       EXPECT_EQ(s.stats.tasks_executed, w.num_tasks());
     }
   }
+  WsRuntime::set_global_threads(0);
+}
+
+// The stream takes the batch driver's run configuration whole, so faults,
+// speculation and replication reach it unchanged: one arrival at t = 0
+// under the drain-all horizon still equals run_batch bit for bit.
+TEST(StreamQuiescence, FaultyRunBitIdenticalToBatchDriver) {
+  WsRuntime::set_global_threads(2);
+  const wl::Workload w = goldens::golden_workload();
+  std::uint64_t crashes = 0, retries = 0, launches = 0, repairs = 0;
+  for (const goldens::GoldenRow& row : goldens::kGolden) {
+    SCOPED_TRACE(std::string(row.preset) + "/" + row.scheduler);
+    const sim::ClusterConfig c =
+        goldens::golden_preset(row.preset, w.unique_request_bytes());
+
+    service::StreamOptions opts;  // drain-all horizon, no admission bound
+    opts.faults.compute_crashes = {{1, 0.4 * row.batch_time}};
+    opts.faults.transfer_failure_prob = 0.05;
+    opts.faults.compute_slowdowns = {
+        {0, 0.0, std::numeric_limits<double>::infinity(), 3.0}};
+    opts.speculation.enabled = true;
+    opts.replication.enabled = true;
+    opts.replication.tiers = {{0.0, 1}, {1.0, 2}};
+
+    auto batch_sched = goldens::make_golden_scheduler(row.scheduler);
+    const sched::BatchRunResult r = sched::run_batch(*batch_sched, w, c, opts);
+    ASSERT_TRUE(r.ok()) << r.error;
+    EXPECT_EQ(r.stats.tasks_executed, w.num_tasks());
+
+    auto stream_sched = goldens::make_golden_scheduler(row.scheduler);
+    service::StreamServiceLoop loop(*stream_sched, c, w.files(), opts);
+    std::vector<service::BatchArrival> arrivals(1);
+    arrivals[0] = {0.0, 0, {}, w};
+    auto res = loop.run(std::move(arrivals));
+    ASSERT_TRUE(res.ok()) << res.error().message;
+    const service::StreamStats& s = res.value().stats;
+
+    EXPECT_EQ(s.completion_time, r.batch_time);
+    EXPECT_EQ(s.exec.node_crashes, r.stats.node_crashes);
+    EXPECT_EQ(s.exec.task_reexecutions, r.stats.task_reexecutions);
+    EXPECT_EQ(s.exec.transfer_retries, r.stats.transfer_retries);
+    EXPECT_EQ(s.exec.speculative_launches, r.stats.speculative_launches);
+    EXPECT_EQ(s.exec.replicas_created, r.stats.replicas_created);
+    EXPECT_EQ(s.exec.remote_bytes, r.stats.remote_bytes);
+    EXPECT_EQ(s.tasks_executed, w.num_tasks());
+    crashes += r.stats.node_crashes;
+    retries += r.stats.transfer_retries;
+    launches += r.stats.speculative_launches;
+    repairs += r.stats.replicas_created;
+  }
+  // The configuration reaches every recovery path somewhere in the grid.
+  EXPECT_GT(crashes, 0u);
+  EXPECT_GT(retries, 0u);
+  EXPECT_GT(launches, 0u);
+  EXPECT_GT(repairs, 0u);
   WsRuntime::set_global_threads(0);
 }
 
@@ -333,6 +391,103 @@ TEST(StreamService, OverlappingBatchesCompleteWithSloAccounting) {
   ASSERT_TRUE(res2.ok());
   EXPECT_EQ(res2.value().stats.completion_time, s.stats.completion_time);
   EXPECT_EQ(res2.value().stats.p99_response, s.stats.p99_response);
+  WsRuntime::set_global_threads(0);
+}
+
+TEST(StreamService, CrashMidStreamCompletesOnSurvivors) {
+  WsRuntime::set_global_threads(1);
+  const std::vector<wl::FileInfo> catalog = stream_catalog();
+  const sim::ClusterConfig c = small_cluster(4, 2);
+
+  service::ServiceBatchConfig bcfg;
+  bcfg.tasks_per_batch = 6;
+  bcfg.files_per_task = 3;
+  bcfg.write_fraction = 0.3;
+  service::ArrivalConfig acfg;
+  acfg.rate = 0.5;
+  acfg.num_batches = 6;
+  acfg.seed = 5;
+  service::BatchArrivalProcess process(catalog, bcfg, acfg);
+  auto generated = process.generate();
+  ASSERT_TRUE(generated.ok()) << generated.error().message;
+  std::vector<service::BatchArrival> arrivals = std::move(generated).value();
+  bool wrote = false;
+  for (const auto& a : arrivals)
+    for (const auto& t : a.batch.tasks()) wrote |= !t.outputs.empty();
+  ASSERT_TRUE(wrote);
+
+  service::StreamOptions opts;
+  opts.horizon.window_seconds = 20.0;
+  opts.faults.compute_crashes = {{1, arrivals[2].time}};
+  opts.faults.transfer_failure_prob = 0.1;
+  opts.replication.enabled = true;
+  opts.replication.tiers = {{0.0, 2}};
+  sched::MinMinScheduler mm;
+  service::StreamServiceLoop loop(mm, c, catalog, opts);
+  auto res = loop.run(std::move(arrivals));
+  ASSERT_TRUE(res.ok()) << res.error().message;
+  const service::StreamResult& s = res.value();
+
+  EXPECT_EQ(s.stats.batches_completed, 6u);
+  EXPECT_EQ(s.stats.tasks_executed, 6u * 6u);
+  EXPECT_EQ(s.stats.exec.node_crashes, 1u);
+  EXPECT_GT(s.stats.exec.transfer_retries, 0u);
+  for (const service::StreamBatchMetrics& m : s.batches) {
+    EXPECT_TRUE(m.completed);
+    EXPECT_GE(m.completion_time, m.admit_time);
+  }
+  WsRuntime::set_global_threads(0);
+}
+
+// Batch 1 arrives while batch 0 is still live past the first 1 s window,
+// so later windows hold both release epochs and execute as two sub-plans,
+// batch 0's first. Node 1 crashes at each instant of a grid over the
+// fault-free run. Where the crash strikes during batch 0's sub-plan, batch
+// 1's tasks already placed on node 1 must be orphaned and re-planned on
+// node 0 (at 20/40, for one); where it strikes in an earlier window, so
+// must the live tasks still planned on node 1. Either way the run
+// completes instead of the engine rejecting the sub-plan.
+TEST(StreamService, CrashInEarlierEpochReplansLaterEpochTasks) {
+  WsRuntime::set_global_threads(1);
+  const std::vector<wl::FileInfo> catalog = stream_catalog();
+  const sim::ClusterConfig c = small_cluster(2, 2);
+  service::ServiceBatchConfig bcfg;
+  bcfg.tasks_per_batch = 8;
+  bcfg.files_per_task = 3;
+  auto arrivals = [&] {
+    std::vector<service::BatchArrival> a(2);
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      a[i].time = static_cast<double>(i);
+      a[i].index = i;
+      a[i].batch = service::make_service_batch(catalog, bcfg, i + 1);
+    }
+    return a;
+  };
+  service::StreamOptions opts;
+  opts.horizon.window_seconds = 1.0;
+
+  sched::MinMinScheduler clean;
+  auto base = service::StreamServiceLoop(clean, c, catalog, opts)
+                  .run(arrivals());
+  ASSERT_TRUE(base.ok()) << base.error().message;
+  const double end = base.value().stats.completion_time;
+  ASSERT_GT(base.value().stats.windows_committed, 2u);
+
+  std::size_t crashed_runs = 0;
+  for (int k = 1; k < 40; ++k) {
+    SCOPED_TRACE("crash at " + std::to_string(k) + "/40 of the run");
+    opts.faults.compute_crashes = {{1, end * k / 40.0}};
+    sched::MinMinScheduler mm;
+    auto res = service::StreamServiceLoop(mm, c, catalog, opts)
+                   .run(arrivals());
+    ASSERT_TRUE(res.ok()) << res.error().message;
+    const service::StreamStats& s = res.value().stats;
+    EXPECT_EQ(s.batches_completed, 2u);
+    EXPECT_EQ(s.tasks_executed, 16u);
+    EXPECT_LE(s.exec.node_crashes, 1u);
+    crashed_runs += s.exec.node_crashes;
+  }
+  EXPECT_GT(crashed_runs, 0u);
   WsRuntime::set_global_threads(0);
 }
 

@@ -9,6 +9,7 @@
 #include <memory>
 #include <string>
 #include <tuple>
+#include <vector>
 
 #include "sched/bipartition.h"
 #include "sched/driver.h"
@@ -81,14 +82,9 @@ TEST_P(SchedulerSweep, PhysicalInvariantsHold) {
 
   // Transfer conservation: each requested file crosses the storage
   // boundary at least once; replicas only exist if allowed.
-  std::size_t requested = 0;
-  double requested_bytes = 0.0;
-  for (const auto& f : w.files())
-    if (!w.tasks_of_file(f.id).empty()) {
-      ++requested;
-      requested_bytes += f.size_bytes;
-    }
-  EXPECT_GE(r.stats.remote_transfers, requested);
+  const wl::WorkloadStats ws = wl::measure(w);
+  const double requested_bytes = ws.unique_bytes;
+  EXPECT_GE(r.stats.remote_transfers, ws.num_requested_files);
   EXPECT_GE(r.stats.remote_bytes, requested_bytes - 1.0);
 
   // Analytic lower bounds on the simulated makespan.
@@ -108,12 +104,16 @@ TEST_P(SchedulerSweep, PhysicalInvariantsHold) {
     EXPECT_GE(r.batch_time, requested_bytes / c.shared_uplink_bw - 1e-6)
         << "makespan below the shared-uplink bound";
   }
-  // Per-storage-port bound: every file leaves its home port at least once.
+  // Per-storage-port bound: every requested file leaves its home port at
+  // least once.
+  std::vector<char> is_requested(w.num_files(), 0);
+  for (const auto& t : w.tasks())
+    for (wl::FileId f : t.files) is_requested[f] = 1;
   const sim::Topology topo(c);
   for (wl::NodeId s = 0; s < c.num_storage_nodes; ++s) {
     double bytes = 0.0;
     for (const auto& f : w.files())
-      if (!w.tasks_of_file(f.id).empty() && f.home_storage_node == s)
+      if (is_requested[f.id] && f.home_storage_node == s)
         bytes += f.size_bytes;
     EXPECT_GE(r.batch_time, bytes / topo.uniform_remote_bw() - 1e-6)
         << "makespan below storage port " << s << " bound";

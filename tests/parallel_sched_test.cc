@@ -95,16 +95,6 @@ TEST(PlannerState, PresenceIndexMatchesHolderLists) {
       for (std::size_t b = a + 1; b < ps.planned[f].size(); ++b)
         EXPECT_NE(ps.planned[f][a].first, ps.planned[f][b].first);
   }
-
-  // node_files is the exact transpose of planned.
-  std::size_t planned_entries = 0, node_entries = 0;
-  for (wl::FileId f = 0; f < w.num_files(); ++f)
-    planned_entries += ps.planned[f].size();
-  for (wl::NodeId n = 0; n < c.num_compute_nodes; ++n) {
-    node_entries += ps.node_files[n].size();
-    for (wl::FileId f : ps.node_files[n]) EXPECT_TRUE(ps.on_node(f, n));
-  }
-  EXPECT_EQ(planned_entries, node_entries);
 }
 
 TEST(PlannerState, EpochResetReusesBuffersAcrossWorkloads) {

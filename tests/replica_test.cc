@@ -411,25 +411,6 @@ TEST(ReplicaEndToEnd, StreamLoopRepairsBetweenArrivalsWithWrites) {
   EXPECT_GT(s.stats.exec.home_flushes, 0u);
 }
 
-TEST(ReplicaEndToEnd, RepairBudgetSpreadsWorkOverRounds) {
-  const wl::Workload w = one_file_workload(/*writes=*/false);
-  const sim::ClusterConfig c = replica_cluster(3, 2);
-  sim::ExecutionEngine eng(c, w);
-  replica::ReplicaConfig cfg = rf_config(4);  // home + all three nodes
-  cfg.max_repairs_per_round = 1;
-  ASSERT_TRUE(cfg.validate(c.num_compute_nodes).ok());
-  replica::ReplicaManager mgr(w, cfg);
-
-  replica::RepairReport rep = mgr.run_repairs(eng, 0.0);
-  EXPECT_EQ(rep.replicas_scheduled, 1u);
-  EXPECT_GT(rep.deferred, 0u);
-  rep = mgr.run_repairs(eng, rep.last_completion);
-  EXPECT_EQ(rep.replicas_scheduled, 1u);
-  rep = mgr.run_repairs(eng, rep.last_completion);
-  EXPECT_EQ(rep.replicas_scheduled, 1u);
-  EXPECT_TRUE(mgr.files_below_target(eng).empty());
-}
-
 // ------------------------------------------- replication-off bit identity
 
 // The topology goldens (tests/goldens.h), re-pinned with the replica

@@ -46,10 +46,7 @@ void check_result_sane(const BatchRunResult& r, const wl::Workload& w) {
   EXPECT_EQ(r.stats.tasks_executed, w.num_tasks());
   EXPECT_GE(r.sub_batches, 1u);
   // Every requested file needs >= 1 remote transfer (paper constraint 8).
-  std::size_t requested = 0;
-  for (const auto& f : w.files())
-    if (!w.tasks_of_file(f.id).empty()) ++requested;
-  EXPECT_GE(r.stats.remote_transfers, requested);
+  EXPECT_GE(r.stats.remote_transfers, wl::measure(w).num_requested_files);
 }
 
 TEST(CostModel, ProbabilisticWeightsMatchEq25) {

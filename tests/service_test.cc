@@ -441,7 +441,6 @@ TEST(Admission, DegradeAdmitsPastBoundAsBestEffort) {
   ASSERT_TRUE(q.offer(arrival_with_slo(catalog, 0, 0.0, 10.0, 2.0)).ok());
   ASSERT_TRUE(q.offer(arrival_with_slo(catalog, 1, 0.0, 10.0, 2.0)).ok());
   EXPECT_EQ(q.size(), 2u);
-  EXPECT_EQ(q.degraded_count(), 1u);
   q.pop();
   const service::QueuedBatch d = q.pop();
   EXPECT_EQ(d.arrival.index, 1u);

@@ -13,6 +13,7 @@
 #include "sim/state.h"
 #include "sim/timeline.h"
 #include "util/rng.h"
+#include "workload/stats.h"
 #include "workload/synthetic.h"
 
 namespace bsio::sim {
@@ -46,11 +47,11 @@ TEST(Timeline, EarliestCommonFree) {
   b.reserve(12.0, 10.0);
   // Need 2 units free on both: a free from 10, b busy [12,22) -> common at
   // 10 only if 10+2 <= 12: exactly fits.
-  std::vector<const Timeline*> tls{&a, &b};
+  std::vector<Timeline*> tls{&a, &b};
   EXPECT_DOUBLE_EQ(earliest_common_free(tls, 0.0, 2.0), 10.0);
   EXPECT_DOUBLE_EQ(earliest_common_free(tls, 0.0, 3.0), 22.0);
   // Null entries are ignored.
-  std::vector<const Timeline*> with_null{&a, nullptr, &b};
+  std::vector<Timeline*> with_null{&a, nullptr, &b};
   EXPECT_DOUBLE_EQ(earliest_common_free(with_null, 0.0, 2.0), 10.0);
 }
 
@@ -499,10 +500,7 @@ TEST(Engine, EveryRequestedFileRemotelyTransferredAtLeastOnce) {
   SubBatchPlan p = all_on(w, 0);
   for (auto& [t, n] : p.assignment) n = t % 2;
   auto stats = eng.execute(p).value();
-  std::size_t requested = 0;
-  for (const auto& f : w.files())
-    if (!w.tasks_of_file(f.id).empty()) ++requested;
-  EXPECT_GE(stats.remote_transfers, requested);
+  EXPECT_GE(stats.remote_transfers, wl::measure(w).num_requested_files);
 }
 
 TEST(Engine, PendingRequestsDrainToZero) {
