@@ -162,6 +162,7 @@ class ControlLoop {
   std::vector<double> release_;       // per admitted task
   std::vector<wl::TaskId> incoming_;  // admitted or orphaned, not planned
   std::vector<wl::TaskId> dirty_;     // live tasks the last window touched
+                                      // or whose node it killed
   double origin_ = 0.0;               // planner clock of the open window
   std::size_t unfinished_ = 0;
   double planning_seconds_ = 0.0;

@@ -310,42 +310,87 @@ void ExecutionEngine::apply_crash(wl::NodeId node, ExecutionStats& stats) {
   ++stats.node_crashes;
 }
 
+std::size_t ExecutionEngine::staging_full_scan(const SubBatchPlan& plan,
+                                               wl::NodeId node, double after) {
+  std::size_t best = 0;
+  double best_end = 0.0;
+  for (std::size_t i = 0; i < staging_.size(); ++i) {
+    const StagingEntry& e = staging_[i];
+    const TransferChoice c = best_transfer(&plan, e.file, node, after, 0.0);
+    if (e.exact)
+      BSIO_CHECK(c.start == e.choice.start && c.src == e.choice.src &&
+                 c.remote == e.choice.remote);
+    else
+      BSIO_CHECK(e.choice.completion() <= c.completion());
+    if (i == 0 || c.completion() < best_end) {
+      best = i;
+      best_end = c.completion();
+    }
+  }
+  return best;
+}
+
 bool ExecutionEngine::commit_task(const SubBatchPlan& plan, wl::TaskId task,
                                   wl::NodeId node, ExecutionStats& stats) {
   const auto& info = workload_.task(task);
 
-  std::vector<wl::FileId> remaining;
+  // Greedy minimum-TCT-first staging (paper Section 6): commit the missing
+  // input whose copy completes earliest against the current Gantt state,
+  // ties to the task's file order, until none is left. Every input is
+  // priced once up front. After each commit an input with another possible
+  // source is re-priced; one whose only source is its home keeps a lower
+  // bound instead, re-priced only when it is the lowest (DESIGN.md §7).
+  double last_end = std::max(compute_tl_[node].horizon(), release_floor_);
+  double after = last_end;
   double read_bytes = 0.0;
+  staging_.clear();
   for (wl::FileId f : info.files) {
     read_bytes += workload_.file_size(f);
     if (state_.has(node, f)) {
       ++stats.cache_hits;
       stats.cache_hit_bytes += workload_.file_size(f);
-    } else {
-      remaining.push_back(f);
+      continue;
     }
+    bool one_source = true;
+    if (cluster_.allow_replication)
+      for (wl::NodeId j : state_.holders(f))
+        if (j != node && alive_[j]) one_source = false;
+    staging_.push_back(
+        {f, best_transfer(&plan, f, node, after, 0.0), true, one_source});
   }
 
-  double last_end = std::max(compute_tl_[node].horizon(), release_floor_);
-  while (!remaining.empty()) {
-    // Greedy minimum-TCT-first staging (paper Section 6): evaluate every
-    // remaining file against the current Gantt state, commit the earliest.
+  while (!staging_.empty()) {
+    std::size_t w = 0;
+    for (;;) {
+      for (std::size_t i = 1; i < staging_.size(); ++i)
+        if (staging_[i].choice.completion() < staging_[w].choice.completion())
+          w = i;
+      if (staging_[w].exact) break;
+      staging_[w].choice =
+          best_transfer(&plan, staging_[w].file, node, after, 0.0);
+      staging_[w].exact = true;
+      w = 0;
+    }
+    BSIO_DCHECK(w == staging_full_scan(plan, node, after));
     // The chosen file's pricing is its first attempt.
-    std::size_t best_i = 0;
-    TransferChoice best;
-    const double after = std::max(compute_tl_[node].horizon(), release_floor_);
-    for (std::size_t i = 0; i < remaining.size(); ++i) {
-      const TransferChoice c =
-          best_transfer(&plan, remaining[i], node, after, 0.0);
-      if (i == 0 || c.completion() < best.completion()) {
-        best = c;
-        best_i = i;
+    last_end = std::max(
+        last_end, commit_transfer(plan, task, staging_[w].file, node, after,
+                                  info.files, stats, &staging_[w].choice));
+    staging_.erase(staging_.begin() + static_cast<std::ptrdiff_t>(w));
+
+    // Between two commits of one task only `after` grows and timelines gain
+    // reservations; holders, liveness and directives stand. No price falls
+    // then, and a home fetch keeps its duration: its next price is at least
+    // its last one and at least `after` plus that duration.
+    after = std::max(compute_tl_[node].horizon(), release_floor_);
+    for (StagingEntry& e : staging_) {
+      if (e.one_source) {
+        e.choice.start = std::max(e.choice.start, after);
+        e.exact = false;
+      } else {
+        e.choice = best_transfer(&plan, e.file, node, after, 0.0);
       }
     }
-    last_end = std::max(last_end,
-                        commit_transfer(plan, task, remaining[best_i], node,
-                                        after, info.files, stats, &best));
-    remaining.erase(remaining.begin() + best_i);
   }
 
   // Local read + computation, serialized on the node after the last input

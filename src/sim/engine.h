@@ -322,6 +322,17 @@ class ExecutionEngine {
     std::size_t trace_end = 0;    // events in trace_
   };
 
+  // One missing input of the task commit_task is staging: its price, exact
+  // against the current state or a lower bound of it.
+  struct StagingEntry {
+    wl::FileId file = wl::kInvalidFile;
+    TransferChoice choice;
+    bool exact = true;
+    // No alive node but the destination holds the file, or replication is
+    // off: its home fetch is its one source, of a fixed duration.
+    bool one_source = true;
+  };
+
   // Earliest common start, no earlier than `after`, of a `duration`-long
   // transfer holding the `src` port, every shared link of `path` and the
   // `dst` port.
@@ -378,6 +389,13 @@ class ExecutionEngine {
   // task is NOT finalized — the speculation resolver picks the winner.
   bool commit_task(const SubBatchPlan& plan, wl::TaskId task, wl::NodeId node,
                    ExecutionStats& stats);
+
+  // The reference staging pick: every entry of staging_ priced afresh at
+  // `after`, strict < (ties to the lowest position). Checks that each exact
+  // entry equals its fresh price and each bound lies at or below it
+  // (builds without NDEBUG run this before every staging commit).
+  std::size_t staging_full_scan(const SubBatchPlan& plan, wl::NodeId node,
+                                double after);
 
   // Marks `task` done at `completion` on `node`: touches its files, drops
   // pending requests, stamps the completion time and the makespan.
@@ -452,6 +470,8 @@ class ExecutionEngine {
   std::vector<char> alive_;            // per compute node, 1 = alive
   std::uint64_t transfer_seq_ = 0;     // logical transfer counter
   std::vector<wl::TaskId> orphaned_;   // crash-killed / never-started tasks
+  // commit_task's missing inputs, in the task's file order (reused).
+  std::vector<StagingEntry> staging_;
 
   // Speculation state: remaining duplicate-launch budget, and the attempt
   // being recorded (null outside speculative_commit).
