@@ -16,12 +16,16 @@
 //   scale_sweep [--smoke] [--out <path>] [--max-point-seconds <s>]
 //               [--max-rss-mb <mb>] [--threads <t1,t2,...>] [--point <i>]
 //
-// --smoke shrinks the grid for CI ({8, 64} nodes x 1k tasks, no IP);
+// --smoke shrinks the grid for CI ({8, 64} nodes x 1k tasks; IP at 8 only);
 // --max-point-seconds / --max-rss-mb turn the sweep into an acceptance
 // gate: any point whose planning time or peak RSS exceeds the ceiling
 // fails the run. --threads re-runs every point at each listed runtime
 // thread count and adds a speedup_vs_1t column per row (the first listed
-// count is the baseline).
+// count is the baseline); the same column says whether the row's makespan
+// equals the baseline's bit for bit, and any row where it does not fails
+// the run (plans are bit-identical at every thread count). IP rows print
+// n/a there: their MIPs stop at a wall-clock limit, so two runs at one
+// thread count may already differ.
 //
 // Every row runs in a fresh process: the sweep re-runs this binary with
 // its own arguments plus --point <i>, which runs only row i of the grid
@@ -33,8 +37,10 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <bit>
 #include <charconv>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -69,6 +75,8 @@ struct Row {
   double planning_seconds = 0.0;
   double wall_seconds = 0.0;  // planning + simulated execution
   double makespan_seconds = 0.0;
+  // Whether the makespan equals the first --threads entry's bit for bit.
+  bool same = true;
   double speedup_vs_1t = 1.0;  // vs the first --threads entry at this point
   double peak_rss_mb = 0.0;  // the row's own process high-water mark
 };
@@ -78,6 +86,7 @@ struct SchedulerSpec {
   std::size_t max_nodes;  // skip larger points
   std::size_t max_tasks;
   std::unique_ptr<sched::Scheduler> (*make)();
+  bool deterministic = true;  // plans independent of timing
 };
 
 // Refresh-cascade cap for MinMin's lazy heap. Unbounded, every commit's
@@ -246,7 +255,7 @@ int main(int argc, char** argv) {
       {"BiPartition", static_cast<std::size_t>(-1),
        static_cast<std::size_t>(-1), &make_bipartition},
       // Node-capped: IP's MIPs do not survive past small instances.
-      {"IP", 8, 1000, &bench::make_ip},
+      {"IP", 8, 1000, &bench::make_ip, /*deterministic=*/false},
   };
 
   std::vector<Point> points;
@@ -280,14 +289,16 @@ int main(int argc, char** argv) {
               smoke ? " (smoke)" : "");
   for (std::size_t t : thread_grid) std::printf(" %zu", t);
   std::printf(" }\n");
-  std::printf("%-16s %6s %7s %8s %4s %12s %10s %12s %8s %10s\n", "scheduler",
-              "nodes", "tasks", "files", "thr", "plan [s]", "wall [s]",
-              "makespan [s]", "speedup", "rss [MB]");
+  std::printf("%-16s %6s %7s %8s %4s %12s %10s %12s %8s %5s %10s\n",
+              "scheduler", "nodes", "tasks", "files", "thr", "plan [s]",
+              "wall [s]", "makespan [s]", "speedup", "same", "rss [MB]");
   std::fflush(stdout);
 
   std::vector<Row> rows;
   bool ceilings_ok = true;
+  bool all_same = true;
   double base_planning = 0.0;
+  double base_makespan = 0.0;
   double peak_rss_mb = 0.0;
   for (std::size_t i = 0; i < points.size(); ++i) {
     const Point& p = points[i];
@@ -298,15 +309,24 @@ int main(int argc, char** argv) {
                    i, p.spec->label.c_str(), p.nodes, p.tasks);
       return 1;
     }
-    if (p.threads == thread_grid.front()) base_planning = row.planning_seconds;
+    if (p.threads == thread_grid.front()) {
+      base_planning = row.planning_seconds;
+      base_makespan = row.makespan_seconds;
+    }
     row.speedup_vs_1t =
         row.planning_seconds > 0.0 ? base_planning / row.planning_seconds : 1.0;
+    // Rows cross the pipe as %.17g, so equal bits survive the round trip.
+    row.same = std::bit_cast<std::uint64_t>(row.makespan_seconds) ==
+               std::bit_cast<std::uint64_t>(base_makespan);
+    if (p.spec->deterministic) all_same = all_same && row.same;
     peak_rss_mb = std::max(peak_rss_mb, row.peak_rss_mb);
+    const char* same = "n/a";
+    if (p.spec->deterministic) same = row.same ? "yes" : "NO";
     std::printf(
-        "%-16s %6zu %7zu %8zu %4zu %12.3f %10.2f %12.1f %7.2fx %10.1f\n",
+        "%-16s %6zu %7zu %8zu %4zu %12.3f %10.2f %12.1f %7.2fx %5s %10.1f\n",
         row.scheduler.c_str(), row.nodes, row.tasks, row.files, row.threads,
         row.planning_seconds, row.wall_seconds, row.makespan_seconds,
-        row.speedup_vs_1t, row.peak_rss_mb);
+        row.speedup_vs_1t, same, row.peak_rss_mb);
     std::fflush(stdout);
     if (max_point_seconds > 0.0 && row.planning_seconds > max_point_seconds) {
       std::fprintf(stderr,
@@ -348,6 +368,7 @@ int main(int argc, char** argv) {
     j.field("threads", r.threads);
     j.field("planning_seconds", r.planning_seconds, 3);
     j.field("speedup_vs_1t", r.speedup_vs_1t, 3);
+    j.field("same", r.same);
     j.field("wall_seconds", r.wall_seconds, 2);
     j.field("makespan_seconds", r.makespan_seconds, 1);
     j.field("peak_rss_mb", r.peak_rss_mb, 1);
@@ -357,5 +378,8 @@ int main(int argc, char** argv) {
   j.end_object();
   std::printf("\nwrote %s (%zu rows)\n", out_path, rows.size());
 
-  return ceilings_ok ? 0 : 1;
+  if (!all_same)
+    std::fprintf(stderr,
+                 "scale_sweep: makespans diverged across thread counts\n");
+  return ceilings_ok && all_same ? 0 : 1;
 }

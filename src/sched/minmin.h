@@ -10,10 +10,16 @@
 //
 // Every sweep prices a task against all nodes with one
 // estimate_completion_row call. The exact path's per-round rows and the
-// lazy heap's initial rows run on the global WsRuntime; the lazy heap's
-// one row per pop runs inline. The argmin fold over the rows stays
-// sequential and visits candidates in the historical order, so plans are
-// bit-identical at any thread count.
+// lazy heap's initial rows run on the global WsRuntime. A bounded refresh
+// cascade is priced ahead in waves: the state only changes at a commit, so
+// when a pop finds its task unpriced since the last commit, that row and
+// the next heap entries' rows in key order are priced on the pool and
+// folded, stamped with the commit count; the cascade then pops entry by
+// entry, taking the stamped folds. Waves need more than one runtime
+// thread and enough rows x nodes to pay for the fork; other rows run
+// inline. Every decision stays in the sequential loop and visits
+// candidates in the historical order, so plans are bit-identical at any
+// thread count.
 #pragma once
 
 #include <limits>

@@ -1,7 +1,8 @@
 // Tests for the parallel scheduling core: the O(1) replica-presence
 // index, the exec-time scratch, row pricing against the per-node cost
 // model, the O(1)-removal exact MinMin loop (against a reimplementation of
-// the historical erase-based path), lazy-vs-exact MinMin equivalence, and
+// the historical erase-based path), lazy-vs-exact MinMin equivalence, the
+// lazy heap's pooled refresh cascade against a sequential reference, and
 // parallel-vs-sequential plan bit-identity across all four schedulers.
 #include <gtest/gtest.h>
 
@@ -10,6 +11,7 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <queue>
 #include <utility>
 #include <vector>
 
@@ -348,6 +350,146 @@ TEST(MinMin, BoundedStalenessNearUnbounded) {
     EXPECT_NEAR(rb.batch_time, ru.batch_time, 0.10 * ru.batch_time)
         << "seed " << seed;
   }
+}
+
+// The lazy heap before its refresh cascades were priced ahead on the pool,
+// verbatim but for the initial sweep running sequentially: a
+// std::priority_queue, one row priced inline per pop, and its own copy of
+// the node fold.
+std::pair<wl::NodeId, double> sequential_fold(
+    const PlannerState& ps, const std::vector<wl::NodeId>& nodes,
+    const double* ct) {
+  wl::NodeId best_node = nodes.front();
+  double best_ct = std::numeric_limits<double>::infinity();
+  for (std::size_t j = 0; j < nodes.size(); ++j) {
+    const bool first = std::isinf(best_ct);
+    const double tol = first ? 0.0 : 1e-9 * (1.0 + best_ct);
+    const bool better =
+        first || ct[j] < best_ct - tol ||
+        (ct[j] < best_ct + tol &&
+         ps.node_ready[nodes[j]] < ps.node_ready[best_node] - 1e-12);
+    if (better) {
+      best_node = nodes[j];
+      best_ct = ct[j];
+    }
+  }
+  return {best_node, best_ct};
+}
+
+sim::SubBatchPlan sequential_lazy_plan(const wl::Workload& w,
+                                       const sim::ExecutionEngine& engine,
+                                       const std::vector<wl::TaskId>& pending,
+                                       const std::vector<wl::NodeId>& nodes,
+                                       std::size_t stale_retry_budget) {
+  const sim::Topology& topo = engine.topology();
+  PlannerState ps(w, topo, engine.state());
+  struct Entry {
+    double ct;
+    wl::TaskId task;
+    bool operator<(const Entry& o) const { return ct > o.ct; }  // min-heap
+  };
+  std::vector<double> row(nodes.size());
+  std::priority_queue<Entry> heap;
+  for (wl::TaskId t : pending) {
+    estimate_completion_row(w, topo, ps, t, nodes, row);
+    heap.push({sequential_fold(ps, nodes, row.data()).second, t});
+  }
+
+  sim::SubBatchPlan plan;
+  std::vector<bool> done(w.num_tasks(), false);
+  std::size_t retries = 0;
+  bool fresh_valid = false;
+  double fresh_ct = 0.0;
+  wl::TaskId fresh_task = 0;
+  wl::NodeId fresh_node = 0;
+  while (!heap.empty()) {
+    Entry e = heap.top();
+    heap.pop();
+    if (done[e.task]) continue;
+    estimate_completion_row(w, topo, ps, e.task, nodes, row);
+    auto [node, best_ct] = sequential_fold(ps, nodes, row.data());
+    const bool stale =
+        !heap.empty() && best_ct > heap.top().ct + 1e-9 * (1.0 + best_ct);
+    if (stale && retries < stale_retry_budget) {
+      heap.push({best_ct, e.task});
+      if (!fresh_valid || best_ct < fresh_ct) {
+        fresh_valid = true;
+        fresh_ct = best_ct;
+        fresh_task = e.task;
+        fresh_node = node;
+      }
+      ++retries;
+      continue;
+    }
+    wl::TaskId task = e.task;
+    if (stale && fresh_valid && fresh_ct < best_ct) {
+      heap.push({best_ct, e.task});
+      task = fresh_task;
+      node = fresh_node;
+    }
+    CompletionEstimate est = estimate_completion(w, topo, ps, task, node);
+    apply_assignment(w, topo, ps, task, node, est);
+    plan.tasks.push_back(task);
+    plan.assignment[task] = node;
+    done[task] = true;
+    retries = 0;
+    fresh_valid = false;
+  }
+  return plan;
+}
+
+TEST(MinMin, LazyCascadeMatchesSequentialReference) {
+  // Above one thread every bounded cascade here prices ahead: a wave forks
+  // once its rows x nodes reach about two thousand, and a budget-b cascade
+  // prices at most b + 1 rows, so the small budgets get 1,024 nodes. The
+  // unbounded cascade is priced inline, one row per pop.
+  constexpr std::size_t kUnbounded = std::numeric_limits<std::size_t>::max();
+  struct Case {
+    std::size_t budget;
+    std::size_t tasks;
+    std::size_t nodes;
+    std::uint64_t seed;
+    bool crash;  // node 1 fails during a first sub-batch
+  };
+  const Case cases[] = {
+      {1, 300, 1024, 3, false},         // waves of 2 rows
+      {4, 450, 1024, 5, false},         // waves of up to 5 rows
+      {32, 600, 64, 7, false},          // waves of up to 33 rows
+      {kUnbounded, 450, 64, 9, false},  // one row per pop
+      {32, 600, 128, 11, true},         // 127 alive nodes
+  };
+  for (const Case& k : cases) {
+    const wl::Workload w = test_workload(k.tasks, k.seed, /*overlap=*/0.85);
+    const sim::ClusterConfig c = test_cluster(k.nodes);
+    sim::EngineOptions opts;
+    if (k.crash) opts.faults.compute_crashes = {{1, 0.5}};
+    sim::ExecutionEngine engine(c, w, opts);
+    std::vector<wl::TaskId> pending = all_tasks(w);
+    if (k.crash) {
+      // Tasks 0..7 on nodes 0..7: node 1 fails before its task runs, the
+      // others leave their inputs cached, and the rest plans without node 1.
+      sim::SubBatchPlan first;
+      for (wl::TaskId t = 0; t < 8; ++t) {
+        first.tasks.push_back(t);
+        first.assignment[t] = t;
+      }
+      ASSERT_TRUE(engine.execute(first).ok());
+      ASSERT_FALSE(engine.node_alive(1));
+      pending.assign(pending.begin() + 8, pending.end());
+      for (wl::TaskId t : engine.take_orphaned()) pending.push_back(t);
+    }
+    const SchedulerContext ctx{w, c, engine};
+    const std::vector<wl::NodeId>& alive = ctx.alive_nodes();
+    const auto want = sequential_lazy_plan(w, engine, pending, alive, k.budget);
+    ASSERT_EQ(want.tasks.size(), pending.size());
+    for (std::size_t t : {1u, 2u, 4u, 8u}) {
+      WsRuntime::set_global_threads(t);
+      MinMinScheduler lazy(/*exact_threshold=*/0, k.budget);
+      EXPECT_TRUE(plans_equal(lazy.plan_sub_batch(pending, ctx), want))
+          << "budget " << k.budget << " threads " << t << " seed " << k.seed;
+    }
+  }
+  WsRuntime::set_global_threads(0);
 }
 
 // ------------------------------------------- parallel-vs-sequential plans
